@@ -22,6 +22,16 @@ Pearls of pearled variants sit on the leftmost spine (the path from the first
 tip in planar order to the root), so their paths are all zeros.  Marks are
 stored as {(component index, edge path): internal?}.  Enumeration lists
 canonical representatives with leaves labeled "1".."n" in planar order.
+
+Enumeration generates only valid markings, pushing them down from the root.
+Each edge carries the set of marking indices in which it is internal, and an
+edge's set lies inside its parent edge's set (an external output forces
+external inputs).  In pTreeP the pearl's edge and its ancestors are internal
+in every marking, and any other edge is internal in none, exactly one or all
+of them.  In section variants the trunk is internal exactly in the
+components with a leaf count (arity None is a trivial component), every other
+edge is internal in exactly one component or in all, and an edge below a
+pearl with inputs is internal in that pearl's component.
 """
 
 from __future__ import annotations
@@ -585,16 +595,17 @@ def encode(t: KFoldTree):
     marks = t.marks_dict()
     mark_is = sorted({i for (i, _) in marks}) or [0]
 
-    def enc(c, i, node, path):
+    def enc(c, i, labels, node, path):
         if t.variant == "pTreeP":
             mk = tuple(_mk(marks.get((j, path))) for j in mark_is)
         else:
             mk = (_mk(marks.get((i, path))),)
         if not is_vertex(node):
-            return ("L", mk, c.label_of(path))
-        return ("V", path in c.pearls, mk, tuple(enc(c, i, ch, path + (j,)) for j, ch in enumerate(node)))
+            return ("L", mk, labels[path])
+        return ("V", path in c.pearls, mk,
+                tuple(enc(c, i, labels, ch, path + (j,)) for j, ch in enumerate(node)))
 
-    return (t.variant, tuple(enc(c, i, c.shape, ()) for i, c in enumerate(t.components)))
+    return (t.variant, tuple(enc(c, i, dict(c.labels), c.shape, ()) for i, c in enumerate(t.components)))
 
 
 def canonical_encoding(t: KFoldTree):
@@ -683,19 +694,59 @@ def _has_null_non_pearl(c: ComponentTree) -> bool:
 
 def enumerate_trees(variant, arities, max_vertices: int, k=None, no_univalent: bool = False) -> Enumeration:
     """Exhaustive, duplicate-free enumeration of a variant within a vertex
-    bound.  Entries are canonical representatives in deterministic order;
-    truncated reports whether raising the bound would add members.  With
-    no_univalent, components may not contain univalent non-pearl vertices.
-    pTreeP ignores arities beyond its single leaf count and takes the number
-    of markings from k (default 2).
+    bound.  Entries are canonical representatives sorted by (vertex count,
+    encoding); truncated reports whether raising the bound would add members.
+    With no_univalent, components may not contain univalent non-pearl
+    vertices.
+
+    arities holds one leaf count per component; section variants take None
+    for a trivial (all-external) component.  pTreeP takes exactly one leaf
+    count and the number of markings from k (default 2, at least 1).  The
+    "plain" variant has no enumerator.  Malformed requests raise
+    OperadicError.
+
+    Markings are generated valid, pushed down from the root: every edge
+    takes the set of marking indices in which it is internal, and that set
+    lies inside its parent edge's set.  In pTreeP the pearl's edge and its
+    ancestors are internal in every marking and any other edge in none, in
+    exactly one or in all.  In section variants the trunk is internal
+    exactly for the components with a leaf count; every other edge is
+    internal in exactly one component or in all, and in each component
+    whose pearl at its top is not univalent.
     """
+    arities, k = _check_request(variant, arities, max_vertices, k)
+    # Candidates are generated once, one vertex over the bound: every
+    # generator filters by <= on the vertex count, so the candidates within
+    # the bound are exactly those of a run at the bound, and any candidate
+    # beyond it shows that the bound cuts the enumeration.
+    candidates = _candidates(variant, arities, max_vertices + 1, k, no_univalent)
+    kept = [t for t in candidates if t.total_vertices <= max_vertices]
+    return Enumeration(_ordered_dedup(kept), len(kept) < len(candidates))
+
+
+def _check_request(variant, arities, max_vertices, k):
     if variant not in VARIANTS:
         raise OperadicError("unknown variant %r" % variant)
-    if max_vertices < 1:
-        raise OperadicError("vertex bound must be positive")
-    main = _enumerate_at(variant, tuple(arities), max_vertices, k, no_univalent)
-    probe = _enumerate_at(variant, tuple(arities), max_vertices + 1, k, no_univalent)
-    return Enumeration(main, len(probe) > len(main))
+    if variant == "plain":
+        raise OperadicError("no enumerator for plain trees")
+    if not isinstance(max_vertices, int) or max_vertices < 1:
+        raise OperadicError("vertex bound must be a positive integer")
+    arities = tuple(arities)
+    if not arities:
+        raise OperadicError("at least one arity is required")
+    trivial_ok = variant in ("rsTree", "sTree")
+    for n in arities:
+        if n is None and trivial_ok:
+            continue
+        if not isinstance(n, int) or n < 0:
+            raise OperadicError("bad arity %r for %s" % (n, variant))
+    if variant == "pTreeP":
+        if len(arities) != 1:
+            raise OperadicError("pTreeP takes exactly one arity")
+        k = 2 if k is None else k
+        if not isinstance(k, int) or k < 1:
+            raise OperadicError("pTreeP needs at least one marking")
+    return arities, k
 
 
 def _ordered_dedup(trees):
@@ -706,15 +757,12 @@ def _ordered_dedup(trees):
     return tuple(sorted(dedup.values(), key=lambda t: (t.total_vertices, encode(t))))
 
 
-def _enumerate_at(variant, arities, max_vertices, k, no_univalent):
+def _candidates(variant, arities, max_vertices, k, no_univalent):
     if variant in ("rpTree", "pTree"):
-        out = _enumerate_pearled(variant, arities, max_vertices, no_univalent)
-    elif variant in ("rsTree", "sTree"):
-        out = _enumerate_section(variant, arities, max_vertices, no_univalent)
-    else:
-        (n,) = arities
-        out = _enumerate_intermediate(n, max_vertices, 2 if k is None else k)
-    return _ordered_dedup(out)
+        return _enumerate_pearled(variant, arities, max_vertices, no_univalent)
+    if variant in ("rsTree", "sTree"):
+        return _enumerate_section(variant, arities, max_vertices, no_univalent)
+    return _enumerate_intermediate(arities[0], max_vertices, k)
 
 
 def _enumerate_pearled(variant, arities, max_vertices, no_univalent):
@@ -741,12 +789,33 @@ def _enumerate_pearled(variant, arities, max_vertices, no_univalent):
     return out
 
 
-def _edge_patterns(k, with_all_external):
-    pats = [tuple(True for _ in range(k))]
-    pats += [tuple(j == i for j in range(k)) for i in range(k)]
-    if with_all_external:
-        pats.append(tuple(False for _ in range(k)))
-    return pats
+def _push_down(edges, choices, k):
+    """Markings from internal sets assigned edge by edge, parents first.
+
+    edges must list every edge after its parent edge; choices(edge, parent
+    set) gives the sets the edge may take (the parent set is None for the
+    trunk).  Yields {(marking index, edge): internal?}.
+    """
+    sets = {}
+
+    def assign(j):
+        if j == len(edges):
+            yield {(i, e): i in s for e, s in sets.items() for i in range(k)}
+            return
+        e = edges[j]
+        for s in choices(e, sets[e[:-1]] if e else None):
+            sets[e] = s
+            yield from assign(j + 1)
+
+    return assign(0)
+
+
+def _inner_sets(k, with_empty):
+    """The distinct internal sets of a non-trunk edge: one index or all."""
+    sets = [frozenset({i}) for i in range(k)] + [frozenset(range(k))]
+    if with_empty:
+        sets.insert(0, frozenset())
+    return list(dict.fromkeys(sets))
 
 
 def _above_forests(n_leaves_max, vmax, corollas_only, allow_null):
@@ -778,8 +847,8 @@ def _enumerate_section(variant, arities, max_vertices, no_univalent):
         if n_pearls == 1:
             skeletons.append(LEAF)  # the section through the root
         for skel in skeletons:
-            if variant == "rsTree" and any(len(v) > 1 for v in vertices(skel)):
-                continue  # a below vertex not adjacent to any pearl
+            if variant == "rsTree" and len(vertices(skel)) > 1:
+                continue  # a below vertex other than the root touches no pearl
             pearl_slots = leaves(skel)
             base_vertices = (len(vertices(skel)) + len(pearl_slots)) * k
             if base_vertices > max_vertices:
@@ -792,11 +861,10 @@ def _enumerate_section(variant, arities, max_vertices, no_univalent):
             for combo in product(*comp_options):
                 if sum(c.n_vertices for c in combo) > max_vertices:
                     continue
-                for marks in _section_marks(k, section_edge_paths(combo[0])):
-                    t = KFoldTree(variant, combo, marks)
-                    ok, _ = validate_labeling(t)
-                    if ok and t.arities == arities:
-                        out.append(t)
+                # skeleton and fillings make valid components with one below
+                # part, so only the markings remain to be chosen
+                for marks in _section_marks(combo, arities):
+                    out.append(KFoldTree(variant, combo, marks))
     return out
 
 
@@ -822,36 +890,46 @@ def _component_fillings(variant, skel, pearl_slots, n_i, v_extra, no_univalent):
     return outs
 
 
-def _section_marks(k, edge_paths):
-    inner = [e for e in edge_paths if e != ()]
-    inner_pats = _edge_patterns(k, with_all_external=False)
-    for trunk_bits in product((True, False), repeat=k):
-        for pats in product(inner_pats, repeat=len(inner)):
-            marks = {(i, ()): trunk_bits[i] for i in range(k)}
-            for e, pat in zip(inner, pats):
-                for i in range(k):
-                    marks[(i, e)] = pat[i]
-            yield tuple(marks.items())
+def _section_marks(components, arities):
+    """Every valid marking of section components that share their below
+    part, each once, by the rules in the module docstring."""
+    k = len(components)
+    trunk = frozenset(i for i, n in enumerate(arities) if n is not None)
+    if not trunk:
+        return
+    inner = _inner_sets(k, with_empty=False)
+
+    def choices(e, parent):
+        if not e:
+            return [trunk]
+        need = {i for i, c in enumerate(components) if e in c.pearls and arity(c.shape, e)}
+        return [s for s in inner if s <= parent and need <= s]
+
+    yield from _push_down(section_edge_paths(components[0]), choices, k)
+
+
+def _intermediate_marks(shape, pearl, k):
+    """Every valid pTreeP marking of one pearled shape, each once."""
+    every = frozenset(range(k))
+    inner = _inner_sets(k, with_empty=True)
+
+    def choices(e, parent):
+        if is_ancestor(e, pearl):
+            return [every]
+        return [s for s in inner if s <= parent]
+
+    return _push_down(sorted(vertices(shape) + leaves(shape)), choices, k)
 
 
 def _enumerate_intermediate(n, max_vertices, k):
     out = []
-    pats = _edge_patterns(k, with_all_external=True)
     for shape in gen_planar_trees(n, max_vertices, allow_null=True):
         for p in pearl_positions(shape):
             c = ComponentTree(shape, frozenset({p}))
             if _has_null_non_pearl(c):
                 continue
-            edge_paths = vertices(shape) + leaves(shape)
-            for bits in product(pats, repeat=len(edge_paths)):
-                marks = {}
-                for e, pat in zip(edge_paths, bits):
-                    for i in range(k):
-                        marks[(i, e)] = pat[i]
-                t = KFoldTree("pTreeP", (c,), tuple(marks.items()))
-                ok, _ = validate_labeling(t)
-                if ok:
-                    out.append(t)
+            for marks in _intermediate_marks(shape, p, k):
+                out.append(KFoldTree("pTreeP", (c,), marks))
     return out
 
 
@@ -904,19 +982,22 @@ class PsiObject:
     @property
     def key(self):
         c = self.tree
+        labels = dict(c.labels)
 
         def enc(node, path):
             if not is_vertex(node):
-                return ("L", c.label_of(path))
+                return ("L", labels[path])
             return ("V", path in c.pearls, tuple(enc(ch, path + (j,)) for j, ch in enumerate(node)))
 
         return enc(c.shape, ())
 
 
 def _nonplanar_canonical(c: ComponentTree) -> ComponentTree:
+    leaf_labels = dict(c.labels)
+
     def build(node, path):
         if not is_vertex(node):
-            lab = c.label_of(path)
+            lab = leaf_labels[path]
             return ("L", lab), LEAF, {(): lab}, set()
         packed = sorted((build(ch, path + (j,)) for j, ch in enumerate(node)), key=lambda x: x[0])
         key = ("V", path in c.pearls, tuple(p[0] for p in packed))

@@ -1,6 +1,7 @@
 """Tree machinery tests: enumeration against brute-force oracles, validation
 clause reporting, canonical-form invariants, the pearled-tree poset, DOT."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -372,6 +373,125 @@ class TestEnumerate:
             T.enumerate_trees("tree", (1,), 3)
         with pytest.raises(OperadicError):
             T.enumerate_trees("pTree", (1,), 0)
+
+    @pytest.mark.parametrize("variant, arities, vmax, kwargs", [
+        ("pTreeP", (1, 2), 2, {}),
+        ("pTree", (None,), 2, {}),
+        ("sTree", (), 3, {}),
+        ("pTreeP", (2,), 3, {"k": 0}),
+        ("pTreeP", (2,), 3, {"k": -1}),
+        ("rpTree", (-1,), 3, {}),
+        ("plain", (2,), 3, {}),
+    ])
+    def test_malformed_request(self, variant, arities, vmax, kwargs):
+        with pytest.raises(OperadicError):
+            T.enumerate_trees(variant, arities, vmax, **kwargs)
+
+    @pytest.mark.parametrize("variant, arities, vmax, kwargs", [
+        ("rpTree", (0,), 1, {}),
+        ("rpTree", (2,), 4, {}),
+        ("rpTree", (1, 1), 4, {}),
+        ("rpTree", (1,), 4, {"no_univalent": True}),
+        ("pTree", (2,), 3, {}),
+        ("pTree", (1, 1), 3, {}),
+        ("rsTree", (2,), 3, {}),
+        ("rsTree", (1, 1), 3, {}),
+        ("rsTree", (1, None), 3, {}),
+        ("sTree", (2,), 3, {}),
+        ("sTree", (1, 1), 3, {}),
+        ("sTree", (None,), 3, {}),
+        ("pTreeP", (2,), 2, {"k": 1}),
+        ("pTreeP", (2,), 2, {"k": 2}),
+        ("pTreeP", (1,), 3, {"k": 3}),
+    ])
+    def test_truncated_against_next_bound(self, variant, arities, vmax, kwargs):
+        enum = T.enumerate_trees(variant, arities, vmax, **kwargs)
+        bigger = T.enumerate_trees(variant, arities, vmax + 1, **kwargs)
+        assert enum.truncated == (len(bigger) > len(enum))
+        within = [T.encode(t) for t in bigger.trees if t.total_vertices <= vmax]
+        assert within == [T.encode(t) for t in enum.trees]
+
+    # first 16 hex digits of sha256(repr([encode(t) for t in trees])), pinned
+    # from the generate-and-filter enumerator
+    @pytest.mark.parametrize("variant, arities, vmax, kwargs, digest", [
+        ("pTreeP", (2,), 3, {"k": 2}, "819fc7ce160a5be5"),
+        ("pTreeP", (1,), 3, {"k": 3}, "5316e7baf51b6bd0"),
+        ("sTree", (2,), 4, {}, "fe2f57d8bfec1044"),
+        ("pTree", (2,), 4, {}, "bea141c9f6127961"),
+        ("rsTree", (1, 1), 4, {}, "dcbc9b241a11b525"),
+        ("sTree", (1, 1), 4, {}, "77e2c3c2b718f727"),
+    ])
+    def test_golden_order(self, variant, arities, vmax, kwargs, digest):
+        enum = T.enumerate_trees(variant, arities, vmax, **kwargs)
+        text = repr([T.encode(t) for t in enum.trees])
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+        assert enum.truncated
+
+
+# ---------------------------------------------------------------------------
+# marking generators against every bit pattern
+
+
+def brute_marks(variant, components, edges, k, arities=None):
+    out = set()
+    for bits in itertools.product((True, False), repeat=k * len(edges)):
+        marks = {(i, e): bits[i * len(edges) + j] for i in range(k) for j, e in enumerate(edges)}
+        t = KFoldTree(variant, components, tuple(marks.items()))
+        if T.validate_labeling(t)[0] and (arities is None or t.arities == arities):
+            out.add(frozenset(marks.items()))
+    return out
+
+
+def as_sets(marks_iter):
+    got = [frozenset(m.items()) for m in marks_iter]
+    assert len(got) == len(set(got))
+    return set(got)
+
+
+class TestMarkings:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [
+        (LEAF,),
+        (LEAF, LEAF),
+        ((LEAF,),),
+        ((LEAF, LEAF),),
+        ((LEAF,), LEAF),
+    ])
+    def test_intermediate(self, shape, k):
+        edges = T.vertices(shape) + T.leaves(shape)
+        for p in T.pearl_positions(shape):
+            c = ComponentTree(shape, frozenset({p}))
+            got = as_sets(T._intermediate_marks(shape, p, k))
+            assert got == brute_marks("pTreeP", (c,), edges, k), p
+
+    def section_families(self):
+        one = ComponentTree(((LEAF,), (LEAF, LEAF)), frozenset({(0,), (1,)}))
+        two = ComponentTree(((), (LEAF,)), frozenset({(0,), (1,)}))
+        bare = ComponentTree(((), ()), frozenset({(0,), (1,)}))
+        root = ComponentTree((LEAF,), frozenset({()}))
+        null_root = ComponentTree((), frozenset({()}))
+        deep = ComponentTree((((LEAF,), ()),), frozenset({(0, 0), (0, 1)}))
+        deep_bare = ComponentTree((((), ()),), frozenset({(0, 0), (0, 1)}))
+        return [
+            ((one,), (3,)),
+            ((one, two), (3, 1)),
+            ((one, bare), (3, None)),
+            ((bare, two), (0, 1)),
+            ((one, two, bare), (3, 1, None)),
+            ((bare, bare), (None, None)),
+            ((root, null_root), (1, None)),
+            ((null_root, null_root), (None, None)),
+            ((root, null_root, root), (1, 0, 1)),
+            ((deep, deep_bare), (1, None)),
+            ((deep, deep_bare, deep), (1, 0, 1)),
+        ]
+
+    def test_section(self):
+        for components, arities in self.section_families():
+            edges = T.section_edge_paths(components[0])
+            got = as_sets(T._section_marks(components, arities))
+            want = brute_marks("sTree", components, edges, len(components), arities)
+            assert got == want, arities
 
 
 # ---------------------------------------------------------------------------
