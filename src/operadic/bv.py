@@ -21,6 +21,11 @@ time zero.  Along an inner edge the time grows away from the pearls (for
 neighbours, absorbs time-zero neighbours of pearls, removes unit-decorated
 vertices and sorts children by content; `bv_normalize` is idempotent and
 its result does not depend on the rewrite order.
+
+The rewrite engine is the one of `freeconstr`: a free point is the "ib" or
+"b" point with every time at one (`bv_tau`), and the free normal form is the
+timed one there.  This module adds the points with times, their checks and
+actions, and the module operations that absorb into the pearls.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from fractions import Fraction
 from .algebra import (
     FiberPoint,
     GluedElement,
-    GluedEvaluator,
     MARK,
     OperadModel,
     OVecPoint,
@@ -39,22 +43,7 @@ from .algebra import (
     PLUS,
     ProductPoint,
     RelativeFamily,
-    act_numeric,
-    compose_at,
-    compose_away,
-    fiber_compose_at,
-    fiber_drop,
-    fiber_relabel,
-    glued_circ,
-    glued_mu_s,
-    glued_relabel,
-    is_unit_fiber,
-    is_unit_ovec,
     label_key,
-    ovec_compose_at,
-    ovec_splice,
-    ovec_unit,
-    qualify,
 )
 from .errors import OperadicError
 from .freeconstr import (
@@ -64,33 +53,32 @@ from .freeconstr import (
     GluedBOps,
     GluedIbOps,
     ProductIbOps,
-    act_component,
+    _TimedState,
+    _check_fiber_marks,
+    _free_state,
+    _graft_leaf,
+    _graft_left_ib,
+    _graft_right,
+    _merge_b_operands,
+    _pearlward,
+    _positional_ground,
+    _positional_labels,
+    _positional_ovec,
+    _relabel_component,
+    _validate_b_decorations,
+    _validate_ib_decorations,
     b_generator,
-    base_like,
-    decoration_arities,
     free_graft_b,
     free_graft_ib,
     ib_generator,
-    is_base_value,
-    slot_fragment,
-    stable_key,
 )
 from .trees import (
-    ComponentTree,
     KFoldTree,
     LEAF,
-    above_paths,
     arity,
-    below_paths,
-    corolla,
-    emit_dot,
-    is_ancestor,
     is_vertex,
     leaves,
     pearl_of,
-    replace as shape_replace,
-    spine_paths,
-    subtree,
     validate_labeling,
     vertices,
 )
@@ -118,31 +106,6 @@ def _as_time(value) -> Fraction:
     if t < 0 or t > 1:
         raise OperadicError("time %s out of range" % t)
     return t
-
-
-def _dec_arities(value) -> tuple:
-    if isinstance(value, (FreeIbPoint, FreeBPoint)):
-        return tuple(PLUS if a is None else a for a in value.tree.arities)
-    if isinstance(value, FiberPoint):
-        return tuple(PLUS if p == PLUS else len(p) for p in value.pk.parts)
-    return decoration_arities(value)
-
-
-def _positional_labels(model, x, n: int) -> bool:
-    return tuple(model.labels(x)) == tuple(str(t + 1) for t in range(n))
-
-
-def _positional_ground(fiber: FiberPoint, n: int) -> bool:
-    return fiber.pk.ground == tuple(
-        sorted((str(t + 1) for t in range(n)), key=label_key)
-    )
-
-
-def _positional_ovec(theta: OVecPoint, arities) -> bool:
-    return all(
-        set(theta.sets[i]) == {str(t) for t in range(2, m + 1)}
-        for i, m in enumerate(arities)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +193,6 @@ def _check_decimal_labels(tree: KFoldTree):
                 )
 
 
-def _pearlward(c: ComponentTree, v) -> bool:
-    """Is the vertex a strict ancestor of a pearl of its component?"""
-    return any(is_ancestor(v, p) and v != p for p in c.pearls)
-
-
 def _check_monotone(p: BVPoint):
     """Times must not decrease along edges oriented away from the pearls.
 
@@ -248,7 +206,7 @@ def _check_monotone(p: BVPoint):
             tp = p.time_of(i, v[:-1])
             if tc is None or tp is None:
                 continue
-            ok = tp >= tc if _pearlward(c, v) else tc >= tp
+            ok = tp >= tc if _pearlward(c.pearls, v) else tc >= tp
             if not ok:
                 raise OperadicError(
                     "time monotonicity violated at edge %r of component %d"
@@ -270,12 +228,13 @@ def _validate_point(p: BVPoint):
     _check_decimal_labels(p.tree)
     if p.flavor == "w":
         _validate_w(p)
-    elif p.flavor == "ib":
-        _validate_ib(p)
-    elif p.flavor == "b":
-        _validate_b(p)
-    else:
+    elif p.flavor == "inter":
         _validate_inter(p)
+    else:
+        check = _validate_ib_decorations if p.flavor == "ib" else _validate_b_decorations
+        timed = check(p.family, p.tree, p.pearls_dict(), p.below_dict(), p.upper_dict())
+        if set(p.times_dict()) != timed:
+            raise OperadicError("times must cover the non-pearl vertices")
     _check_monotone(p)
 
 
@@ -296,97 +255,6 @@ def _validate_w(p: BVPoint):
     times = p.times_dict()
     if set(times) != {v for v in vertices(shape) if v != ()}:
         raise OperadicError("times must cover the non-root vertices")
-
-
-def _validate_ib(p: BVPoint):
-    family = p.family
-    if not isinstance(family, RelativeFamily):
-        raise OperadicError("a relative family is required")
-    comps = p.tree.components
-    if len(comps) != family.k:
-        raise OperadicError("component count mismatch")
-    pearl = pearl_of(comps[0])
-    spine = set(spine_paths(comps[0]))
-    pearls = p.pearls_dict()
-    if set(pearls) != {pearl}:
-        raise OperadicError("the pearl decoration must sit at the pearl")
-    want_pearl = tuple(arity(c.shape, pearl) for c in comps)
-    if _dec_arities(pearls[pearl]) != want_pearl:
-        raise OperadicError("pearl decoration arity mismatch")
-    below = p.below_dict()
-    if set(below) != spine:
-        raise OperadicError("spine decorations must cover the pearl ancestors")
-    for v, theta in below.items():
-        if not isinstance(theta, OVecPoint) or theta.family != family:
-            raise OperadicError("spine decorations must be marked product points")
-        if not _positional_ovec(theta, [arity(c.shape, v) for c in comps]):
-            raise OperadicError("spine decoration labels must be positional")
-    upper = p.upper_dict()
-    want = set()
-    for i, c in enumerate(comps):
-        for v in vertices(c.shape):
-            if v != pearl and v not in spine:
-                want.add((i, v))
-    if set(upper) != want:
-        raise OperadicError("operad decorations must cover the off-spine vertices")
-    for (i, v), x in upper.items():
-        model = family.components[i]
-        if not _positional_labels(model, x, arity(comps[i].shape, v)):
-            raise OperadicError("operad decoration labels must be positional")
-    times = p.times_dict()
-    if set(times) != spine | want:
-        raise OperadicError("times must cover the non-pearl vertices")
-
-
-def _validate_b(p: BVPoint):
-    family = p.family
-    if not isinstance(family, RelativeFamily):
-        raise OperadicError("a relative family is required")
-    comps = p.tree.components
-    if len(comps) != family.k:
-        raise OperadicError("component count mismatch")
-    marks = p.tree.marks_dict()
-    pearls = p.pearls_dict()
-    if set(pearls) != set(comps[0].pearls):
-        raise OperadicError("pearl decorations must cover the pearls")
-    for v, value in pearls.items():
-        want = tuple(
-            arity(comps[i].shape, v) if marks[(i, v)] else PLUS
-            for i in range(family.k)
-        )
-        if _dec_arities(value) != want:
-            raise OperadicError("pearl decoration arity mismatch at %r" % (v,))
-    below = p.below_dict()
-    if set(below) != set(below_paths(comps[0])):
-        raise OperadicError("fiber decorations must cover the below part")
-    for v, fiber in below.items():
-        if not isinstance(fiber, FiberPoint) or fiber.family != family:
-            raise OperadicError("below decorations must be fiber points")
-        m = arity(comps[0].shape, v)
-        if not _positional_ground(fiber, m):
-            raise OperadicError("fiber ground must be positional at %r" % (v,))
-        for i, part in enumerate(fiber.pk.parts):
-            if (part == PLUS) != (not marks[(i, v)]):
-                raise OperadicError(
-                    "fiber pattern does not match the marks at %r" % (v,)
-                )
-            if part != PLUS:
-                internal = {str(s + 1) for s in range(m) if marks[(i, v + (s,))]}
-                if set(part) != internal:
-                    raise OperadicError(
-                        "fiber pattern does not match the marks at %r" % (v,)
-                    )
-    upper = p.upper_dict()
-    want = {(i, v) for i, c in enumerate(comps) for v in above_paths(c)}
-    if set(upper) != want:
-        raise OperadicError("operad decorations must cover the above part")
-    for (i, v), x in upper.items():
-        model = family.components[i]
-        if not _positional_labels(model, x, arity(comps[i].shape, v)):
-            raise OperadicError("operad decoration labels must be positional")
-    times = p.times_dict()
-    if set(times) != set(below) | want:
-        raise OperadicError("times must cover the non-pearl vertices")
 
 
 def _validate_inter(p: BVPoint):
@@ -413,17 +281,7 @@ def _validate_inter(p: BVPoint):
         m = arity(c.shape, v)
         if not _positional_ground(fiber, m):
             raise OperadicError("fiber ground must be positional at %r" % (v,))
-        for i, part in enumerate(fiber.pk.parts):
-            if (part == PLUS) != (not marks[(i, v)]):
-                raise OperadicError(
-                    "fiber pattern does not match the marks at %r" % (v,)
-                )
-            if part != PLUS:
-                internal = {str(s + 1) for s in range(m) if marks[(i, v + (s,))]}
-                if set(part) != internal:
-                    raise OperadicError(
-                        "fiber pattern does not match the marks at %r" % (v,)
-                    )
+        _check_fiber_marks(fiber, marks, v, m)
     times = p.times_dict()
     if set(times) != set(below):
         raise OperadicError("times must cover the non-pearl vertices")
@@ -471,650 +329,67 @@ def module_ops(flavor: str, family: RelativeFamily, template):
 
 
 # ---------------------------------------------------------------------------
-# the timed rewrite engine
-
-
-class _TimedState:
-    """Mutable decorated forest with times; rewrites run here and points are
-    frozen snapshots of exhausted states."""
-
-    def __init__(self, flavor, family, shapes, pearls, labels, marks,
-                 pearl_dec, below_dec, upper_dec, jtimes, utimes, ops=None):
-        self.flavor = flavor
-        self.family = family
-        self.shapes = list(shapes)
-        self.pearls = [set(p) for p in pearls]
-        self.labels = [dict(l) for l in labels]
-        self.marks = dict(marks)
-        self.pearl_dec = dict(pearl_dec)
-        self.below_dec = dict(below_dec)
-        self.upper_dec = dict(upper_dec)
-        self.jtimes = dict(jtimes)
-        self.utimes = dict(utimes)
-        self.ops = ops
-        if ops is None and flavor in ("ib", "b") and self.pearl_dec:
-            template = next(iter(self.pearl_dec.values()))
-            self.ops = module_ops(flavor, family, template)
-
-    @classmethod
-    def of_point(cls, p: BVPoint, ops=None) -> "_TimedState":
-        jtimes = {}
-        utimes = {}
-        for key, t in p.times:
-            if _is_upper_key(key):
-                utimes[key] = t
-            else:
-                jtimes[key] = t
-        if p.flavor == "w":
-            jtimes = dict(p.times_dict())
-            utimes = {}
-        return cls(
-            p.flavor,
-            p.family,
-            [c.shape for c in p.tree.components],
-            [set(c.pearls) for c in p.tree.components],
-            [dict(c.labels) for c in p.tree.components],
-            p.tree.marks_dict(),
-            p.pearls_dict(),
-            p.below_dict(),
-            p.upper_dict(),
-            jtimes,
-            utimes,
-            ops=ops,
-        )
-
-    @property
-    def k(self) -> int:
-        return len(self.shapes)
-
-    def is_pearl(self, path) -> bool:
-        return any(path in p for p in self.pearls)
-
-    def point(self) -> BVPoint:
-        comps = []
-        for i in range(self.k):
-            shape = self.shapes[i]
-            lab = tuple((p, self.labels[i][p]) for p in leaves(shape))
-            comps.append(ComponentTree(shape, frozenset(self.pearls[i]), lab))
-        tree = KFoldTree(_LAYOUT[self.flavor], tuple(comps), tuple(self.marks.items()))
-        times = dict(self.jtimes)
-        times.update(self.utimes)
-        return BVPoint(
-            self.flavor,
-            self.family,
-            tree,
-            pearls=tuple(self.pearl_dec.items()),
-            below=tuple(self.below_dec.items()),
-            upper=tuple(self.upper_dec.items()),
-            times=tuple(times.items()),
-        )
-
-    # -- rewrite enumeration ----------------------------------------------
-
-    def available(self) -> list:
-        if self.flavor == "w":
-            return self._available_w()
-        if self.flavor == "inter":
-            return self._available_inter()
-        out = []
-        for (i, q) in sorted(self.upper_dec):
-            par = q[:-1]
-            t = self.utimes[(i, q)]
-            if self.is_pearl(par):
-                if t == 0:
-                    out.append(("absorb-upper", (i, q)))
-            elif par in self.below_dec:
-                if t == self.jtimes[par]:
-                    out.append(("merge-upper", (i, q)))
-            elif t == self.utimes[(i, par)]:
-                out.append(("merge-upper", (i, q)))
-            if (arity(self.shapes[i], q) == 1
-                    and self.upper_dec[(i, q)] == self.family.components[i].unit("1")):
-                out.append(("drop-unit-upper", (i, q)))
-        for q in sorted(self.below_dec):
-            width = arity(self.shapes[0], q)
-            dec = self.below_dec[q]
-            unit = is_unit_ovec(dec) if self.flavor == "ib" else is_unit_fiber(dec)
-            if width == 1 and unit:
-                out.append(("drop-unit-below", q))
-            if q and self.jtimes[q] == self.jtimes[q[:-1]]:
-                out.append(("merge-below", q))
-            if self.jtimes[q] == 0:
-                if self.flavor == "ib":
-                    if self.is_pearl(q + (0,)):
-                        out.append(("absorb-below", q))
-                elif width and all(self.is_pearl(q + (s,)) for s in range(width)):
-                    out.append(("absorb-star", q))
-        if self.flavor == "b":
-            for q in sorted(self.pearl_dec):
-                if q and is_base_value(self.pearl_dec[q]):
-                    out.append(("drop-base-pearl", q))
-            if () in self.below_dec and arity(self.shapes[0], ()) == 0:
-                out.append(("pearlize", ()))
-        return out
-
-    def _available_inter(self) -> list:
-        out = []
-        for q in sorted(self.below_dec):
-            t = self.jtimes[q]
-            if arity(self.shapes[0], q) == 1 and is_unit_fiber(self.below_dec[q]):
-                out.append(("drop-unit-below", q))
-            if q:
-                par = q[:-1]
-                if par in self.below_dec:
-                    if t == self.jtimes[par]:
-                        out.append(("merge-below", q))
-                elif t == 0:
-                    out.append(("merge-into-pearl", q))
-            if t == 0 and self.is_pearl(q + (0,)):
-                out.append(("merge-pearl-up", q))
-        return out
-
-    def _available_w(self) -> list:
-        out = []
-        shape = self.shapes[0]
-        if not is_vertex(shape):
-            return out
-        vs = vertices(shape)
-        for q in sorted(self.jtimes):
-            if self.jtimes[q] == 0:
-                out.append(("contract-zero", q))
-        for q in vs:
-            width = arity(shape, q)
-            if width == 1 and self.upper_dec[(0, q)] == self.family.unit("1"):
-                out.append(("drop-unit-w", q))
-            if width == 0 and q and len(vs) > 1:
-                out.append(("compose-empty", q))
-        return out
-
-    def apply(self, rule, arg):
-        handler = {
-            "merge-upper": self._merge_upper,
-            "absorb-upper": self._absorb_upper,
-            "drop-unit-upper": self._drop_unit_upper,
-            "merge-below": self._merge_below,
-            "absorb-below": self._absorb_below,
-            "absorb-star": self._absorb_star,
-            "drop-unit-below": self._drop_unit_below,
-            "drop-base-pearl": self._drop_base_pearl,
-            "pearlize": self._pearlize,
-            "merge-into-pearl": self._merge_into_pearl,
-            "merge-pearl-up": self._merge_pearl_up,
-            "contract-zero": self._contract_zero,
-            "drop-unit-w": self._drop_unit_w,
-            "compose-empty": self._compose_empty,
-        }.get(rule)
-        if handler is None:
-            raise OperadicError("unknown rewrite %r" % (rule,))
-        if rule in ("merge-upper", "absorb-upper", "drop-unit-upper"):
-            handler(*arg)
-        else:
-            handler(arg)
-
-    def run(self, rng=None) -> "_TimedState":
-        while True:
-            todo = self.available()
-            if not todo:
-                break
-            rule, arg = todo[0] if rng is None else todo[rng.randint(0, len(todo) - 1)]
-            self.apply(rule, arg)
-        self.sort()
-        return self
-
-    # -- path bookkeeping ---------------------------------------------------
-
-    def _move_component(self, i, move, drops=frozenset()):
-        self.pearls[i] = {move(p) for p in self.pearls[i] if p not in drops}
-        self.labels[i] = {move(p): s for p, s in self.labels[i].items()}
-        self.upper_dec = {
-            ((j, move(p)) if j == i else (j, p)): v
-            for (j, p), v in self.upper_dec.items()
-            if not (j == i and p in drops)
-        }
-        self.utimes = {
-            ((j, move(p)) if j == i else (j, p)): v
-            for (j, p), v in self.utimes.items()
-            if not (j == i and p in drops)
-        }
-        if self.flavor == "b":
-            self.marks = {
-                ((j, move(p)) if j == i else (j, p)): v
-                for (j, p), v in self.marks.items()
-                if not (j == i and p in drops)
-            }
-        elif self.flavor == "inter":
-            self.marks = {
-                (j, move(p)): v
-                for (j, p), v in self.marks.items()
-                if p not in drops
-            }
-
-    def _move_joint_keys(self, move, drops=frozenset()):
-        self.pearl_dec = {move(p): v for p, v in self.pearl_dec.items() if p not in drops}
-        self.below_dec = {move(p): v for p, v in self.below_dec.items() if p not in drops}
-        self.jtimes = {move(p): v for p, v in self.jtimes.items() if p not in drops}
-
-    def _contract_into_parent(self, i, path):
-        """Splice the children of the vertex at path into its parent slot;
-        returns the move applied to that component's paths."""
-        node = subtree(self.shapes[i], path)
-        par, slot = path[:-1], path[-1]
-        parent_node = subtree(self.shapes[i], par)
-        self.shapes[i] = shape_replace(
-            self.shapes[i], par, parent_node[:slot] + node + parent_node[slot + 1 :]
-        )
-
-        def move(p):
-            if is_ancestor(path, p) and p != path:
-                return par + (slot + p[len(path)],) + p[len(path) + 1 :]
-            if len(p) > len(par) and p[: len(par)] == par and p[len(par)] > slot:
-                return par + (p[len(par)] + len(node) - 1,) + p[len(par) + 1 :]
-            return p
-
-        self._move_component(i, move, drops={path})
-        return move
-
-    def _drop_vertex(self, i, path):
-        """Remove a childless vertex; returns the move applied."""
-        par, slot = path[:-1], path[-1]
-        node = subtree(self.shapes[i], par)
-        self.shapes[i] = shape_replace(
-            self.shapes[i], par, node[:slot] + node[slot + 1 :]
-        )
-
-        def move(p):
-            if len(p) > len(par) and p[: len(par)] == par and p[len(par)] > slot:
-                return par + (p[len(par)] - 1,) + p[len(par) + 1 :]
-            return p
-
-        self._move_component(i, move, drops={path})
-        return move
-
-    def _splice_children(self, i, path, drops):
-        """Replace the node at path by the concatenation of its children."""
-        node = subtree(self.shapes[i], path)
-        offs = []
-        acc = 0
-        for child in node:
-            offs.append(acc)
-            acc += len(child)
-        self.shapes[i] = shape_replace(
-            self.shapes[i], path, tuple(c for child in node for c in child)
-        )
-
-        def move(p):
-            if len(p) > len(path) + 1 and p[: len(path)] == path:
-                s = p[len(path)]
-                return path + (offs[s] + p[len(path) + 1],) + p[len(path) + 2 :]
-            return p
-
-        self._move_component(i, move, drops=drops)
-        return move
-
-    # -- shared rewrites ------------------------------------------------------
-
-    def _merge_upper(self, i, path):
-        x = self.upper_dec.pop((i, path))
-        self.utimes.pop((i, path))
-        par, slot = path[:-1], path[-1]
-        if par in self.below_dec and self.flavor == "ib":
-            self.below_dec[par] = ovec_compose_at(self.below_dec[par], i, slot + 1, x)
-        else:
-            model = self.family.components[i]
-            self.upper_dec[(i, par)] = compose_at(
-                model, self.upper_dec[(i, par)], slot + 1, x
-            )
-        self._contract_into_parent(i, path)
-
-    def _absorb_upper(self, i, path):
-        x = self.upper_dec.pop((i, path))
-        self.utimes.pop((i, path))
-        par, slot = path[:-1], path[-1]
-        self.pearl_dec[par] = self.ops.right(self.pearl_dec[par], i, slot + 1, x)
-        self._contract_into_parent(i, path)
-
-    def _drop_unit_upper(self, i, path):
-        self.upper_dec.pop((i, path))
-        self.utimes.pop((i, path))
-        self._contract_into_parent(i, path)
-
-    def _merge_below(self, path):
-        child = self.below_dec.pop(path)
-        self.jtimes.pop(path)
-        par, slot = path[:-1], path[-1]
-        if self.flavor == "ib":
-            self.below_dec[par] = ovec_splice(self.below_dec[par], child)
-        else:
-            self.below_dec[par] = fiber_compose_at(self.below_dec[par], slot + 1, child)
-        move = None
-        for i in range(self.k):
-            move = self._contract_into_parent(i, path)
-        # joint contractions sit at slot zero or have equal shapes across the
-        # components, so any component's relocation map serves the joint keys
-        self._move_joint_keys(move, drops={path})
-
-    def _drop_unit_below(self, path):
-        self.below_dec.pop(path)
-        self.jtimes.pop(path)
-        if path == ():
-            self.marks = {(j, p): v for (j, p), v in self.marks.items() if p != ()}
-
-            def move(p):
-                return p[1:]
-
-            for i in range(self.k):
-                self.shapes[i] = subtree(self.shapes[i], (0,))
-                self._move_component(i, move)
-            self._move_joint_keys(move)
-            return
-        move = None
-        for i in range(self.k):
-            move = self._contract_into_parent(i, path)
-        self._move_joint_keys(move, drops={path})
-
-    # -- pearled rewrites -------------------------------------------------------
-
-    def _absorb_below(self, path):
-        theta = self.below_dec.pop(path)
-        self.jtimes.pop(path)
-        pearl = path + (0,)
-        value = self.ops.left(theta, self.pearl_dec.pop(pearl))
-        move = None
-        for i in range(self.k):
-            self.pearls[i].discard(pearl)
-            move = self._contract_into_parent(i, pearl)
-            self.pearls[i].add(path)
-        self._move_joint_keys(move, drops={pearl})
-        self.pearl_dec[path] = value
-
-    def _absorb_star(self, path):
-        fiber = self.below_dec.pop(path)
-        self.jtimes.pop(path)
-        width = arity(self.shapes[0], path)
-        kids = [path + (s,) for s in range(width)]
-        value = self.ops.left(fiber, [self.pearl_dec.pop(q) for q in kids])
-        drops = set(kids)
-        for i in range(self.k):
-            self.pearls[i] -= drops
-            self._splice_children(i, path, drops)
-            self.pearls[i].add(path)
-        self._move_joint_keys(lambda p: p, drops=drops)
-        self.pearl_dec[path] = value
-
-    def _drop_base_pearl(self, path):
-        self.pearl_dec.pop(path)
-        par, slot = path[:-1], path[-1]
-        self.below_dec[par] = fiber_drop(self.below_dec[par], slot + 1)
-        move = None
-        for i in range(self.k):
-            self.pearls[i].discard(path)
-            move = self._drop_vertex(i, path)
-        self._move_joint_keys(move, drops={path})
-
-    def _pearlize(self, path):
-        fiber = self.below_dec.pop(path)
-        # the surviving datum of a zero-width root is its arity pattern; the
-        # time has nothing left to weight and is discarded
-        self.jtimes.pop(path)
-        pattern = tuple(PLUS if part == PLUS else 0 for part in fiber.pk.parts)
-        template = next(iter(self.pearl_dec.values()), None)
-        for i in range(self.k):
-            self.pearls[i].add(path)
-        if template is None:
-            value = base_like(FormalGenerator("", pattern), self.family, pattern)
-        else:
-            value = base_like(template, self.family, pattern)
-        self.pearl_dec[path] = value
-
-    # -- single-tree fiber rewrites ------------------------------------------
-
-    def _merge_into_pearl(self, path):
-        child = self.below_dec.pop(path)
-        self.jtimes.pop(path)
-        par, slot = path[:-1], path[-1]
-        self.pearl_dec[par] = fiber_compose_at(self.pearl_dec[par], slot + 1, child)
-        move = self._contract_into_parent(0, path)
-        self._move_joint_keys(move, drops={path})
-
-    def _merge_pearl_up(self, path):
-        fiber = self.below_dec.pop(path)
-        self.jtimes.pop(path)
-        pearl = path + (0,)
-        value = fiber_compose_at(fiber, 1, self.pearl_dec.pop(pearl))
-        self.pearls[0].discard(pearl)
-        move = self._contract_into_parent(0, pearl)
-        self.pearls[0].add(path)
-        self._move_joint_keys(move, drops={pearl})
-        self.pearl_dec[path] = value
-
-    # -- plain tree rewrites ---------------------------------------------------
-
-    def _contract_zero(self, path):
-        x = self.upper_dec.pop((0, path))
-        self.jtimes.pop(path)
-        par, slot = path[:-1], path[-1]
-        self.upper_dec[(0, par)] = compose_at(
-            self.family, self.upper_dec[(0, par)], slot + 1, x
-        )
-        move = self._contract_into_parent(0, path)
-        self._move_joint_keys(move, drops={path})
-
-    def _drop_unit_w(self, path):
-        self.upper_dec.pop((0, path))
-        node = subtree(self.shapes[0], path)
-        child = path + (0,)
-        t_out = self.jtimes.pop(path, None)
-        t_in = self.jtimes.pop(child, None)
-        self.shapes[0] = shape_replace(self.shapes[0], path, node[0])
-
-        def move(p):
-            if is_ancestor(child, p):
-                return path + p[len(child) :]
-            return p
-
-        self._move_component(0, move)
-        self._move_joint_keys(move)
-        if t_out is not None and t_in is not None:
-            # both edges are inner, so the merged edge keeps the longer one
-            self.jtimes[path] = max(t_out, t_in)
-
-    def _compose_empty(self, path):
-        x = self.upper_dec.pop((0, path))
-        self.jtimes.pop(path)
-        par, slot = path[:-1], path[-1]
-        self.upper_dec[(0, par)] = compose_at(
-            self.family, self.upper_dec[(0, par)], slot + 1, x
-        )
-        move = self._drop_vertex(0, path)
-        self._move_joint_keys(move, drops={path})
-
-    # -- canonical child order ----------------------------------------------
-
-    def _decor_at(self, i, path):
-        if path in self.pearl_dec:
-            return self.pearl_dec[path]
-        if path in self.below_dec:
-            return self.below_dec[path]
-        return self.upper_dec.get((i, path))
-
-    def _time_at(self, i, path):
-        if path in self.jtimes:
-            return self.jtimes[path]
-        return self.utimes.get((i, path))
-
-    def _marks_at(self, i, path):
-        if self.flavor == "b":
-            return self.marks.get((i, path))
-        if self.flavor == "inter":
-            return tuple(
-                self.marks.get((j, path)) for j in range(self.family.k)
-            )
-        return None
-
-    def _enc(self, i, path):
-        node = subtree(self.shapes[i], path)
-        if not is_vertex(node):
-            return ("L", self._marks_at(i, path), self.labels[i][path])
-        t = self._time_at(i, path)
-        return (
-            "V",
-            path in self.pearls[i],
-            self._marks_at(i, path),
-            None if t is None else str(t),
-            stable_key(self._decor_at(i, path)),
-            tuple(self._enc(i, path + (s,)) for s in range(len(node))),
-        )
-
-    def _child_key(self, i, path, j, decor):
-        child = path + (j,)
-        if not is_vertex(subtree(self.shapes[i], child)):
-            return (0, stable_key(self._marks_at(i, child)),
-                    label_key(self.labels[i][child]))
-        frag = None if decor is None else slot_fragment(decor, i, j)
-        t = self._time_at(i, child)
-        return (
-            1,
-            stable_key((self._marks_at(i, child), frag, None if t is None else str(t))),
-            self._enc(i, child),
-        )
-
-    def _apply_child_perm(self, path, order, comp_ids):
-        perm1 = tuple(j + 1 for j in order)
-
-        def move(p):
-            if len(p) > len(path) and p[: len(path)] == path:
-                return path + (order.index(p[len(path)]),) + p[len(path) + 1 :]
-            return p
-
-        for i in comp_ids:
-            node = subtree(self.shapes[i], path)
-            self.shapes[i] = shape_replace(
-                self.shapes[i], path, tuple(node[j] for j in order)
-            )
-            self._move_component(i, move)
-            if (i, path) in self.upper_dec:
-                model = self.family if self.flavor == "w" else self.family.components[i]
-                self.upper_dec[(i, path)] = act_numeric(
-                    model, self.upper_dec[(i, path)], perm1
-                )
-        if path in self.pearl_dec or path in self.below_dec:
-            target = self.pearl_dec if path in self.pearl_dec else self.below_dec
-            value = target[path]
-            if isinstance(value, FiberPoint):
-                value = act_component(value, 0, perm1)
-            else:
-                for i in comp_ids:
-                    value = act_component(value, i, perm1)
-            target[path] = value
-        if len(comp_ids) == self.k:
-            self._move_joint_keys(move)
-
-    def sort(self):
-        if self.flavor == "b":
-            for i in range(self.k):
-                for path in sorted(vertices(self.shapes[i]), key=len, reverse=True):
-                    if path in self.below_dec:
-                        continue
-                    self._sort_one(i, path)
-            for path in sorted(self.below_dec, key=len, reverse=True):
-                self._sort_joint(path)
-            return
-        for i in range(self.k):
-            if not is_vertex(self.shapes[i]):
-                continue
-            for path in sorted(vertices(self.shapes[i]), key=len, reverse=True):
-                self._sort_one(i, path)
-
-    def _pinned(self, i, path) -> bool:
-        if self.flavor == "ib":
-            return path in self.below_dec
-        if self.flavor == "inter":
-            return _pearlward_state(self.pearls[0], path)
-        return False
-
-    def _sort_one(self, i, path):
-        node = subtree(self.shapes[i], path)
-        free = list(range(len(node)))
-        if self._pinned(i, path):
-            free = free[1:]
-        if len(free) < 2:
-            return
-        decor = self._decor_at(i, path)
-        ranked = iter(sorted(free, key=lambda j: self._child_key(i, path, j, decor)))
-        order = [next(ranked) if j in free else j for j in range(len(node))]
-        if order != list(range(len(node))):
-            self._apply_child_perm(path, order, [i])
-
-    def _sort_joint(self, path):
-        decor = self.below_dec[path]
-        n = arity(self.shapes[0], path)
-        if n < 2:
-            return
-        order = sorted(
-            range(n),
-            key=lambda j: tuple(self._child_key(i, path, j, decor) for i in range(self.k)),
-        )
-        if order != list(range(n)):
-            self._apply_child_perm(path, order, list(range(self.k)))
-
-
-def _pearlward_state(pearls, path) -> bool:
-    return any(is_ancestor(path, q) and path != q for q in pearls)
-
-
-# ---------------------------------------------------------------------------
 # conversions with the free constructions
+
+
+def _state_of(p: BVPoint, ops=None) -> _TimedState:
+    """The engine state of a timed point."""
+    jtimes = {}
+    utimes = {}
+    for key, t in p.times:
+        if _is_upper_key(key):
+            utimes[key] = t
+        else:
+            jtimes[key] = t
+    st = _TimedState(
+        p.flavor,
+        p.family,
+        [c.shape for c in p.tree.components],
+        [c.pearls for c in p.tree.components],
+        [dict(c.labels) for c in p.tree.components],
+        p.tree.marks_dict(),
+        p.pearls_dict(),
+        p.below_dict(),
+        p.upper_dict(),
+        jtimes,
+        utimes,
+    )
+    return _with_ops(st, ops)
+
+
+def _with_ops(st: _TimedState, ops) -> _TimedState:
+    """Absorbs fold into the pearls through ops, or else through the module
+    operations matching the pearl decorations."""
+    st.ops = ops
+    st.module_ops = module_ops
+    return st
+
+
+def _point_of(st: _TimedState) -> BVPoint:
+    times = dict(st.jtimes)
+    times.update(st.utimes)
+    return BVPoint(
+        st.flavor,
+        st.family,
+        KFoldTree(_LAYOUT[st.flavor], st.components(), tuple(st.marks.items())),
+        pearls=tuple(st.pearl_dec.items()),
+        below=tuple(st.below_dec.items()),
+        upper=tuple(st.upper_dec.items()),
+        times=tuple(times.items()),
+    )
 
 
 def bv_tau(pt) -> BVPoint:
     """Embed a free point with every non-pearl vertex at time one."""
-    if isinstance(pt, FreeIbPoint):
-        tree = KFoldTree("pTree", pt.tree.components)
-        pearl = pearl_of(pt.tree.components[0])
-        below = {} if pt.below is None else {(): pt.below}
-        upper = dict(pt.upper)
-        times = {v: Fraction(1) for v in below}
-        times.update({key: Fraction(1) for key in upper})
-        return BVPoint("ib", pt.family, tree, pearls={pearl: pt.pearl},
-                       below=below, upper=upper, times=times)
-    if isinstance(pt, FreeBPoint):
-        tree = KFoldTree("sTree", pt.tree.components, pt.tree.marks)
-        below = {} if pt.below is None else {(): pt.below}
-        upper = dict(pt.upper)
-        times = {v: Fraction(1) for v in below}
-        times.update({key: Fraction(1) for key in upper})
-        return BVPoint("b", pt.family, tree, pearls=dict(pt.pearls),
-                       below=below, upper=upper, times=times)
-    raise OperadicError("no timed embedding for %r" % type(pt).__name__)
-
-
-def _relabel_component(value, i: int, mapping: dict, family):
-    """Relabel the inputs of one component of a module value."""
-    if isinstance(value, GluedElement):
-        return glued_relabel(value, i, mapping)
-    if isinstance(value, ProductPoint):
-        points = list(value.points)
-        points[i] = family.components[i].relabel(points[i], mapping)
-        return ProductPoint(family, tuple(points))
-    if isinstance(value, FormalGenerator):
-        orders = list(value.orders)
-        if orders[i] != PLUS:
-            orders[i] = tuple(mapping.get(a, a) for a in orders[i])
-        return FormalGenerator(value.name, tuple(orders), value.base)
-    if isinstance(value, (FreeIbPoint, FreeBPoint)):
-        comps = list(value.tree.components)
-        comps[i] = comps[i].relabel(mapping)
-        tree = KFoldTree(value.tree.variant, tuple(comps), value.tree.marks)
-        if isinstance(value, FreeIbPoint):
-            return FreeIbPoint(value.family, tree, value.pearl, value.below, value.upper)
-        return FreeBPoint(value.family, tree, value.pearls, value.below, value.upper)
-    raise OperadicError("no component relabeling for %r" % type(value).__name__)
+    if not isinstance(pt, (FreeIbPoint, FreeBPoint)):
+        raise OperadicError("no timed embedding for %r" % type(pt).__name__)
+    return _point_of(_free_state(pt))
 
 
 def bv_eta(p: BVPoint, ops=None, rng=None):
     """Send every time to zero and contract fully; the result is the value
     of the underlying composition, with inputs named by the leaf labels."""
-    st = _TimedState.of_point(p, ops=ops)
+    st = _state_of(p, ops)
     st.jtimes = {key: Fraction(0) for key in st.jtimes}
     st.utimes = {key: Fraction(0) for key in st.utimes}
     st.run(rng)
@@ -1130,12 +405,6 @@ def bv_eta(p: BVPoint, ops=None, rng=None):
     if st.below_dec or st.upper_dec or set(st.pearl_dec) != {()}:
         raise OperadicError("the collapse left non-pearl vertices")
     value = st.pearl_dec[()]
-    if p.flavor == "inter":
-        mapping = {
-            str(pos + 1): st.labels[0][q]
-            for pos, q in enumerate(leaves(st.shapes[0]))
-        }
-        return fiber_relabel(value, mapping)
     for i in range(st.k):
         mapping = {
             str(pos + 1): st.labels[i][q]
@@ -1143,18 +412,18 @@ def bv_eta(p: BVPoint, ops=None, rng=None):
         }
         mapping = {a: b for a, b in mapping.items() if a != b}
         if mapping:
-            value = _relabel_component(value, i, mapping, st.family)
+            value = _relabel_component(value, i, mapping)
     return value
 
 
 def bv_normalize(p: BVPoint, rng=None, ops=None) -> BVPoint:
     """The canonical form; the rewrite order (rng) never changes the result."""
-    return _TimedState.of_point(p, ops=ops).run(rng).point()
+    return _point_of(_state_of(p, ops).run(rng))
 
 
 def bv_encode(p: BVPoint) -> tuple:
     """A printable structural encoding, stable across processes."""
-    st = _TimedState.of_point(p)
+    st = _state_of(p)
     return (p.flavor,) + tuple(
         (st._marks_at(i, ()), st._enc(i, ())) for i in range(st.k)
     )
@@ -1162,26 +431,6 @@ def bv_encode(p: BVPoint) -> tuple:
 
 # ---------------------------------------------------------------------------
 # module actions on the pearled flavors
-
-
-def _graft_leaf_shape(st: _TimedState, i: int, j: int, m: int):
-    """Replace the leaf labeled j by an m-corolla; higher labels shift by
-    m - 1 and the new leaves take j .. j + m - 1.  Returns the leaf path."""
-    leafp = None
-    for q, s in st.labels[i].items():
-        if s == str(j):
-            leafp = q
-    if leafp is None:
-        raise OperadicError("no leaf labeled %r in component %d" % (j, i))
-    st.shapes[i] = shape_replace(st.shapes[i], leafp, corolla(m))
-    del st.labels[i][leafp]
-    for q in list(st.labels[i]):
-        s = int(st.labels[i][q])
-        if s > j:
-            st.labels[i][q] = str(s + m - 1)
-    for t in range(m):
-        st.labels[i][leafp + (t,)] = str(j + t)
-    return leafp
 
 
 def bv_act(p: BVPoint, action, rng=None, ops=None) -> BVPoint:
@@ -1192,103 +441,22 @@ def bv_act(p: BVPoint, action, rng=None, ops=None) -> BVPoint:
     ("left", fiber, operands) with operand points for the "b" flavor."""
     if p.flavor not in ("ib", "b"):
         raise OperadicError("module actions apply to the pearled flavors")
-    family = p.family
     if action[0] == "right":
         _, i, j, x = action
-        model = family.components[i]
-        m = model.arity(x)
-        if not _positional_labels(model, x, m):
-            raise OperadicError("operand labels must be positional")
-        st = _TimedState.of_point(p, ops=ops)
-        leafp = _graft_leaf_shape(st, i, int(j), m)
-        st.upper_dec[(i, leafp)] = x
-        st.utimes[(i, leafp)] = Fraction(1)
-        return st.run(rng).point()
-    if action[0] != "left":
+        st = _graft_right(_state_of(p, ops), i, j, x)
+    elif action[0] != "left":
         raise OperadicError("unknown action %r" % (action[0],))
-    if p.flavor == "ib":
-        _, theta = action
-        if not isinstance(theta, OVecPoint) or theta.family != family:
-            raise OperadicError("the left operand must be a marked product point")
-        if not _positional_ovec(theta, [len(s) + 1 for s in theta.sets]):
-            raise OperadicError("left operand labels must be positional")
-        st = _TimedState.of_point(p, ops=ops)
-
-        def move(q):
-            return (0,) + q
-
-        for i in range(family.k):
-            extra = len(theta.sets[i])
-            base = max((int(s) for s in st.labels[i].values()), default=0)
-            st.shapes[i] = (st.shapes[i],) + (LEAF,) * extra
-            st._move_component(i, move)
-            for t in range(extra):
-                st.labels[i][(t + 1,)] = str(base + t + 1)
-        st._move_joint_keys(move)
-        st.below_dec[()] = theta
-        st.jtimes[()] = Fraction(1)
-        return st.run(rng).point()
-    _, fiber, operands = action
-    return _left_act_b(family, fiber, tuple(operands), rng, ops)
-
-
-def _left_act_b(family, fiber: FiberPoint, operands, rng, ops) -> BVPoint:
-    if not isinstance(fiber, FiberPoint) or fiber.family != family:
-        raise OperadicError("the left operand must be a fiber point")
-    m = len(fiber.pk.ground)
-    if not _positional_ground(fiber, m):
-        raise OperadicError("fiber ground must be positional")
-    if len(operands) != m:
-        raise OperadicError("one operand per ground element is required")
-    k = family.k
-    shapes = [[] for _ in range(k)]
-    labels = [dict() for _ in range(k)]
-    pearls = [set() for _ in range(k)]
-    offsets = [0] * k
-    marks = {(i, ()): part != PLUS for i, part in enumerate(fiber.pk.parts)}
-    pearl_dec = {}
-    below_dec = {(): fiber}
-    upper_dec = {}
-    jtimes = {(): Fraction(1)}
-    utimes = {}
-    template = None
-    for l, op in enumerate(operands):
-        if not isinstance(op, BVPoint) or op.flavor != "b" or op.family != family:
-            raise OperadicError("operands must be section points over the family")
-        for i, part in enumerate(fiber.pk.parts):
-            inside = part != PLUS and str(l + 1) in part
-            if inside != op.tree.marks_dict()[(i, ())]:
-                raise OperadicError(
-                    "operand %d presence does not match the ground pattern" % (l + 1)
-                )
-        for i in range(k):
-            c = op.tree.components[i]
-            shapes[i].append(c.shape)
-            for q, s in c.labels:
-                labels[i][(l,) + q] = str(int(s) + offsets[i])
-            if c.labels:
-                offsets[i] = max(int(s) for s in labels[i].values())
-            pearls[i] |= {(l,) + q for q in c.pearls}
-        for (i, q), v in op.tree.marks_dict().items():
-            marks[(i, (l,) + q)] = v
-        for q, v in op.pearls:
-            pearl_dec[(l,) + q] = v
-            template = template or v
-        for q, v in op.below:
-            below_dec[(l,) + q] = v
-        for (i, q), v in op.upper:
-            upper_dec[(i, (l,) + q)] = v
-        for key, t in op.times:
-            if _is_upper_key(key):
-                utimes[(key[0], (l,) + key[1])] = t
-            else:
-                jtimes[(l,) + key] = t
-    if ops is None and template is not None:
-        ops = module_ops("b", family, template)
-    st = _TimedState("b", family, [tuple(s) for s in shapes], pearls, labels,
-                     marks, pearl_dec, below_dec, upper_dec, jtimes, utimes,
-                     ops=ops)
-    return st.run(rng).point()
+    elif p.flavor == "ib":
+        st = _graft_left_ib(_state_of(p, ops), action[1])
+    else:
+        _, fiber, operands = action
+        operands = tuple(operands)
+        for op in operands:
+            if not isinstance(op, BVPoint) or op.flavor != "b" or op.family != p.family:
+                raise OperadicError("operands must be section points over the family")
+        st = _merge_b_operands(p.family, fiber, [_state_of(op) for op in operands])
+        st = _with_ops(st, ops)
+    return _point_of(st.run(rng))
 
 
 # ---------------------------------------------------------------------------
@@ -1327,7 +495,7 @@ def intermediate_act(x: BVPoint, action, rng=None) -> BVPoint:
     if x.flavor != "inter":
         raise OperadicError("intermediate actions apply to the fiber flavor")
     family = x.family
-    st = _TimedState.of_point(x)
+    st = _state_of(x)
     if action[0] == "right":
         _, j, fiber = action
         j = int(j)
@@ -1342,13 +510,13 @@ def intermediate_act(x: BVPoint, action, rng=None) -> BVPoint:
                 raise OperadicError(
                     "sentinel pattern does not match the marking of leaf %r" % (j,)
                 )
-        _graft_leaf_shape(st, 0, j, m)
+        _graft_leaf(st, 0, j, m)
         st.below_dec[leafp] = fiber
         st.jtimes[leafp] = Fraction(1)
         for u, part in enumerate(fiber.pk.parts):
             for t in range(m):
                 st.marks[(u, leafp + (t,))] = part != PLUS and str(t + 1) in part
-        return st.run(rng).point()
+        return _point_of(st.run(rng))
     if action[0] != "left":
         raise OperadicError("unknown action %r" % (action[0],))
     _, theta = action
@@ -1375,7 +543,4 @@ def intermediate_act(x: BVPoint, action, rng=None) -> BVPoint:
             st.marks[(u, (s,))] = str(s + 1) in part
     st.below_dec[()] = fiber
     st.jtimes[()] = Fraction(1)
-    return st.run(rng).point()
-
-
-# === PART C ===
+    return _point_of(st.run(rng))

@@ -1,6 +1,7 @@
-"""Free constructions on decorated trees, kept in normal form.
+"""Free constructions on decorated trees and the one rewrite engine they share
+with the timed resolutions.
 
-Two calculi share one rewrite engine:
+Two free calculi:
 
 * marked-product points over k pearled trees: a joint generator decoration
   on the pearl, a joint marked-product decoration on each spine vertex and
@@ -11,7 +12,11 @@ Two calculi share one rewrite engine:
   decorated by a fiber point and per-component operad decorations above
   the section (the free object with a ground-indexed left action).
 
-Normal form: no contractible vertex-vertex edge, no eliminable unit
+The rewrite engine works on decorated forests whose non-pearl vertices carry
+rational times; `bv` builds its resolutions on it.  A free point is the slice
+where every non-pearl vertex sits at time one: there equal-time neighbours
+always contract, nothing is absorbed into a pearl, and the snapshot drops the
+times.  Normal form: no contractible vertex-vertex edge, no eliminable unit
 decoration, base-point pearls only at the root, children sorted by a
 decoration-aware key.  Point equality is field equality; the constructors
 re-run normalization and reject anything that is not already normal.
@@ -20,6 +25,7 @@ re-run normalization and reject anything that is not already normal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .algebra import (
     PLUS,
@@ -51,17 +57,22 @@ from .trees import (
     LEAF,
     ComponentTree,
     KFoldTree,
+    above_paths,
     arity,
+    below_paths,
     corolla,
     is_ancestor,
     is_vertex,
     leaves,
     pearl_of,
     replace,
+    spine_paths,
     subtree,
     validate_labeling,
     vertices,
 )
+
+ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +146,12 @@ def _perm_map(perm) -> dict:
 def act_component(value, i: int, perm) -> object:
     """Slot permutation on component i of a decoration; result slot j carries
     old slot perm[j].  A fiber point permutes its whole ground at once."""
-    mapping = _perm_map(perm)
+    return _relabel_component(value, i, _perm_map(perm))
+
+
+def _relabel_component(value, i: int, mapping: dict) -> object:
+    """Rename the inputs of component i of a decoration; a free point renames
+    that component's leaves and renormalizes."""
     if isinstance(value, FormalGenerator):
         orders = list(value.orders)
         if orders[i] != PLUS:
@@ -158,6 +174,13 @@ def act_component(value, i: int, perm) -> object:
         return AugmentedPoint(value.family, tuple(points))
     if isinstance(value, GluedElement):
         return glued_relabel(value, i, mapping)
+    if isinstance(value, (FreeIbPoint, FreeBPoint)):
+        comps = list(value.tree.components)
+        comps[i] = comps[i].relabel(mapping)
+        tree = KFoldTree(value.tree.variant, tuple(comps), value.tree.marks)
+        if isinstance(value, FreeIbPoint):
+            return ib_point(value.family, tree, value.pearl, value.below, value.upper)
+        return b_point(value.family, tree, value.pearls, value.below, value.upper)
     raise OperadicError("no component action for %r" % type(value).__name__)
 
 
@@ -230,21 +253,136 @@ def decoration_arities(value) -> tuple:
     raise OperadicError("unsupported pearl decoration %r" % type(value).__name__)
 
 
-# ---------------------------------------------------------------------------
-# joint decoration compositions with positional bookkeeping
+def _pearl_arities(value) -> tuple:
+    """Arity pattern of a pearl decoration; timed points may also carry free
+    points and fiber points there."""
+    if isinstance(value, (FreeIbPoint, FreeBPoint)):
+        return value.arities
+    if isinstance(value, FiberPoint):
+        return tuple(PLUS if p == PLUS else len(p) for p in value.pk.parts)
+    return decoration_arities(value)
 
 
 # ---------------------------------------------------------------------------
-# the shared rewrite state
+# decoration checks shared by the free and the timed points
 
 
-class _State:
-    """Mutable decorated forest; rewrites run here and points are frozen
-    snapshots of exhausted states."""
+def _positional_labels(model, x, n: int) -> bool:
+    return tuple(model.labels(x)) == tuple(str(t + 1) for t in range(n))
 
-    def __init__(self, kind, family, shapes, pearls, labels, marks,
-                 pearl_dec, below_dec, upper_dec):
-        self.kind = kind  # "ib" or "b"
+
+def _positional_ground(fiber: FiberPoint, n: int) -> bool:
+    return fiber.pk.ground == tuple(sorted((str(t + 1) for t in range(n)), key=label_key))
+
+
+def _positional_ovec(theta: OVecPoint, arities) -> bool:
+    return all(
+        set(theta.sets[i]) == {str(t) for t in range(2, m + 1)}
+        for i, m in enumerate(arities)
+    )
+
+
+def _check_fiber_marks(fiber: FiberPoint, marks: dict, v, m: int):
+    """The fiber's sentinel pattern and parts must match the marks of the
+    vertex's output edge and of its m input edges."""
+    for i, part in enumerate(fiber.pk.parts):
+        if (part == PLUS) != (not marks[(i, v)]):
+            raise OperadicError("fiber pattern does not match the marks at %r" % (v,))
+        if part != PLUS:
+            internal = {str(s + 1) for s in range(m) if marks[(i, v + (s,))]}
+            if set(part) != internal:
+                raise OperadicError("fiber pattern does not match the marks at %r" % (v,))
+
+
+def _check_components(family, comps):
+    if not isinstance(family, RelativeFamily):
+        raise OperadicError("a relative family is required")
+    if len(comps) != family.k:
+        raise OperadicError("component count mismatch")
+
+
+def _check_upper(family, comps, upper: dict, want: set, where: str):
+    if set(upper) != want:
+        raise OperadicError("operad decorations must cover the %s" % where)
+    for (i, v), x in upper.items():
+        if not _positional_labels(family.components[i], x, arity(comps[i].shape, v)):
+            raise OperadicError("operad decoration labels must be positional")
+
+
+def _validate_ib_decorations(family, tree: KFoldTree, pearls: dict, below: dict,
+                             upper: dict) -> set:
+    """Check the decorations of a pearled forest; returns the keys of its
+    non-pearl vertices."""
+    comps = tree.components
+    _check_components(family, comps)
+    pearl = pearl_of(comps[0])
+    if set(pearls) != {pearl}:
+        raise OperadicError("the pearl decoration must sit at the pearl")
+    if _pearl_arities(pearls[pearl]) != tuple(arity(c.shape, pearl) for c in comps):
+        raise OperadicError("pearl decoration arity mismatch")
+    spine = set(spine_paths(comps[0]))
+    if set(below) != spine:
+        raise OperadicError("spine decorations must cover the pearl ancestors")
+    for v, theta in below.items():
+        if not isinstance(theta, OVecPoint) or theta.family != family:
+            raise OperadicError("spine decorations must be marked product points")
+        if not _positional_ovec(theta, [arity(c.shape, v) for c in comps]):
+            raise OperadicError("spine decoration labels must be positional")
+    want = {
+        (i, v) for i, c in enumerate(comps) for v in vertices(c.shape)
+        if v != pearl and v not in spine
+    }
+    _check_upper(family, comps, upper, want, "off-spine vertices")
+    return spine | want
+
+
+def _validate_b_decorations(family, tree: KFoldTree, pearls: dict, below: dict,
+                            upper: dict) -> set:
+    """Check the decorations of a section forest; returns the keys of its
+    non-pearl vertices."""
+    comps = tree.components
+    _check_components(family, comps)
+    marks = tree.marks_dict()
+    if set(pearls) != set(comps[0].pearls):
+        raise OperadicError("pearl decorations must cover the pearls")
+    for v, value in pearls.items():
+        want = tuple(
+            arity(comps[i].shape, v) if marks[(i, v)] else PLUS for i in range(len(comps))
+        )
+        if _pearl_arities(value) != want:
+            raise OperadicError("pearl decoration arity mismatch at %r" % (v,))
+    if set(below) != set(below_paths(comps[0])):
+        raise OperadicError("fiber decorations must cover the below part")
+    for v, fiber in below.items():
+        if not isinstance(fiber, FiberPoint) or fiber.family != family:
+            raise OperadicError("below decorations must be fiber points")
+        m = arity(comps[0].shape, v)
+        if not _positional_ground(fiber, m):
+            raise OperadicError("fiber ground must be positional at %r" % (v,))
+        _check_fiber_marks(fiber, marks, v, m)
+    want = {(i, v) for i, c in enumerate(comps) for v in above_paths(c)}
+    _check_upper(family, comps, upper, want, "above-section vertices")
+    return set(below) | want
+
+
+# ---------------------------------------------------------------------------
+# the rewrite engine
+
+
+class _TimedState:
+    """Mutable decorated forest with vertex times; rewrites run here and
+    points are frozen snapshots of exhausted states.
+
+    The flavor fixes the layout: "ib" pearled forests, "b" section forests,
+    "inter" a single pearled tree decorated by fiber points and "w" a single
+    plain tree over one operad (the timed points of `bv`).  Free points are
+    the "ib" and "b" states with every time at one.  Absorbing into a pearl
+    needs module operations: `ops`, or else `module_ops(flavor, family,
+    template)`, looked up when an absorb rule first fires."""
+
+    def __init__(self, flavor, family, shapes, pearls, labels, marks,
+                 pearl_dec, below_dec, upper_dec, jtimes, utimes):
+        self.flavor = flavor
         self.family = family
         self.shapes = list(shapes)
         self.pearls = [set(p) for p in pearls]
@@ -253,6 +391,12 @@ class _State:
         self.pearl_dec = dict(pearl_dec)
         self.below_dec = dict(below_dec)
         self.upper_dec = dict(upper_dec)
+        self.jtimes = dict(jtimes)
+        self.utimes = dict(utimes)
+        self.ops = None
+        self.module_ops = None
+        # the carrier of the pearls; it survives the drop of every pearl, so
+        # that a pearl rebuilt at the root keeps the encoding
         self.base_template = next(iter(self.pearl_dec.values()), None)
 
     @property
@@ -262,50 +406,124 @@ class _State:
     def is_pearl(self, path) -> bool:
         return any(path in p for p in self.pearls)
 
-    # -- rewrite enumeration --------------------------------------------------
+    def components(self) -> tuple:
+        comps = []
+        for i in range(self.k):
+            shape = self.shapes[i]
+            lab = tuple((p, self.labels[i][p]) for p in leaves(shape))
+            comps.append(ComponentTree(shape, frozenset(self.pearls[i]), lab))
+        return tuple(comps)
+
+    def _ops(self):
+        if self.ops is None:
+            if self.module_ops is None:
+                raise OperadicError("absorbing into a pearl needs module operations")
+            self.ops = self.module_ops(self.flavor, self.family, self.base_template)
+        return self.ops
+
+    # -- rewrite enumeration ----------------------------------------------
 
     def available(self) -> list:
+        if self.flavor == "w":
+            return self._available_w()
+        if self.flavor == "inter":
+            return self._available_inter()
         out = []
-        for (i, p) in sorted(self.upper_dec):
-            if not self.is_pearl(p[:-1]):
-                out.append(("merge-upper", (i, p)))
-            elif (arity(self.shapes[i], p) == 1
-                  and self.upper_dec[(i, p)] == self.family.components[i].unit("1")):
-                out.append(("drop-unit-upper", (i, p)))
-        for p in sorted(self.below_dec):
-            if p:
-                out.append(("merge-below", p))
-                continue
-            width = len(subtree(self.shapes[0], ()))
-            if width == 1 and self.kind == "ib" and is_unit_ovec(self.below_dec[p]):
-                out.append(("drop-unit-root", ()))
-            if width == 1 and self.kind == "b" and is_unit_fiber(self.below_dec[p]):
-                out.append(("drop-unit-root", ()))
-            if width == 0 and self.kind == "b":
+        for (i, q) in sorted(self.upper_dec):
+            par = q[:-1]
+            t = self.utimes[(i, q)]
+            if self.is_pearl(par):
+                if t == 0:
+                    out.append(("absorb-upper", (i, q)))
+            elif par in self.below_dec:
+                if t == self.jtimes[par]:
+                    out.append(("merge-upper", (i, q)))
+            elif t == self.utimes[(i, par)]:
+                out.append(("merge-upper", (i, q)))
+            if (arity(self.shapes[i], q) == 1
+                    and self.upper_dec[(i, q)] == self.family.components[i].unit("1")):
+                out.append(("drop-unit-upper", (i, q)))
+        for q in sorted(self.below_dec):
+            width = arity(self.shapes[0], q)
+            dec = self.below_dec[q]
+            is_unit = is_unit_ovec if self.flavor == "ib" else is_unit_fiber
+            if width == 1 and is_unit(dec):
+                out.append(("drop-unit-below", q))
+            if q and self.jtimes[q] == self.jtimes[q[:-1]]:
+                out.append(("merge-below", q))
+            if self.jtimes[q] == 0:
+                if self.flavor == "ib":
+                    if self.is_pearl(q + (0,)):
+                        out.append(("absorb-below", q))
+                elif width and all(self.is_pearl(q + (s,)) for s in range(width)):
+                    out.append(("absorb-star", q))
+        if self.flavor == "b":
+            for q in sorted(self.pearl_dec):
+                if q and is_base_value(self.pearl_dec[q]):
+                    out.append(("drop-base-pearl", q))
+            if () in self.below_dec and arity(self.shapes[0], ()) == 0:
                 out.append(("pearlize", ()))
-        if self.kind == "b":
-            for p in sorted(self.pearl_dec):
-                if p and is_base_value(self.pearl_dec[p]):
-                    out.append(("drop-base-pearl", p))
+        return out
+
+    def _available_inter(self) -> list:
+        out = []
+        for q in sorted(self.below_dec):
+            t = self.jtimes[q]
+            if arity(self.shapes[0], q) == 1 and is_unit_fiber(self.below_dec[q]):
+                out.append(("drop-unit-below", q))
+            if q:
+                par = q[:-1]
+                if par in self.below_dec:
+                    if t == self.jtimes[par]:
+                        out.append(("merge-below", q))
+                elif t == 0:
+                    out.append(("merge-into-pearl", q))
+            if t == 0 and self.is_pearl(q + (0,)):
+                out.append(("merge-pearl-up", q))
+        return out
+
+    def _available_w(self) -> list:
+        out = []
+        shape = self.shapes[0]
+        if not is_vertex(shape):
+            return out
+        vs = vertices(shape)
+        for q in sorted(self.jtimes):
+            if self.jtimes[q] == 0:
+                out.append(("contract-zero", q))
+        for q in vs:
+            width = arity(shape, q)
+            if width == 1 and self.upper_dec[(0, q)] == self.family.unit("1"):
+                out.append(("drop-unit-w", q))
+            if width == 0 and q and len(vs) > 1:
+                out.append(("compose-empty", q))
         return out
 
     def apply(self, rule, arg):
-        if rule == "merge-upper":
-            self._merge_upper(*arg)
-        elif rule == "drop-unit-upper":
-            self._drop_unit_upper(*arg)
-        elif rule == "merge-below":
-            self._merge_below(arg)
-        elif rule == "drop-unit-root":
-            self._drop_unit_root()
-        elif rule == "pearlize":
-            self._pearlize()
-        elif rule == "drop-base-pearl":
-            self._drop_base_pearl(arg)
-        else:
+        handler = {
+            "merge-upper": self._merge_upper,
+            "absorb-upper": self._absorb_upper,
+            "drop-unit-upper": self._drop_unit_upper,
+            "merge-below": self._merge_below,
+            "absorb-below": self._absorb_below,
+            "absorb-star": self._absorb_star,
+            "drop-unit-below": self._drop_unit_below,
+            "drop-base-pearl": self._drop_base_pearl,
+            "pearlize": self._pearlize,
+            "merge-into-pearl": self._merge_into_pearl,
+            "merge-pearl-up": self._merge_pearl_up,
+            "contract-zero": self._contract_zero,
+            "drop-unit-w": self._drop_unit_w,
+            "compose-empty": self._compose_empty,
+        }.get(rule)
+        if handler is None:
             raise OperadicError("unknown rewrite %r" % (rule,))
+        if rule in ("merge-upper", "absorb-upper", "drop-unit-upper"):
+            handler(*arg)
+        else:
+            handler(arg)
 
-    def run(self, rng=None):
+    def run(self, rng=None) -> "_TimedState":
         while True:
             todo = self.available()
             if not todo:
@@ -315,26 +533,38 @@ class _State:
         self.sort()
         return self
 
-    # -- path bookkeeping -------------------------------------------------------
+    # -- path bookkeeping ---------------------------------------------------
 
-    def _move_component(self, i, move, drop=None):
-        self.pearls[i] = {move(p) for p in self.pearls[i] if p != drop}
+    def _move_component(self, i, move, drops=frozenset()):
+        self.pearls[i] = {move(p) for p in self.pearls[i] if p not in drops}
         self.labels[i] = {move(p): s for p, s in self.labels[i].items()}
         self.upper_dec = {
             ((j, move(p)) if j == i else (j, p)): v
             for (j, p), v in self.upper_dec.items()
-            if not (j == i and p == drop)
+            if not (j == i and p in drops)
         }
-        if self.kind == "b":
+        self.utimes = {
+            ((j, move(p)) if j == i else (j, p)): v
+            for (j, p), v in self.utimes.items()
+            if not (j == i and p in drops)
+        }
+        if self.flavor == "b":
             self.marks = {
                 ((j, move(p)) if j == i else (j, p)): v
                 for (j, p), v in self.marks.items()
-                if not (j == i and p == drop)
+                if not (j == i and p in drops)
+            }
+        elif self.flavor == "inter":
+            self.marks = {
+                (j, move(p)): v
+                for (j, p), v in self.marks.items()
+                if p not in drops
             }
 
-    def _move_joint_keys(self, move, drop=None):
-        self.pearl_dec = {move(p): v for p, v in self.pearl_dec.items() if p != drop}
-        self.below_dec = {move(p): v for p, v in self.below_dec.items() if p != drop}
+    def _move_joint_keys(self, move, drops=frozenset()):
+        self.pearl_dec = {move(p): v for p, v in self.pearl_dec.items() if p not in drops}
+        self.below_dec = {move(p): v for p, v in self.below_dec.items() if p not in drops}
+        self.jtimes = {move(p): v for p, v in self.jtimes.items() if p not in drops}
 
     def _contract_into_parent(self, i, path):
         """Splice the children of the vertex at path into its parent slot;
@@ -353,17 +583,53 @@ class _State:
                 return par + (p[len(par)] + len(node) - 1,) + p[len(par) + 1 :]
             return p
 
-        self._move_component(i, move, drop=path)
+        self._move_component(i, move, drops={path})
         return move
 
-    # -- the rewrites -------------------------------------------------------------
+    def _drop_vertex(self, i, path):
+        """Remove a childless vertex; returns the move applied."""
+        par, slot = path[:-1], path[-1]
+        node = subtree(self.shapes[i], par)
+        self.shapes[i] = replace(
+            self.shapes[i], par, node[:slot] + node[slot + 1 :]
+        )
+
+        def move(p):
+            if len(p) > len(par) and p[: len(par)] == par and p[len(par)] > slot:
+                return par + (p[len(par)] - 1,) + p[len(par) + 1 :]
+            return p
+
+        self._move_component(i, move, drops={path})
+        return move
+
+    def _splice_children(self, i, path, drops):
+        """Replace the node at path by the concatenation of its children."""
+        node = subtree(self.shapes[i], path)
+        offs = []
+        acc = 0
+        for child in node:
+            offs.append(acc)
+            acc += len(child)
+        self.shapes[i] = replace(
+            self.shapes[i], path, tuple(c for child in node for c in child)
+        )
+
+        def move(p):
+            if len(p) > len(path) + 1 and p[: len(path)] == path:
+                s = p[len(path)]
+                return path + (offs[s] + p[len(path) + 1],) + p[len(path) + 2 :]
+            return p
+
+        self._move_component(i, move, drops=drops)
+        return move
+
+    # -- shared rewrites ------------------------------------------------------
 
     def _merge_upper(self, i, path):
         x = self.upper_dec.pop((i, path))
+        self.utimes.pop((i, path))
         par, slot = path[:-1], path[-1]
-        if par in self.below_dec:
-            if self.kind != "ib":
-                raise OperadicError("a section point has no vertices below the pearls")
+        if par in self.below_dec and self.flavor == "ib":
             self.below_dec[par] = ovec_compose_at(self.below_dec[par], i, slot + 1, x)
         else:
             model = self.family.components[i]
@@ -372,63 +638,170 @@ class _State:
             )
         self._contract_into_parent(i, path)
 
+    def _absorb_upper(self, i, path):
+        x = self.upper_dec.pop((i, path))
+        self.utimes.pop((i, path))
+        par, slot = path[:-1], path[-1]
+        self.pearl_dec[par] = self._ops().right(self.pearl_dec[par], i, slot + 1, x)
+        self._contract_into_parent(i, path)
+
     def _drop_unit_upper(self, i, path):
         self.upper_dec.pop((i, path))
+        self.utimes.pop((i, path))
         self._contract_into_parent(i, path)
 
     def _merge_below(self, path):
         child = self.below_dec.pop(path)
+        self.jtimes.pop(path)
         par, slot = path[:-1], path[-1]
-        if self.kind == "ib":
+        if self.flavor == "ib":
             self.below_dec[par] = ovec_splice(self.below_dec[par], child)
         else:
             self.below_dec[par] = fiber_compose_at(self.below_dec[par], slot + 1, child)
         move = None
         for i in range(self.k):
             move = self._contract_into_parent(i, path)
-        # spine contractions sit at slot zero, so the relocation map is the
-        # same in every component; below-section shapes agree outright
-        self._move_joint_keys(move, drop=path)
+        # joint contractions sit at slot zero or have equal shapes across the
+        # components, so any component's relocation map serves the joint keys
+        self._move_joint_keys(move, drops={path})
 
-    def _drop_unit_root(self):
-        self.below_dec.pop(())
-        self.marks = {(j, p): v for (j, p), v in self.marks.items() if p != ()}
+    def _drop_unit_below(self, path):
+        self.below_dec.pop(path)
+        self.jtimes.pop(path)
+        if path == ():
+            self.marks = {(j, p): v for (j, p), v in self.marks.items() if p != ()}
 
-        def move(p):
-            return p[1:]
+            def move(p):
+                return p[1:]
 
+            for i in range(self.k):
+                self.shapes[i] = subtree(self.shapes[i], (0,))
+                self._move_component(i, move)
+            self._move_joint_keys(move)
+            return
+        move = None
         for i in range(self.k):
-            self.shapes[i] = subtree(self.shapes[i], (0,))
-            self._move_component(i, move)
-        self._move_joint_keys(move)
+            move = self._contract_into_parent(i, path)
+        self._move_joint_keys(move, drops={path})
+
+    # -- pearled rewrites -------------------------------------------------------
+
+    def _absorb_below(self, path):
+        theta = self.below_dec.pop(path)
+        self.jtimes.pop(path)
+        pearl = path + (0,)
+        value = self._ops().left(theta, self.pearl_dec.pop(pearl))
+        move = None
+        for i in range(self.k):
+            self.pearls[i].discard(pearl)
+            move = self._contract_into_parent(i, pearl)
+            self.pearls[i].add(path)
+        self._move_joint_keys(move, drops={pearl})
+        self.pearl_dec[path] = value
+
+    def _absorb_star(self, path):
+        fiber = self.below_dec.pop(path)
+        self.jtimes.pop(path)
+        width = arity(self.shapes[0], path)
+        kids = [path + (s,) for s in range(width)]
+        value = self._ops().left(fiber, [self.pearl_dec.pop(q) for q in kids])
+        drops = set(kids)
+        for i in range(self.k):
+            self.pearls[i] -= drops
+            self._splice_children(i, path, drops)
+            self.pearls[i].add(path)
+        self._move_joint_keys(lambda p: p, drops=drops)
+        self.pearl_dec[path] = value
 
     def _drop_base_pearl(self, path):
         self.base_template = self.pearl_dec.pop(path)
         par, slot = path[:-1], path[-1]
         self.below_dec[par] = fiber_drop(self.below_dec[par], slot + 1)
+        move = None
+        for i in range(self.k):
+            self.pearls[i].discard(path)
+            move = self._drop_vertex(i, path)
+        self._move_joint_keys(move, drops={path})
+
+    def _pearlize(self, path):
+        fiber = self.below_dec.pop(path)
+        # the surviving datum of a zero-width root is its arity pattern; the
+        # time has nothing left to weight and is discarded
+        self.jtimes.pop(path)
+        pattern = tuple(PLUS if part == PLUS else 0 for part in fiber.pk.parts)
+        for i in range(self.k):
+            self.pearls[i].add(path)
+        if self.base_template is None:
+            self.pearl_dec[path] = base_generator(pattern)
+        else:
+            self.pearl_dec[path] = base_like(self.base_template, self.family, pattern)
+
+    # -- single-tree fiber rewrites ------------------------------------------
+
+    def _merge_into_pearl(self, path):
+        child = self.below_dec.pop(path)
+        self.jtimes.pop(path)
+        par, slot = path[:-1], path[-1]
+        self.pearl_dec[par] = fiber_compose_at(self.pearl_dec[par], slot + 1, child)
+        move = self._contract_into_parent(0, path)
+        self._move_joint_keys(move, drops={path})
+
+    def _merge_pearl_up(self, path):
+        fiber = self.below_dec.pop(path)
+        self.jtimes.pop(path)
+        pearl = path + (0,)
+        value = fiber_compose_at(fiber, 1, self.pearl_dec.pop(pearl))
+        self.pearls[0].discard(pearl)
+        move = self._contract_into_parent(0, pearl)
+        self.pearls[0].add(path)
+        self._move_joint_keys(move, drops={pearl})
+        self.pearl_dec[path] = value
+
+    # -- plain tree rewrites ---------------------------------------------------
+
+    def _contract_zero(self, path):
+        x = self.upper_dec.pop((0, path))
+        self.jtimes.pop(path)
+        par, slot = path[:-1], path[-1]
+        self.upper_dec[(0, par)] = compose_at(
+            self.family, self.upper_dec[(0, par)], slot + 1, x
+        )
+        move = self._contract_into_parent(0, path)
+        self._move_joint_keys(move, drops={path})
+
+    def _drop_unit_w(self, path):
+        self.upper_dec.pop((0, path))
+        node = subtree(self.shapes[0], path)
+        child = path + (0,)
+        t_out = self.jtimes.pop(path, None)
+        t_in = self.jtimes.pop(child, None)
+        self.shapes[0] = replace(self.shapes[0], path, node[0])
 
         def move(p):
-            if len(p) > len(par) and p[: len(par)] == par and p[len(par)] > slot:
-                return par + (p[len(par)] - 1,) + p[len(par) + 1 :]
+            if is_ancestor(child, p):
+                return path + p[len(child) :]
             return p
 
-        for i in range(self.k):
-            node = subtree(self.shapes[i], par)
-            self.shapes[i] = replace(self.shapes[i], par, node[:slot] + node[slot + 1 :])
-            self._move_component(i, move, drop=path)
-        self._move_joint_keys(move, drop=path)
+        self._move_component(0, move)
+        self._move_joint_keys(move)
+        if t_out is not None and t_in is not None:
+            # both edges are inner, so the merged edge keeps the longer one
+            self.jtimes[path] = max(t_out, t_in)
 
-    def _pearlize(self):
-        fiber = self.below_dec.pop(())
-        pattern = tuple(PLUS if part == PLUS else 0 for part in fiber.pk.parts)
-        template = self.base_template
-        if template is None:
-            template = base_generator(pattern)
-        for i in range(self.k):
-            self.pearls[i].add(())
-        self.pearl_dec[()] = base_like(template, self.family, pattern)
+    def _compose_empty(self, path):
+        x = self.upper_dec.pop((0, path))
+        self.jtimes.pop(path)
+        par, slot = path[:-1], path[-1]
+        self.upper_dec[(0, par)] = compose_at(
+            self.family, self.upper_dec[(0, par)], slot + 1, x
+        )
+        move = self._drop_vertex(0, path)
+        self._move_joint_keys(move, drops={path})
 
-    # -- canonical child order ----------------------------------------------------
+    # -- canonical child order ----------------------------------------------
+
+    def _model(self, i):
+        return self.family if self.flavor == "w" else self.family.components[i]
 
     def _decor_at(self, i, path):
         if path in self.pearl_dec:
@@ -437,24 +810,53 @@ class _State:
             return self.below_dec[path]
         return self.upper_dec.get((i, path))
 
+    def _fragment(self, i, path, j):
+        """What the decoration at path attaches to its slot j in component i."""
+        if (i, path) in self.upper_dec:
+            return _model_fragment(self._model(i), self.upper_dec[(i, path)], str(j + 1))
+        decor = self._decor_at(i, path)
+        return None if decor is None else slot_fragment(decor, i, j)
+
+    def _time_at(self, i, path):
+        if path in self.jtimes:
+            return self.jtimes[path]
+        return self.utimes.get((i, path))
+
+    def _marks_at(self, i, path):
+        if self.flavor == "b":
+            return self.marks.get((i, path))
+        if self.flavor == "inter":
+            return tuple(
+                self.marks.get((j, path)) for j in range(self.family.k)
+            )
+        return None
+
     def _enc(self, i, path):
         node = subtree(self.shapes[i], path)
         if not is_vertex(node):
-            return ("L", self.labels[i][path])
+            return ("L", self._marks_at(i, path), self.labels[i][path])
+        t = self._time_at(i, path)
         return (
             "V",
             path in self.pearls[i],
-            self.marks.get((i, path)),
+            self._marks_at(i, path),
+            None if t is None else str(t),
             stable_key(self._decor_at(i, path)),
-            tuple(self._enc(i, path + (t,)) for t in range(len(node))),
+            tuple(self._enc(i, path + (s,)) for s in range(len(node))),
         )
 
-    def _child_key(self, i, path, j, decor):
+    def _child_key(self, i, path, j):
         child = path + (j,)
         if not is_vertex(subtree(self.shapes[i], child)):
-            return (0, label_key(self.labels[i][child]))
-        frag = None if decor is None else slot_fragment(decor, i, j)
-        return (1, stable_key((self.marks.get((i, child)), frag)), self._enc(i, child))
+            return (0, stable_key(self._marks_at(i, child)),
+                    label_key(self.labels[i][child]))
+        frag = self._fragment(i, path, j)
+        t = self._time_at(i, child)
+        return (
+            1,
+            stable_key((self._marks_at(i, child), frag, None if t is None else str(t))),
+            self._enc(i, child),
+        )
 
     def _apply_child_perm(self, path, order, comp_ids):
         perm1 = tuple(j + 1 for j in order)
@@ -466,11 +868,13 @@ class _State:
 
         for i in comp_ids:
             node = subtree(self.shapes[i], path)
-            self.shapes[i] = replace(self.shapes[i], path, tuple(node[j] for j in order))
+            self.shapes[i] = replace(
+                self.shapes[i], path, tuple(node[j] for j in order)
+            )
             self._move_component(i, move)
             if (i, path) in self.upper_dec:
                 self.upper_dec[(i, path)] = act_numeric(
-                    self.family.components[i], self.upper_dec[(i, path)], perm1
+                    self._model(i), self.upper_dec[(i, path)], perm1
                 )
         if path in self.pearl_dec or path in self.below_dec:
             target = self.pearl_dec if path in self.pearl_dec else self.below_dec
@@ -485,61 +889,79 @@ class _State:
             self._move_joint_keys(move)
 
     def sort(self):
+        if self.flavor == "b":
+            for i in range(self.k):
+                for path in sorted(vertices(self.shapes[i]), key=len, reverse=True):
+                    if path in self.below_dec:
+                        continue
+                    self._sort_one(i, path)
+            for path in sorted(self.below_dec, key=len, reverse=True):
+                self._sort_joint(path)
+            return
         for i in range(self.k):
+            if not is_vertex(self.shapes[i]):
+                continue
             for path in sorted(vertices(self.shapes[i]), key=len, reverse=True):
-                if self.kind == "b" and path in self.below_dec:
-                    continue
                 self._sort_one(i, path)
-        if self.kind == "b" and () in self.below_dec:
-            self._sort_root_joint()
+
+    def _pinned(self, i, path) -> bool:
+        if self.flavor == "ib":
+            return path in self.below_dec
+        if self.flavor == "inter":
+            return _pearlward(self.pearls[0], path)
+        return False
 
     def _sort_one(self, i, path):
         node = subtree(self.shapes[i], path)
         free = list(range(len(node)))
-        if self.kind == "ib" and path in self.below_dec:
+        if self._pinned(i, path):
             free = free[1:]
         if len(free) < 2:
             return
-        decor = self._decor_at(i, path)
-        ranked = iter(sorted(free, key=lambda j: self._child_key(i, path, j, decor)))
+        ranked = iter(sorted(free, key=lambda j: self._child_key(i, path, j)))
         order = [next(ranked) if j in free else j for j in range(len(node))]
         if order != list(range(len(node))):
             self._apply_child_perm(path, order, [i])
 
-    def _sort_root_joint(self):
-        decor = self.below_dec[()]
-        n = len(subtree(self.shapes[0], ()))
+    def _sort_joint(self, path):
+        n = arity(self.shapes[0], path)
         if n < 2:
             return
         order = sorted(
             range(n),
-            key=lambda j: tuple(self._child_key(i, (), j, decor) for i in range(self.k)),
+            key=lambda j: tuple(self._child_key(i, path, j) for i in range(self.k)),
         )
         if order != list(range(n)):
-            self._apply_child_perm((), order, list(range(self.k)))
+            self._apply_child_perm(path, order, list(range(self.k)))
 
-    # -- snapshots -------------------------------------------------------------------
 
-    def fields(self):
-        comps = []
-        for i in range(self.k):
-            lab = tuple((p, self.labels[i][p]) for p in leaves(self.shapes[i]))
-            comps.append(ComponentTree(self.shapes[i], frozenset(self.pearls[i]), lab))
-        variant = "rpTree" if self.kind == "ib" else "rsTree"
-        tree = KFoldTree(variant, tuple(comps), tuple(self.marks.items()))
-        return (
-            tree,
-            tuple(sorted(self.pearl_dec.items())),
-            tuple(sorted(self.below_dec.items())),
-            tuple(sorted(self.upper_dec.items())),
-        )
+def _pearlward(pearls, path) -> bool:
+    """Is the path a strict ancestor of one of the pearls?"""
+    return any(is_ancestor(path, q) and path != q for q in pearls)
 
 
 # ---------------------------------------------------------------------------
 # the points
 
 
-def _state_ib(family, tree, pearl, below, upper) -> _State:
+def _time_one(flavor, family, tree, marks, pearl_dec, below_dec, upper_dec) -> _TimedState:
+    comps = tree.components
+    return _TimedState(
+        flavor,
+        family,
+        [c.shape for c in comps],
+        [c.pearls for c in comps],
+        [dict(c.labels) for c in comps],
+        marks,
+        pearl_dec,
+        below_dec,
+        upper_dec,
+        {v: ONE for v in below_dec},
+        {key: ONE for key in upper_dec},
+    )
+
+
+def _state_ib(family, tree, pearl, below, upper) -> _TimedState:
     pearl_path = pearl_of(tree.components[0])
     below_dec = {}
     if below is not None:
@@ -548,31 +970,51 @@ def _state_ib(family, tree, pearl, below, upper) -> _State:
         below_dec[()] = below
     elif len(pearl_path) != 0:
         raise OperadicError("a pearl below the root needs a spine decoration")
-    return _State(
-        "ib",
-        family,
-        [c.shape for c in tree.components],
-        [c.pearls for c in tree.components],
-        [dict(c.labels) for c in tree.components],
-        {},
-        {pearl_path: pearl},
-        below_dec,
-        dict(upper),
+    return _time_one("ib", family, tree, {}, {pearl_path: pearl}, below_dec, dict(upper))
+
+
+def _state_b(family, tree, pearls, below, upper) -> _TimedState:
+    below_dec = {} if below is None else {(): below}
+    return _time_one("b", family, tree, tree.marks_dict(), dict(pearls), below_dec, dict(upper))
+
+
+def _free_state(pt) -> _TimedState:
+    """The point as an engine state at time one."""
+    if isinstance(pt, FreeIbPoint):
+        return _state_ib(pt.family, pt.tree, pt.pearl, pt.below, pt.upper)
+    return _state_b(pt.family, pt.tree, pt.pearls, pt.below, pt.upper)
+
+
+def _fields(state: _TimedState) -> tuple:
+    """The free snapshot of a state: the times are all one and are dropped."""
+    variant = "rpTree" if state.flavor == "ib" else "rsTree"
+    return (
+        KFoldTree(variant, state.components(), tuple(state.marks.items())),
+        tuple(sorted(state.pearl_dec.items())),
+        tuple(sorted(state.below_dec.items())),
+        tuple(sorted(state.upper_dec.items())),
     )
 
 
-def _state_b(family, tree, pearls, below, upper) -> _State:
-    return _State(
-        "b",
-        family,
-        [c.shape for c in tree.components],
-        [c.pearls for c in tree.components],
-        [dict(c.labels) for c in tree.components],
-        tree.marks_dict(),
-        dict(pearls),
-        {} if below is None else {(): below},
-        dict(upper),
-    )
+def _check_normal(pt):
+    ok, clause = validate_labeling(pt.tree)
+    if not ok:
+        raise OperadicError("invalid tree: %s" % clause)
+    _check_positional_labels(pt.tree)
+    belows = {} if pt.below is None else {(): pt.below}
+    if isinstance(pt, FreeIbPoint):
+        pearls = {pearl_of(pt.tree.components[0]): pt.pearl}
+        _validate_ib_decorations(pt.family, pt.tree, pearls, belows, dict(pt.upper))
+    else:
+        pearls = dict(pt.pearls)
+        _validate_b_decorations(pt.family, pt.tree, pearls, belows, dict(pt.upper))
+    state = _free_state(pt)
+    if state.available():
+        raise OperadicError("point is not in normal form")
+    state.sort()
+    want = (pt.tree, tuple(sorted(pearls.items())), tuple(belows.items()), pt.upper)
+    if _fields(state) != want:
+        raise OperadicError("point is not in normal form")
 
 
 def _check_positional_labels(tree: KFoldTree):
@@ -598,24 +1040,14 @@ class FreeIbPoint:
         object.__setattr__(self, "upper", tuple(sorted(dict(self.upper).items())))
         if self.tree.variant != "rpTree":
             raise OperadicError("expected the reduced pearled variant")
-        ok, clause = validate_labeling(self.tree)
-        if not ok:
-            raise OperadicError("invalid tree: %s" % clause)
-        _check_positional_labels(self.tree)
-        _validate_ib_decorations(self)
-        state = _state_ib(self.family, self.tree, self.pearl, self.below, dict(self.upper))
-        if state.available():
-            raise OperadicError("point is not in normal form")
-        state.sort()
-        if state.fields() != _fields_of(self):
-            raise OperadicError("point is not in normal form")
+        _check_normal(self)
 
     @property
     def arities(self) -> tuple:
         return self.tree.arities
 
     def encoding(self) -> tuple:
-        state = _state_ib(self.family, self.tree, self.pearl, self.below, dict(self.upper))
+        state = _free_state(self)
         return tuple(state._enc(i, ()) for i in range(state.k))
 
 
@@ -636,106 +1068,15 @@ class FreeBPoint:
         object.__setattr__(self, "upper", tuple(sorted(dict(self.upper).items())))
         if self.tree.variant != "rsTree":
             raise OperadicError("expected the reduced section variant")
-        ok, clause = validate_labeling(self.tree)
-        if not ok:
-            raise OperadicError("invalid tree: %s" % clause)
-        _check_positional_labels(self.tree)
-        _validate_b_decorations(self)
-        state = _state_b(self.family, self.tree, dict(self.pearls), self.below, dict(self.upper))
-        if state.available():
-            raise OperadicError("point is not in normal form")
-        state.sort()
-        if state.fields() != _fields_of(self):
-            raise OperadicError("point is not in normal form")
+        _check_normal(self)
 
     @property
     def arities(self) -> tuple:
         return tuple(PLUS if n is None else n for n in self.tree.arities)
 
     def encoding(self) -> tuple:
-        state = _state_b(self.family, self.tree, dict(self.pearls), self.below, dict(self.upper))
+        state = _free_state(self)
         return tuple(state._enc(i, ()) for i in range(state.k))
-
-
-def _fields_of(pt):
-    belows = () if pt.below is None else (((), pt.below),)
-    if isinstance(pt, FreeIbPoint):
-        pearl_path = pearl_of(pt.tree.components[0])
-        return (pt.tree, ((pearl_path, pt.pearl),), belows, pt.upper)
-    return (pt.tree, pt.pearls, belows, pt.upper)
-
-
-def _validate_ib_decorations(pt: FreeIbPoint):
-    family = pt.family
-    comps = pt.tree.components
-    want_pearl = tuple(arity(c.shape, pearl_of(c)) for c in comps)
-    if decoration_arities(pt.pearl) != want_pearl:
-        raise OperadicError("pearl decoration arity mismatch")
-    if pt.below is not None:
-        if not isinstance(pt.below, OVecPoint) or pt.below.family != family:
-            raise OperadicError("the spine decoration must be a marked product point")
-        for i, c in enumerate(comps):
-            m = arity(c.shape, ())
-            if set(pt.below.sets[i]) != {str(t) for t in range(2, m + 1)}:
-                raise OperadicError("spine decoration labels must be positional")
-    want = set()
-    for i, c in enumerate(comps):
-        p = pearl_of(c)
-        for v in vertices(c.shape):
-            if v != p and not is_ancestor(v, p):
-                want.add((i, v))
-    upper = dict(pt.upper)
-    if set(upper) != want:
-        raise OperadicError("operad decorations must cover the off-spine vertices")
-    for (i, v), x in upper.items():
-        model = family.components[i]
-        if tuple(model.labels(x)) != tuple(str(t + 1) for t in range(arity(comps[i].shape, v))):
-            raise OperadicError("operad decoration labels must be positional")
-
-
-def _validate_b_decorations(pt: FreeBPoint):
-    family = pt.family
-    comps = pt.tree.components
-    marks = pt.tree.marks_dict()
-    pearls = dict(pt.pearls)
-    if set(pearls) != set(comps[0].pearls):
-        raise OperadicError("pearl decorations must cover the pearls")
-    for path, value in pearls.items():
-        want = tuple(
-            arity(comps[i].shape, path) if marks[(i, path)] else PLUS
-            for i in range(len(comps))
-        )
-        if decoration_arities(value) != want:
-            raise OperadicError("pearl decoration arity mismatch at %r" % (path,))
-        if path != () and is_base_value(value):
-            raise OperadicError("point is not in normal form")
-    if (() not in pearls) != (pt.below is not None):
-        raise OperadicError("the root decoration must match the tree shape")
-    if pt.below is not None:
-        if not isinstance(pt.below, FiberPoint) or pt.below.family != family:
-            raise OperadicError("the root decoration must be a fiber point")
-        m = len(subtree(comps[0].shape, ()))
-        if pt.below.pk.ground != tuple(sorted((str(t + 1) for t in range(m)), key=label_key)):
-            raise OperadicError("root decoration ground must be positional")
-        for i in range(len(comps)):
-            part = pt.below.pk.parts[i]
-            if (part == PLUS) != (not marks[(i, ())]):
-                raise OperadicError("root decoration pattern must match the trunk marks")
-            if part != PLUS:
-                if set(part) != {str(t + 1) for t in range(m) if marks[(i, (t,))]}:
-                    raise OperadicError("root decoration pattern must match the edge marks")
-    want = set()
-    for i, c in enumerate(comps):
-        for v in vertices(c.shape):
-            if v not in c.pearls and any(is_ancestor(q, v) and q != v for q in c.pearls):
-                want.add((i, v))
-    upper = dict(pt.upper)
-    if set(upper) != want:
-        raise OperadicError("operad decorations must cover the above-section vertices")
-    for (i, v), x in upper.items():
-        model = family.components[i]
-        if tuple(model.labels(x)) != tuple(str(t + 1) for t in range(arity(comps[i].shape, v))):
-            raise OperadicError("operad decoration labels must be positional")
 
 
 def has_univalent_vertex(pt) -> bool:
@@ -752,13 +1093,13 @@ def has_univalent_vertex(pt) -> bool:
 # builders
 
 
-def _snapshot_ib(family, state: _State) -> FreeIbPoint:
-    tree, pearls, belows, upper = state.fields()
+def _snapshot_ib(family, state: _TimedState) -> FreeIbPoint:
+    tree, pearls, belows, upper = _fields(state)
     return FreeIbPoint(family, tree, pearls[0][1], belows[0][1] if belows else None, upper)
 
 
-def _snapshot_b(family, state: _State) -> FreeBPoint:
-    tree, pearls, belows, upper = state.fields()
+def _snapshot_b(family, state: _TimedState) -> FreeBPoint:
+    tree, pearls, belows, upper = _fields(state)
     return FreeBPoint(family, tree, pearls, belows[0][1] if belows else None, upper)
 
 
@@ -800,70 +1141,119 @@ def base_point(family: RelativeFamily, pattern, template=None) -> FreeBPoint:
 
 
 # ---------------------------------------------------------------------------
-# grafting actions
+# grafting at time one, shared with the timed points
 
 
-def _graft_leaf(state: _State, i: int, label, x, model):
-    """Replace the leaf carrying the label in component i by a decorated
-    corolla and renumber that component's leaf labels."""
+def _graft_leaf(state: _TimedState, i: int, j: int, m: int):
+    """Replace the leaf labeled j in component i by an m-corolla; higher labels
+    shift by m - 1 and the new leaves take j .. j + m - 1.  Returns the
+    corolla's path."""
     for p, s in state.labels[i].items():
-        if s == str(label):
+        if s == str(j):
             path = p
             break
     else:
-        raise OperadicError("no leaf labeled %r in component %d" % (label, i))
-    m = model.arity(x)
-    j = int(label)
+        raise OperadicError("no leaf labeled %r in component %d" % (j, i))
     state.shapes[i] = replace(state.shapes[i], path, corolla(m))
-    new_labels = {}
+    del state.labels[i][path]
     for p, s in state.labels[i].items():
-        if p == path:
-            continue
-        t = int(s)
-        new_labels[p] = str(t + m - 1) if t > j else s
+        if int(s) > j:
+            state.labels[i][p] = str(int(s) + m - 1)
     for t in range(m):
-        new_labels[path + (t,)] = str(j + t)
-    state.labels[i] = new_labels
+        state.labels[i][path + (t,)] = str(j + t)
+    return path
+
+
+def _graft_right(state: _TimedState, i: int, j, x) -> _TimedState:
+    """Graft the operad element x of component i onto the leaf labeled j."""
+    model = state.family.components[i]
+    m = model.arity(x)
+    if not _positional_labels(model, x, m):
+        raise OperadicError("operand labels must be positional")
+    path = _graft_leaf(state, i, int(j), m)
     state.upper_dec[(i, path)] = x
+    state.utimes[(i, path)] = ONE
+    return state
+
+
+def _graft_left_ib(state: _TimedState, theta) -> _TimedState:
+    """Put a new root decorated by the marked product point theta below the
+    forest; its first input carries the old tree, the others are new leaves
+    labeled after the old ones."""
+    family = state.family
+    if not isinstance(theta, OVecPoint) or theta.family != family:
+        raise OperadicError("the left operand must be a marked product point")
+    if not _positional_ovec(theta, [len(s) + 1 for s in theta.sets]):
+        raise OperadicError("left operand labels must be positional")
+
+    def move(p):
+        return (0,) + p
+
+    for i in range(family.k):
+        extra = len(theta.sets[i])
+        top = max((int(s) for s in state.labels[i].values()), default=0)
+        state.shapes[i] = (state.shapes[i],) + (LEAF,) * extra
+        state._move_component(i, move)
+        for t in range(extra):
+            state.labels[i][(t + 1,)] = str(top + t + 1)
+    state._move_joint_keys(move)
+    state.below_dec[()] = theta
+    state.jtimes[()] = ONE
+    return state
+
+
+def _merge_b_operands(family, fiber, operands) -> _TimedState:
+    """Put a new root decorated by the fiber point below the operand states,
+    one per ground element, continuing each component's leaf labels."""
+    if not isinstance(fiber, FiberPoint) or fiber.family != family:
+        raise OperadicError("the left operand must be a fiber point")
+    m = len(fiber.pk.ground)
+    if not _positional_ground(fiber, m):
+        raise OperadicError("fiber ground must be positional")
+    if len(operands) != m:
+        raise OperadicError("one operand per ground element is required")
+    k = family.k
+    shapes = [[] for _ in range(k)]
+    labels = [dict() for _ in range(k)]
+    pearls = [set() for _ in range(k)]
+    marks = {(i, ()): part != PLUS for i, part in enumerate(fiber.pk.parts)}
+    pearl_dec, below_dec, upper_dec = {}, {(): fiber}, {}
+    jtimes, utimes = {(): ONE}, {}
+    for l, op in enumerate(operands):
+        for i, part in enumerate(fiber.pk.parts):
+            if (part != PLUS and str(l + 1) in part) != op.marks[(i, ())]:
+                raise OperadicError(
+                    "operand %d presence does not match the ground pattern" % (l + 1)
+                )
+        for i in range(k):
+            offset = max((int(s) for s in labels[i].values()), default=0)
+            shapes[i].append(op.shapes[i])
+            for p, s in op.labels[i].items():
+                labels[i][(l,) + p] = str(int(s) + offset)
+            pearls[i] |= {(l,) + p for p in op.pearls[i]}
+        marks.update({(i, (l,) + p): v for (i, p), v in op.marks.items()})
+        pearl_dec.update({(l,) + p: v for p, v in op.pearl_dec.items()})
+        below_dec.update({(l,) + p: v for p, v in op.below_dec.items()})
+        jtimes.update({(l,) + p: t for p, t in op.jtimes.items()})
+        upper_dec.update({(i, (l,) + p): v for (i, p), v in op.upper_dec.items()})
+        utimes.update({(i, (l,) + p): t for (i, p), t in op.utimes.items()})
+    return _TimedState("b", family, [tuple(s) for s in shapes], pearls, labels, marks,
+                       pearl_dec, below_dec, upper_dec, jtimes, utimes)
 
 
 def free_graft_ib(pt: FreeIbPoint, action, rng=None) -> FreeIbPoint:
     """Apply a right corolla graft ("right", i, j, x) or a left marked
     product graft ("left", theta); returns the normal form."""
-    family = pt.family
     if action[0] == "right":
         _, i, j, x = action
-        model = family.components[i]
         if not 1 <= int(j) <= pt.arities[i]:
             raise OperadicError("leaf index out of range")
-        if tuple(model.labels(x)) != tuple(str(t + 1) for t in range(model.arity(x))):
-            raise OperadicError("operand labels must be positional")
-        state = _state_ib(family, pt.tree, pt.pearl, pt.below, dict(pt.upper))
-        _graft_leaf(state, i, j, x, model)
-        return _snapshot_ib(family, state.run(rng))
-    if action[0] == "left":
-        _, theta = action
-        if not isinstance(theta, OVecPoint) or theta.family != family:
-            raise OperadicError("the left operand must be a marked product point")
-        for i in range(family.k):
-            if set(theta.sets[i]) != {str(t) for t in range(2, len(theta.sets[i]) + 2)}:
-                raise OperadicError("left operand labels must be positional")
-        state = _state_ib(family, pt.tree, pt.pearl, pt.below, dict(pt.upper))
-        arities = pt.arities
-
-        def move(p):
-            return (0,) + p
-
-        for i in range(family.k):
-            extra = len(theta.sets[i])
-            state.shapes[i] = (state.shapes[i],) + (LEAF,) * extra
-            state._move_component(i, move)
-            for t in range(extra):
-                state.labels[i][(t + 1,)] = str(arities[i] + t + 1)
-        state._move_joint_keys(move)
-        state.below_dec[()] = theta
-        return _snapshot_ib(family, state.run(rng))
-    raise OperadicError("unknown action %r" % (action[0],))
+        state = _graft_right(_free_state(pt), i, j, x)
+    elif action[0] == "left":
+        state = _graft_left_ib(_free_state(pt), action[1])
+    else:
+        raise OperadicError("unknown action %r" % (action[0],))
+    return _snapshot_ib(pt.family, state.run(rng))
 
 
 def free_graft_b(pt: FreeBPoint, action, rng=None) -> FreeBPoint:
@@ -872,65 +1262,19 @@ def free_graft_b(pt: FreeBPoint, action, rng=None) -> FreeBPoint:
     family = pt.family
     if action[0] == "right":
         _, i, j, x = action
-        model = family.components[i]
         if pt.arities[i] == PLUS or not 1 <= int(j) <= pt.arities[i]:
             raise OperadicError("leaf index out of range")
-        if tuple(model.labels(x)) != tuple(str(t + 1) for t in range(model.arity(x))):
-            raise OperadicError("operand labels must be positional")
-        state = _state_b(family, pt.tree, dict(pt.pearls), pt.below, dict(pt.upper))
-        _graft_leaf(state, i, j, x, model)
-        return _snapshot_b(family, state.run(rng))
-    if action[0] == "left":
+        state = _graft_right(_free_state(pt), i, j, x)
+    elif action[0] == "left":
         _, fiber, operands = action
-        if not isinstance(fiber, FiberPoint) or fiber.family != family:
-            raise OperadicError("the left operand must be a fiber point")
-        m = len(fiber.pk.ground)
-        if fiber.pk.ground != tuple(sorted((str(t + 1) for t in range(m)), key=label_key)):
-            raise OperadicError("fiber ground must be positional")
         operands = tuple(operands)
-        if len(operands) != m:
-            raise OperadicError("one operand per ground element is required")
-        for l, op in enumerate(operands):
+        for op in operands:
             if not isinstance(op, FreeBPoint) or op.family != family:
                 raise OperadicError("operands must be section points over the family")
-            for i, part in enumerate(fiber.pk.parts):
-                inside = part != PLUS and str(l + 1) in part
-                if inside == (op.arities[i] == PLUS):
-                    raise OperadicError(
-                        "operand %d presence does not match the ground pattern" % (l + 1)
-                    )
-        return _snapshot_b(family, _merge_b_operands(family, fiber, operands).run(rng))
-    raise OperadicError("unknown action %r" % (action[0],))
-
-
-def _merge_b_operands(family, fiber: FiberPoint, operands) -> _State:
-    k = family.k
-    shapes = [[] for _ in range(k)]
-    labels = [dict() for _ in range(k)]
-    pearls = [set() for _ in range(k)]
-    offsets = [0] * k
-    marks = {(i, ()): part != PLUS for i, part in enumerate(fiber.pk.parts)}
-    pearl_dec = {}
-    below_dec = {(): fiber}
-    upper_dec = {}
-    for l, op in enumerate(operands):
-        for i in range(k):
-            c = op.tree.components[i]
-            shapes[i].append(c.shape)
-            for p, s in c.labels:
-                labels[i][(l,) + p] = str(int(s) + offsets[i])
-            offsets[i] += c.n_leaves
-            pearls[i] |= {(l,) + p for p in c.pearls}
-        for (i, p), v in op.tree.marks_dict().items():
-            marks[(i, (l,) + p)] = v
-        for p, v in dict(op.pearls).items():
-            pearl_dec[(l,) + p] = v
-        if op.below is not None:
-            below_dec[(l,)] = op.below
-        for (i, p), v in dict(op.upper).items():
-            upper_dec[(i, (l,) + p)] = v
-    return _State("b", family, [tuple(s) for s in shapes], pearls, labels, marks,
-                  pearl_dec, below_dec, upper_dec)
+        state = _merge_b_operands(family, fiber, [_free_state(op) for op in operands])
+    else:
+        raise OperadicError("unknown action %r" % (action[0],))
+    return _snapshot_b(family, state.run(rng))
 
 
 # ---------------------------------------------------------------------------

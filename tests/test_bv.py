@@ -1,0 +1,511 @@
+"""Timed resolutions: the time-one slice against the free constructions, the
+counit against the carriers, confluence, time monotonicity, the fiber flavor
+and the plain-tree flavor."""
+
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+from operadic.algebra import (
+    MODEL_KINDS,
+    PLUS,
+    AugmentedPoint,
+    PKFamily,
+    ProductPoint,
+    compose_at,
+    cube_family,
+    glued_eta,
+    operad_model,
+    sample_fiber_point,
+    sample_ovec,
+    sample_pk,
+)
+from operadic.bv import BVPoint, bv_act, bv_eta, bv_normalize, bv_tau, intermediate_act
+from operadic.errors import OperadicError
+from operadic.freeconstr import (
+    GluedBOps,
+    GluedIbOps,
+    ProductIbOps,
+    b_generator,
+    base_generator,
+    evaluate_b,
+    evaluate_ib,
+    formal_generator,
+    free_graft_b,
+    free_graft_ib,
+    ib_generator,
+)
+from operadic.rng import Stream
+from operadic.trees import LEAF, ComponentTree, KFoldTree, corolla, is_vertex, subtree, vertices
+
+FAM = cube_family((1, 2), 3)
+HALF = Fraction(1, 2)
+
+
+def positional(model, rng, m):
+    return model.sample(rng, tuple(str(t + 1) for t in range(m)))
+
+
+def rand_glued(r, arities):
+    xs = tuple(
+        PLUS if n == PLUS else positional(FAM.components[i], r.split(i), n)
+        for i, n in enumerate(arities)
+    )
+    return glued_eta(FAM, xs)
+
+
+def rand_seed(r, carrier, arities):
+    if carrier == "formal":
+        return formal_generator("g", arities)
+    if carrier == "product":
+        return ProductPoint(
+            FAM, tuple(positional(FAM.components[i], r.split(i), n) for i, n in enumerate(arities))
+        )
+    return rand_glued(r, arities)
+
+
+def rand_theta(r, extras):
+    sets = tuple(tuple(str(t + 2) for t in range(m)) for m in extras)
+    return sample_ovec(r, FAM, sets)
+
+
+def rand_ib_action(rr, pt):
+    live = [i for i in range(FAM.k) if pt.arities[i] >= 1]
+    if rr.maybe() and live:
+        i = live[rr.randint(0, len(live) - 1)]
+        j = rr.randint(1, pt.arities[i])
+        return ("right", i, j, positional(FAM.components[i], rr.split("x"), rr.randint(0, 2)))
+    return ("left", rand_theta(rr.split("th"), (rr.randint(0, 2), rr.randint(0, 2))))
+
+
+def rand_b_action(rr, pt, carrier):
+    """A free action valid at pt, or None when sampling fails."""
+    live = [i for i in range(FAM.k) if pt.arities[i] != PLUS and pt.arities[i] >= 1]
+    if rr.maybe() and live:
+        i = live[rr.randint(0, len(live) - 1)]
+        j = rr.randint(1, pt.arities[i])
+        return ("right", i, j, positional(FAM.components[i], rr.split("x"), rr.randint(0, 2)))
+    m = rr.randint(1, 2)
+    presence = tuple(n != PLUS for n in pt.arities)
+    for att in range(200):
+        pk = sample_pk(rr.split(("pk", att)), tuple(str(t + 1) for t in range(m)), FAM.k)
+        if tuple(p != PLUS and "1" in p for p in pk.parts) == presence:
+            break
+    else:
+        return None
+    operands = [pt]
+    for l in range(1, m):
+        pat = tuple(
+            rr.split(("ar", l, i)).randint(0, 2) if p != PLUS and str(l + 1) in p else PLUS
+            for i, p in enumerate(pk.parts)
+        )
+        if all(n == PLUS for n in pat):
+            return None
+        operands.append(b_generator(FAM, rand_seed(rr.split(("op", l)), carrier, pat)))
+    return ("left", sample_fiber_point(rr.split("fib"), FAM, pk), tuple(operands))
+
+
+def free_walk(r, flavor, carrier, steps):
+    """A generator, the free points of a seeded walk and the actions taken."""
+    arities = (r.randint(1, 2), r.randint(1, 2))
+    seed = rand_seed(r.split("seed"), carrier, arities)
+    pt = (ib_generator if flavor == "ib" else b_generator)(FAM, seed)
+    points, actions = [pt], []
+    for step in range(steps):
+        rr = r.split(("step", step))
+        if flavor == "ib":
+            act = rand_ib_action(rr, pt)
+            pt = free_graft_ib(pt, act)
+        else:
+            act = rand_b_action(rr, pt, carrier)
+            if act is None:
+                continue
+            pt = free_graft_b(pt, act)
+        points.append(pt)
+        actions.append(act)
+    return seed, points, actions
+
+
+def timed_walk(points, actions):
+    """Replay free actions through bv_act from the timed generator."""
+    bp = bv_tau(points[0])
+    out = [bp]
+    for act in actions:
+        if act[0] == "left" and points[0].tree.variant == "rsTree":
+            act = ("left", act[1], (bp,) + tuple(bv_tau(op) for op in act[2][1:]))
+        bp = bv_act(bp, act)
+        out.append(bp)
+    return out
+
+
+def with_times(p: BVPoint, r) -> BVPoint:
+    """The same decorated tree with seeded times in {0, 1/3, 1/2, 1}."""
+    choices = (Fraction(0), Fraction(1, 3), HALF, Fraction(1))
+    times = {key: choices[r.split(key).randint(0, 3)] for key, _ in p.times}
+    return replace(p, times=times)
+
+
+def ops_for(flavor, carrier):
+    if flavor == "b":
+        return GluedBOps(FAM)
+    return ProductIbOps(FAM) if carrier == "product" else GluedIbOps(FAM)
+
+
+def direct_value(flavor, seed, actions, ops):
+    val = seed
+    for act in actions:
+        if act[0] == "right":
+            val = ops.right(val, act[1], act[2], act[3])
+        elif flavor == "ib":
+            val = ops.left(act[1], val)
+        else:
+            val = ops.left(act[1], [val] + [evaluate_b(op, ops) for op in act[2][1:]])
+    return val
+
+
+# ---------------------------------------------------------------------------
+# the time-one slice
+
+
+class TestTimeOneSlice:
+    @pytest.mark.parametrize("flavor,carrier", [
+        ("ib", "glued"), ("ib", "product"), ("ib", "formal"),
+        ("b", "glued"), ("b", "formal"),
+    ])
+    def test_timed_walks_stay_on_the_free_slice(self, flavor, carrier):
+        rng = Stream(101, ("slice", flavor, carrier))
+        for trial in range(6):
+            _, points, actions = free_walk(rng.split(trial), flavor, carrier, 4)
+            for pt, bp in zip(points, timed_walk(points, actions)):
+                assert bp == bv_tau(pt)
+
+    def test_tau_of_generators_is_normal(self):
+        rng = Stream(102, ("taugen",))
+        for trial in range(6):
+            r = rng.split(trial)
+            _, points, _ = free_walk(r, "ib" if trial % 2 else "b", "glued", 3)
+            for pt in points:
+                bp = bv_tau(pt)
+                assert bv_normalize(bp) == bp
+
+
+class TestCounit:
+    @pytest.mark.parametrize("flavor,carrier", [
+        ("ib", "glued"), ("ib", "product"), ("b", "glued"),
+    ])
+    def test_eta_matches_the_free_counit(self, flavor, carrier):
+        rng = Stream(111, ("eta", flavor, carrier))
+        ops = ops_for(flavor, carrier)
+        evaluate = evaluate_ib if flavor == "ib" else evaluate_b
+        for trial in range(8):
+            seed, points, actions = free_walk(rng.split(trial), flavor, carrier, 3)
+            for n, (pt, bp) in enumerate(zip(points, timed_walk(points, actions))):
+                want = direct_value(flavor, seed, actions[:n], ops)
+                assert evaluate(pt, ops) == want
+                assert bv_eta(bp) == want
+                assert bv_eta(bp, ops=ops) == want
+
+    @pytest.mark.parametrize("flavor", ["ib", "b"])
+    def test_eta_ignores_the_times(self, flavor):
+        rng = Stream(112, ("etatimes", flavor))
+        ops = ops_for(flavor, "glued")
+        evaluate = evaluate_ib if flavor == "ib" else evaluate_b
+        for trial in range(8):
+            r = rng.split(trial)
+            _, points, _ = free_walk(r, flavor, "glued", 3)
+            p = with_times(bv_tau(points[-1]), r.split("times"))
+            assert bv_eta(p) == evaluate(points[-1], ops)
+
+
+class TestNormalize:
+    @pytest.mark.parametrize("flavor", ["ib", "b"])
+    def test_idempotent_and_order_free(self, flavor):
+        rng = Stream(121, ("norm", flavor))
+        for trial in range(10):
+            r = rng.split(trial)
+            _, points, _ = free_walk(r, flavor, "glued", 3)
+            p = with_times(bv_tau(points[-1]), r.split("times"))
+            q = bv_normalize(p)
+            assert bv_normalize(q) == q
+            for order in range(4):
+                assert bv_normalize(p, rng=Stream(order, ("order", trial))) == q
+
+    def test_time_zero_collapses_to_the_pearl(self):
+        rng = Stream(122, ("zero",))
+        for trial in range(6):
+            r = rng.split(trial)
+            _, points, _ = free_walk(r, "ib", "glued", 3)
+            p = bv_tau(points[-1])
+            p = replace(p, times={key: 0 for key, _ in p.times})
+            q = bv_normalize(p)
+            assert not q.below and not q.upper and set(q.pearls_dict()) == {()}
+            assert bv_eta(q) == evaluate_ib(points[-1], GluedIbOps(FAM))
+
+
+def upper_chain():
+    """An "ib" point whose only upper vertex sits at time one half."""
+    r = Stream(131, ("chain",))
+    gen = ib_generator(FAM, rand_glued(r.split("v"), (1, 1)))
+    x = positional(FAM.components[0], r.split("x"), 1)
+    p = bv_act(bv_tau(gen), ("right", 0, 1, x))
+    return replace(p, times={(0, (0,)): HALF}), r
+
+
+class TestMonotone:
+    def test_upper_times_grow_away_from_the_pearl(self):
+        p, r = upper_chain()
+        q = bv_act(p, ("right", 0, 1, positional(FAM.components[0], r.split("y"), 1)))
+        assert len(q.upper) == 2
+        times = q.times_dict()
+        assert sorted(times.values()) == [HALF, 1]
+        with pytest.raises(OperadicError):
+            replace(q, times={key: 1 - t for key, t in times.items()})
+
+    def test_spine_times_grow_away_from_the_pearl(self):
+        r = Stream(132, ("spine",))
+        gen = ib_generator(FAM, rand_glued(r.split("v"), (1, 1)))
+        p = bv_act(bv_tau(gen), ("left", rand_theta(r.split("a"), (1, 0))))
+        p = replace(p, times={(): HALF})
+        q = bv_act(p, ("left", rand_theta(r.split("b"), (0, 1))))
+        assert set(q.below_dict()) == {(), (0,)}
+        assert q.times_dict() == {(): 1, (0,): HALF}
+        with pytest.raises(OperadicError):
+            replace(q, times={(): HALF, (0,): 1})
+
+    def test_times_out_of_range(self):
+        p, _ = upper_chain()
+        with pytest.raises(OperadicError):
+            replace(p, times={(0, (0,)): 2})
+
+
+# ---------------------------------------------------------------------------
+# the single-tree fiber flavor
+
+
+def inter_corolla(r, n):
+    ground = tuple(str(t + 1) for t in range(n))
+    pk = sample_pk(r.split("pk"), ground, FAM.k)
+    marks = {(i, ()): True for i in range(FAM.k)}
+    for i, part in enumerate(pk.parts):
+        for s in range(n):
+            marks[(i, (s,))] = str(s + 1) in part
+    tree = KFoldTree("pTreeP", (ComponentTree(corolla(n), frozenset({()})),), marks)
+    fiber = sample_fiber_point(r.split("fib"), FAM, pk)
+    return BVPoint("inter", FAM, tree, pearls={(): fiber})
+
+
+def rand_inter_action(rr, x):
+    c = x.tree.components[0]
+    marks = x.tree.marks_dict()
+    if rr.maybe():
+        path, label = c.labels[rr.randint(0, c.n_leaves - 1)]
+        present = [i for i in range(FAM.k) if marks[(i, path)]]
+        m = rr.randint(1, 2)
+        ground = tuple(str(t + 1) for t in range(m))
+        pk = sample_pk(rr.split("pk"), ground, FAM.k, finite=present) if present else None
+        if pk is None:
+            return None
+        return ("right", int(label), sample_fiber_point(rr.split("fib"), FAM, pk))
+    return ("left", rand_theta(rr.split("th"), (rr.randint(0, 1), rr.randint(0, 1))))
+
+
+class TestIntermediate:
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_actions_normalize_idempotently(self, side):
+        rng = Stream(141, ("inter", side))
+        checked = 0
+        for trial in range(12):
+            r = rng.split(trial)
+            x = inter_corolla(r, r.randint(1, 3))
+            for step in range(3):
+                act = rand_inter_action(r.split(("step", step)), x)
+                if act is None or act[0] != side:
+                    continue
+                x = intermediate_act(x, act)
+                assert bv_normalize(x) == x
+                assert bv_normalize(x, rng=Stream(step, ("iorder", trial))) == x
+                checked += 1
+        assert checked >= 6
+
+    def test_actions_reject_mismatched_operands(self):
+        r = Stream(142, ("interbad",))
+        x = inter_corolla(r, 2)
+        with pytest.raises(OperadicError):
+            intermediate_act(x, ("left", ib_generator(FAM, formal_generator("g", (1, 1)))))
+        with pytest.raises(OperadicError):
+            bv_act(x, ("left", rand_theta(r, (1, 1))))
+
+
+# ---------------------------------------------------------------------------
+# repros mended with the shared engine
+
+
+class TestBaseOperands:
+    def test_all_base_operands_collapse_through_bv_act(self):
+        rng = Stream(43, ("allbase",))
+        done = 0
+        for trial in range(20):
+            r = rng.split(trial)
+            m = r.randint(1, 3)
+            ground = tuple(str(t + 1) for t in range(m))
+            pk = sample_pk(r.split("pk"), ground, FAM.k)
+            pats = [
+                tuple(0 if p != PLUS and str(l + 1) in p else PLUS for p in pk.parts)
+                for l in range(m)
+            ]
+            if any(all(n == PLUS for n in pat) for pat in pats):
+                continue
+            fib = sample_fiber_point(r.split("fib"), FAM, pk)
+            operands = [b_generator(FAM, rand_glued(r.split(("op", l)), pat)) for l, pat in enumerate(pats)]
+            out = free_graft_b(operands[0], ("left", fib, operands))
+            timed_ops = tuple(bv_tau(op) for op in operands)
+            assert bv_act(timed_ops[0], ("left", fib, timed_ops)) == bv_tau(out)
+            done += 1
+        assert done >= 8
+
+    def test_formal_base_operands_keep_the_formal_encoding(self):
+        pk = PKFamily(("1",), (("1",), PLUS))
+        fib = sample_fiber_point(Stream(44, ("fbase",)), FAM, pk)
+        op = b_generator(FAM, base_generator((0, PLUS)))
+        out = bv_act(bv_tau(op), ("left", fib, (bv_tau(op),)))
+        assert out == bv_tau(free_graft_b(op, ("left", fib, (op,))))
+        assert out.pearls_dict()[()].base
+
+
+class TestCarrierWithoutOps:
+    def test_augmented_walks_normalize(self):
+        rng = Stream(151, ("aug",))
+        for trial in range(4):
+            r = rng.split(trial)
+            seed = AugmentedPoint(FAM, tuple(
+                positional(FAM.base, r.split(("seed", i)), r.randint(1, 2)) for i in range(FAM.k)
+            ))
+            pt = ib_generator(FAM, seed)
+            points, actions = [pt], []
+            for step in range(3):
+                act = rand_ib_action(r.split(("step", step)), pt)
+                pt = free_graft_ib(pt, act)
+                points.append(pt)
+                actions.append(act)
+            for pt, bp in zip(points, timed_walk(points, actions)):
+                assert bp == bv_tau(pt)
+                assert bv_normalize(bp) == bp
+
+
+def w_point(model, shape, r, times):
+    """A plain tree decorated by seeded positional elements."""
+    upper = {
+        (0, v): positional(model, r.split(v), len(subtree(shape, v))) for v in vertices(shape)
+    }
+    tree = KFoldTree("plain", (ComponentTree(shape),))
+    return BVPoint("w", model, tree, upper=upper, times=times)
+
+
+def fold_w(model, shape, upper, path=()):
+    """Iterated compose_at in planar order; leaves are positional."""
+    x = upper[(0, path)]
+    for s in reversed(range(len(subtree(shape, path)))):
+        if is_vertex(subtree(shape, path + (s,))):
+            x = compose_at(model, x, s + 1, fold_w(model, shape, upper, path + (s,)))
+    return x
+
+
+W_MODELS = ("sym", "terminal", "rect:2", "cube:2", "rect-inf:2")
+W_SHAPES = (
+    ((LEAF, LEAF), LEAF),
+    (LEAF, (LEAF, LEAF)),
+    ((LEAF, LEAF), (LEAF, (LEAF, LEAF, LEAF))),
+    (((LEAF, LEAF), LEAF), LEAF, (LEAF,)),
+)
+
+
+class TestPlainTrees:
+    def test_models_cover_every_kind(self):
+        assert sorted(operad_model(name).kind for name in W_MODELS) == sorted(MODEL_KINDS)
+
+    @pytest.mark.parametrize("name", W_MODELS)
+    def test_two_vertex_tree_normalizes(self, name):
+        model = operad_model(name)
+        r = Stream(161, ("w2", name))
+        shape = ((LEAF, LEAF), LEAF)
+        p = w_point(model, shape, r, {(0,): HALF})
+        q = bv_normalize(p)
+        assert len(q.upper) == 2
+        assert bv_normalize(q) == q
+        for order in range(3):
+            assert bv_normalize(p, rng=Stream(order, ("worder", name))) == q
+        want = compose_at(model, p.upper_dict()[(0, ())], 1, p.upper_dict()[(0, (0,))])
+        zero = bv_normalize(replace(p, times={(0,): 0}))
+        assert zero.upper == (((0, ()), want),)
+        assert bv_eta(p) == bv_eta(q) == want
+
+    @pytest.mark.parametrize("name", W_MODELS)
+    def test_eta_is_iterated_composition(self, name):
+        model = operad_model(name)
+        rng = Stream(162, ("weta", name))
+        for n, shape in enumerate(W_SHAPES):
+            r = rng.split(n)
+            inner = [v for v in vertices(shape) if v]
+            # times grow away from the root, and depth-one vertices may sit at zero
+            times = {v: Fraction(len(v) - 1 + r.split(("t", v)).randint(0, 1), 4) for v in inner}
+            p = w_point(model, shape, r, times)
+            want = fold_w(model, shape, p.upper_dict())
+            q = bv_normalize(p)
+            assert bv_normalize(q) == q
+            assert bv_normalize(p, rng=Stream(n, ("wo", name))) == q
+            assert bv_eta(p) == bv_eta(q) == want
+
+
+class TestDeeperUpperTrees:
+    def test_child_at_time_one_under_a_half_time_vertex(self):
+        r = Stream(171, ("deep",))
+        seed = rand_glued(r.split("v"), (1, 1))
+        gen = ib_generator(FAM, seed)
+        x = positional(FAM.components[0], r.split("x"), 2)
+        p = bv_act(bv_tau(gen), ("right", 0, 1, x))
+        p = replace(p, times={(0, (0,)): HALF})
+        for j in (1, 2):
+            y = positional(FAM.components[0], r.split(("y", j)), 2)
+            q = bv_act(p, ("right", 0, j, y))
+            assert len(q.upper) == 2
+            assert bv_normalize(q) == q
+            free = free_graft_ib(free_graft_ib(gen, ("right", 0, 1, x)), ("right", 0, j, y))
+            assert bv_eta(q) == evaluate_ib(free, GluedIbOps(FAM))
+
+    def test_timed_walks_from_half_times(self):
+        rng = Stream(172, ("halfwalk",))
+        ops = GluedIbOps(FAM)
+        for trial in range(8):
+            r = rng.split(trial)
+            seed, points, actions = free_walk(r, "ib", "glued", 2)
+            bp = with_times(bv_tau(points[-1]), r.split("times"))
+            pt = points[-1]
+            for step in range(3):
+                act = rand_ib_action(r.split(("more", step)), pt)
+                pt = free_graft_ib(pt, act)
+                bp = bv_act(bp, act, rng=Stream(step, ("ho", trial)))
+                assert bv_normalize(bp) == bp
+                assert bv_eta(bp) == evaluate_ib(pt, ops)
+
+
+class TestFormalEta:
+    @pytest.mark.parametrize("flavor", ["ib", "b"])
+    def test_eta_of_formal_walks_is_the_free_point(self, flavor):
+        rng = Stream(181, ("formaleta", flavor))
+        checked = 0
+        for trial in range(12):
+            _, points, actions = free_walk(rng.split(trial), flavor, "formal", 4)
+            for n, (pt, bp) in enumerate(zip(points, timed_walk(points, actions))):
+                want = pt
+                if n == 0:
+                    want = pt.pearl if flavor == "ib" else pt.pearls[0][1]
+                assert bv_eta(bp) == want
+                checked += 1
+        assert checked >= 30
+
+    def test_reported_repro(self):
+        x = positional(FAM.components[0], Stream(182, ("x",)), 1)
+        pt = ib_generator(FAM, formal_generator("g", (2, 2)))
+        free = free_graft_ib(pt, ("right", 0, 1, x))
+        assert bv_eta(bv_act(bv_tau(pt), ("right", 0, 1, x))) == free
