@@ -84,10 +84,6 @@ class OperadModel:
     def regime(self):
         return "overlapping" if self.kind == "rect-inf" else "disjoint"
 
-    @property
-    def reduced(self) -> bool:
-        return True
-
     def labels(self, x) -> tuple:
         if self.geometric:
             return x.labels

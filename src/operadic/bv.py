@@ -172,16 +172,6 @@ class BVPoint:
         return tuple(s for _, s in self.tree.components[i].labels)
 
 
-def geometric_inputs(p: BVPoint, i: int) -> int:
-    """Leaves plus childless non-pearl vertices of one component."""
-    c = p.tree.components[i]
-    count = c.n_leaves
-    for v in vertices(c.shape):
-        if v not in c.pearls and arity(c.shape, v) == 0:
-            count += 1
-    return count
-
-
 def _check_decimal_labels(tree: KFoldTree):
     for i, c in enumerate(tree.components):
         for _, s in c.labels:
@@ -235,7 +225,8 @@ def _validate_point(p: BVPoint):
         timed = check(p.family, p.tree, p.pearls_dict(), p.below_dict(), p.upper_dict())
         if set(p.times_dict()) != timed:
             raise OperadicError("times must cover the non-pearl vertices")
-    _check_monotone(p)
+    if p.flavor != "w":  # W-construction edge lengths are unconstrained
+        _check_monotone(p)
 
 
 def _validate_w(p: BVPoint):
@@ -419,14 +410,6 @@ def bv_eta(p: BVPoint, ops=None, rng=None):
 def bv_normalize(p: BVPoint, rng=None, ops=None) -> BVPoint:
     """The canonical form; the rewrite order (rng) never changes the result."""
     return _point_of(_state_of(p, ops).run(rng))
-
-
-def bv_encode(p: BVPoint) -> tuple:
-    """A printable structural encoding, stable across processes."""
-    st = _state_of(p)
-    return (p.flavor,) + tuple(
-        (st._marks_at(i, ()), st._enc(i, ())) for i in range(st.k)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Shared exception types.
 
-OperadicError covers invalid inputs and violated invariants (CLI exit code 1).
-UsageError covers malformed invocations and unparsable terms (CLI exit code 3).
+OperadicError covers invalid inputs and violated invariants.
+UsageError covers malformed invocations and unparsable terms.
 """
 
 

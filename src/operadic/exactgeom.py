@@ -115,11 +115,6 @@ class Rect:
         offsets = tuple(a * b2 + b for a, b, b2 in zip(self.scales, self.offsets, inner.offsets))
         return Rect(scales, offsets)
 
-    def apply(self, point) -> tuple:
-        if len(point) != self.dim:
-            raise OperadicError("point dimension mismatch")
-        return tuple(a * rat(t) + b for a, b, t in zip(self.scales, self.offsets, point))
-
     def axis_interval(self, j: int) -> tuple:
         """Open image interval on axis j (0-based)."""
         return (self.offsets[j], self.offsets[j] + self.scales[j])
@@ -267,9 +262,6 @@ class RectConfig:
     def as_dict(self) -> dict:
         return dict(self.rects)
 
-    def with_regime(self, regime) -> "RectConfig":
-        return RectConfig(self.dim, self.rects, regime)
-
     def relabel(self, mapping: dict) -> "RectConfig":
         """Injectively rename labels; identity outside the mapping."""
         out = {}
@@ -279,11 +271,6 @@ class RectConfig:
                 raise OperadicError("label collision under relabeling: %r" % new)
             out[new] = r
         return RectConfig(self.dim, out, self.regime)
-
-    def drop(self, label: str) -> "RectConfig":
-        if not self.has(label):
-            raise OperadicError("missing slot %r" % label)
-        return RectConfig(self.dim, {l: r for l, r in self.rects if l != label}, self.regime)
 
     def numeric(self) -> bool:
         return all(re.fullmatch(r"\d+", lbl) for lbl in self.labels)

@@ -70,12 +70,6 @@ class Stream:
             out[i], out[j] = out[j], out[i]
         return out
 
-    def sample(self, seq, n: int) -> list:
-        out = self.shuffle(seq)
-        if n > len(out):
-            raise ValueError("sample larger than population")
-        return out[:n]
-
     def fraction(self, max_den: int = 64, lo: Fraction = Fraction(0), hi: Fraction = Fraction(1)) -> Fraction:
         """Uniform-ish rational in [lo, hi] with raw denominator <= max_den."""
         q = self.randint(1, max_den)

@@ -36,8 +36,9 @@ pearl with inputs is internal in that pearl's component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations, product
+from operator import itemgetter
 
 from .errors import OperadicError
 
@@ -191,9 +192,6 @@ class ComponentTree:
     def n_vertices(self) -> int:
         return len(vertices(self.shape))
 
-    def label_of(self, leaf_path) -> str:
-        return dict(self.labels)[tuple(leaf_path)]
-
     def leaf_of(self, label):
         for p, s in self.labels:
             if s == str(label):
@@ -231,9 +229,6 @@ class KFoldTree:
         if self.variant == "pTreeP":
             return len({i for (i, _), _ in self.marks})
         return len(self.components)
-
-    def mark(self, i: int, path) -> bool:
-        return dict(self.marks)[(i, tuple(path))]
 
     def marks_dict(self) -> dict:
         return dict(self.marks)
@@ -467,149 +462,105 @@ def _validate(t: KFoldTree):
 # ---------------------------------------------------------------------------
 # canonical forms
 
-# Orbit moves permute the children of a vertex, carrying labels, marks and
-# any client decoration keys along.  Spine slots of pearled variants stay
-# pinned (the pearl keeps its position); below-section vertices of section
-# variants reorder all components simultaneously.
+# Orbit moves permute the children of a vertex, carrying labels, pearls and
+# marks along.  Spine slots of pearled variants stay pinned (the pearl keeps
+# its position); below-section vertices of section variants reorder all
+# components together.  The representative sorts every other child list by
+# the children's encodings, bottom-up.
 
 
 def _mk(v):
     return -1 if v is None else int(v)
 
 
-class _Canonicalizer:
-    def __init__(self, t: KFoldTree, extras):
-        self.t = t
-        self.shapes = [c.shape for c in t.components]
-        self.pearls = [set(c.pearls) for c in t.components]
-        self.labels = [dict(c.labels) for c in t.components]
-        self.marks = dict(t.marks_dict())
-        self.extras = dict(extras or {})
-        self.mark_is = sorted({i for (i, _) in self.marks}) or [0]
+def _payload(t: KFoldTree):
+    """payload(i, path): the marks of a node as a one-item encoding prefix."""
+    marks = t.marks_dict()
+    if t.variant == "pTreeP":
+        mark_is = sorted({i for (i, _) in marks}) or [0]
+        return lambda i, path: (tuple(_mk(marks.get((j, path))) for j in mark_is),)
+    return lambda i, path: ((_mk(marks.get((i, path))),),)
 
-    def payload(self, i, path):
-        if self.t.variant == "pTreeP":
-            mk = tuple(_mk(self.marks.get((j, path))) for j in self.mark_is)
-        else:
-            mk = (_mk(self.marks.get((i, path))),)
-        return mk + (repr(self.extras.get((i, path))), repr(self.extras.get((None, path))))
 
-    def key(self, i, path):
-        node = subtree(self.shapes[i], path)
+def _sort_bottom_up(components, payload, pinned: bool, joint: bool) -> list:
+    """(encoding, sorted shape, moves) per component, in one bottom-up pass.
+
+    An encoding is ("L", *payload, label) at a leaf and ("V", pearl?,
+    *payload, child encodings) at a vertex; moves maps every old path to
+    its new path.  With pinned, the child towards the pearl keeps slot 0.
+    With joint, the vertices below the pearls sort the children of all
+    components together, by the list of their encodings.
+    """
+    labels = [dict(c.labels) for c in components]
+
+    def vertex(i, path, kids):
+        moves = [(path, ())]
+        for q, (_, _, mv) in enumerate(kids):
+            moves += [(old, (q,) + new) for old, new in mv]
+        enc = ("V", path in components[i].pearls) + payload(i, path) + (tuple([e for e, _, _ in kids]),)
+        return enc, tuple([s for _, s, _ in kids]), moves
+
+    def build(i, path, node):
         if not is_vertex(node):
-            return ("L", self.payload(i, path), self.labels[i][path])
-        return (
-            "V",
-            path in self.pearls[i],
-            self.payload(i, path),
-            tuple(self.key(i, path + (j,)) for j in range(len(node))),
-        )
+            return ("L",) + payload(i, path) + (labels[i][path],), LEAF, [(path, ())]
+        kids = [build(i, path + (j,), child) for j, child in enumerate(node)]
+        spine = pinned and any(is_ancestor(path, p) and p != path for p in components[i].pearls)
+        first = 1 if spine else 0
+        kids[first:] = sorted(kids[first:], key=itemgetter(0))
+        return vertex(i, path, kids)
 
-    def apply_perm(self, path, perm, comp_ids, move_all_keys):
-        def move(p):
-            if len(p) > len(path) and p[: len(path)] == path:
-                return path + (perm.index(p[len(path)]),) + p[len(path) + 1 :]
-            return p
+    def build_below(path, nodes):
+        # a pearl ends the shared part: above it each component sorts alone
+        if path in components[0].pearls or not is_vertex(nodes[0]):
+            return [build(i, path, node) for i, node in enumerate(nodes)]
+        kids = [build_below(path + (j,), [node[j] for node in nodes]) for j in range(len(nodes[0]))]
+        kids.sort(key=lambda per: [enc for enc, _, _ in per])
+        return [vertex(i, path, [per[i] for per in kids]) for i in range(len(nodes))]
 
-        for i in comp_ids:
-            node = subtree(self.shapes[i], path)
-            self.shapes[i] = replace(self.shapes[i], path, tuple(node[old] for old in perm))
-            self.pearls[i] = {move(p) for p in self.pearls[i]}
-            self.labels[i] = {move(p): s for p, s in self.labels[i].items()}
-        self.marks = {
-            ((j, move(p)) if (move_all_keys or j in comp_ids) else (j, p)): v
-            for (j, p), v in self.marks.items()
-        }
-        self.extras = {
-            ((j, move(p)) if (move_all_keys or j is None or j in comp_ids) else (j, p)): v
-            for (j, p), v in self.extras.items()
-        }
+    if joint:
+        built = build_below((), [c.shape for c in components])
+    else:
+        built = [build(i, (), c.shape) for i, c in enumerate(components)]
+    return [(enc, shape, dict(moves)) for enc, shape, moves in built]
 
-    def pinned(self, i, path):
-        if self.t.variant in ("rpTree", "pTree", "pTreeP"):
-            p = next(iter(self.pearls[i]))
-            return is_ancestor(path, p) and path != p
-        return False
 
-    def sort_vertex(self, i, path):
-        node = subtree(self.shapes[i], path)
-        free = list(range(len(node)))
-        if self.pinned(i, path):
-            free.remove(0)
-        if len(free) < 2:
-            return
-        order = sorted(free, key=lambda j: self.key(i, path + (j,)))
-        perm, it = [], iter(order)
-        for j in range(len(node)):
-            perm.append(next(it) if j in free else j)
-        if perm != list(range(len(node))):
-            self.apply_perm(path, perm, [i], self.t.variant == "pTreeP")
+def _moved(c: ComponentTree, shape, new: dict) -> ComponentTree:
+    """c's pearls and labels carried to the shape by old path -> new path."""
+    labels = tuple(sorted((new[p], s) for p, s in c.labels))
+    return ComponentTree(shape, frozenset(new[p] for p in c.pearls), labels)
 
-    def sort_shared(self, path):
-        n = len(subtree(self.shapes[0], path))
-        if n < 2:
-            return
-        order = sorted(
-            range(n),
-            key=lambda j: tuple(self.key(i, path + (j,)) for i in range(len(self.shapes))),
-        )
-        if order != list(range(n)):
-            self.apply_perm(path, order, list(range(len(self.shapes))), True)
 
-    def run(self):
-        if self.t.variant in ("rsTree", "sTree"):
-            for i, c in enumerate(self.t.components):
-                for path in sorted(above_paths(c) + list(c.pearls), key=len, reverse=True):
-                    self.sort_vertex(i, path)
-            for path in sorted(below_paths(self.t.components[0]), key=len, reverse=True):
-                self.sort_shared(path)
-        else:
-            for i in range(len(self.shapes)):
-                for path in sorted(vertices(self.shapes[i]), key=len, reverse=True):
-                    self.sort_vertex(i, path)
-        comps = []
-        for i in range(len(self.shapes)):
-            lab = tuple((p, self.labels[i][p]) for p in leaves(self.shapes[i]))
-            comps.append(ComponentTree(self.shapes[i], frozenset(self.pearls[i]), lab))
-        return KFoldTree(self.t.variant, tuple(comps), tuple(self.marks.items())), self.extras
+def _canonical(t: KFoldTree):
+    """The orbit representative of t and its encoding."""
+    built = _sort_bottom_up(t.components, _payload(t), t.variant in ("rpTree", "pTree", "pTreeP"),
+                            t.variant in ("rsTree", "sTree"))
+    comps = tuple(_moved(c, shape, new) for c, (_, shape, new) in zip(t.components, built))
+    moves = [new for _, _, new in built]
+    # the marks of every pTreeP marking sit on its single component
+    marks = tuple(((j, moves[0 if t.variant == "pTreeP" else j][p]), v) for (j, p), v in t.marks)
+    return KFoldTree(t.variant, comps, marks), (t.variant, tuple(enc for enc, _, _ in built))
 
 
 def canonicalize(t: KFoldTree) -> KFoldTree:
-    """Deterministic orbit representative (children sorted by encoding)."""
-    out, _ = _Canonicalizer(t, None).run()
-    return out
-
-
-def canonicalize_with(t: KFoldTree, extras: dict):
-    """Canonicalize while transporting decoration keys.
-
-    extras maps (component index, path) or (None, path) to arbitrary values;
-    values enter the sort keys through repr, so decorated points of one orbit
-    land on identical representatives.
-    """
-    return _Canonicalizer(t, extras).run()
+    """Deterministic orbit representative (children sorted by encoding) of a
+    valid tree; an invalid one raises OperadicError."""
+    ok, clause = validate_labeling(t)
+    if not ok:
+        raise OperadicError("invalid tree: %s" % clause)
+    return _canonical(t)[0]
 
 
 def encode(t: KFoldTree):
     """Structural encoding; equal encodings mean equal trees."""
-    marks = t.marks_dict()
-    mark_is = sorted({i for (i, _) in marks}) or [0]
+    payload = _payload(t)
 
     def enc(c, i, labels, node, path):
-        if t.variant == "pTreeP":
-            mk = tuple(_mk(marks.get((j, path))) for j in mark_is)
-        else:
-            mk = (_mk(marks.get((i, path))),)
         if not is_vertex(node):
-            return ("L", mk, labels[path])
-        return ("V", path in c.pearls, mk,
-                tuple(enc(c, i, labels, ch, path + (j,)) for j, ch in enumerate(node)))
+            return ("L",) + payload(i, path) + (labels[path],)
+        return ("V", path in c.pearls) + payload(i, path) + (
+            tuple(enc(c, i, labels, ch, path + (j,)) for j, ch in enumerate(node)),)
 
     return (t.variant, tuple(enc(c, i, dict(c.labels), c.shape, ()) for i, c in enumerate(t.components)))
-
-
-def canonical_encoding(t: KFoldTree):
-    return encode(canonicalize(t))
 
 
 # ---------------------------------------------------------------------------
@@ -752,9 +703,9 @@ def _check_request(variant, arities, max_vertices, k):
 def _ordered_dedup(trees):
     dedup = {}
     for t in trees:
-        c = canonicalize(t)
-        dedup[encode(c)] = c
-    return tuple(sorted(dedup.values(), key=lambda t: (t.total_vertices, encode(t))))
+        c, code = _canonical(t)
+        dedup[(t.total_vertices, code)] = c
+    return tuple(dedup[key] for key in sorted(dedup))
 
 
 def _candidates(variant, arities, max_vertices, k, no_univalent):
@@ -972,49 +923,16 @@ def contract_edge(c: ComponentTree, path) -> ComponentTree:
 
 @dataclass(frozen=True)
 class PsiObject:
-    """Non-planar pearled tree held as a canonical planar representative."""
+    """Non-planar pearled tree held as a canonical planar representative;
+    key is the representative's encoding without marks."""
 
     tree: ComponentTree
+    key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "tree", _nonplanar_canonical(self.tree))
-
-    @property
-    def key(self):
-        c = self.tree
-        labels = dict(c.labels)
-
-        def enc(node, path):
-            if not is_vertex(node):
-                return ("L", labels[path])
-            return ("V", path in c.pearls, tuple(enc(ch, path + (j,)) for j, ch in enumerate(node)))
-
-        return enc(c.shape, ())
-
-
-def _nonplanar_canonical(c: ComponentTree) -> ComponentTree:
-    leaf_labels = dict(c.labels)
-
-    def build(node, path):
-        if not is_vertex(node):
-            lab = leaf_labels[path]
-            return ("L", lab), LEAF, {(): lab}, set()
-        packed = sorted((build(ch, path + (j,)) for j, ch in enumerate(node)), key=lambda x: x[0])
-        key = ("V", path in c.pearls, tuple(p[0] for p in packed))
-        shape = tuple(p[1] for p in packed)
-        labels, pearls = {}, set()
-        if path in c.pearls:
-            pearls.add(())
-        for j, (_, _, labs, prs) in enumerate(packed):
-            for rp, lab in labs.items():
-                labels[(j,) + rp] = lab
-            for rp in prs:
-                pearls.add((j,) + rp)
-        return key, shape, labels, pearls
-
-    _, shape, labels, pearls = build(c.shape, ())
-    lab = tuple((p, labels[p]) for p in leaves(shape))
-    return ComponentTree(shape, frozenset(pearls), lab)
+        ((key, shape, moves),) = _sort_bottom_up((self.tree,), lambda i, path: (), False, False)
+        object.__setattr__(self, "tree", _moved(self.tree, shape, moves))
+        object.__setattr__(self, "key", key)
 
 
 def _psi_valid(c: ComponentTree) -> bool:

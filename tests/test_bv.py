@@ -456,6 +456,26 @@ class TestPlainTrees:
             assert bv_normalize(p, rng=Stream(n, ("wo", name))) == q
             assert bv_eta(p) == bv_eta(q) == want
 
+    @pytest.mark.parametrize("name", W_MODELS)
+    def test_times_are_unconstrained(self, name):
+        # edge lengths of the W-construction are free, so a child may sit
+        # below its parent's time
+        model = operad_model(name)
+        rng = Stream(163, ("wfree", name))
+        decreasing = 0
+        for n, shape in enumerate(W_SHAPES):
+            for trial in range(6):
+                r = rng.split((n, trial))
+                times = {v: Fraction(r.split(("t", v)).randint(0, 4), 4) for v in vertices(shape) if v}
+                decreasing += any(len(v) > 1 and times[v] < times[v[:-1]] for v in times)
+                p = w_point(model, shape, r, times)
+                q = bv_normalize(p)
+                assert bv_normalize(q) == q
+                for order in range(3):
+                    assert bv_normalize(p, rng=Stream(order, ("wfo", name, n, trial))) == q
+                assert bv_eta(p) == bv_eta(q) == fold_w(model, shape, p.upper_dict())
+        assert decreasing
+
 
 class TestDeeperUpperTrees:
     def test_child_at_time_one_under_a_half_time_vertex(self):

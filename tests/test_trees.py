@@ -8,6 +8,7 @@ import pytest
 
 from operadic import trees as T
 from operadic.errors import OperadicError
+from operadic.rng import Stream
 from operadic.trees import LEAF, ComponentTree, KFoldTree
 
 
@@ -545,30 +546,79 @@ class TestCanonical:
         assert T.validate_labeling(ta)[0] and T.validate_labeling(tb)[0]
         assert T.encode(T.canonicalize(ta)) == T.encode(T.canonicalize(tb))
 
-    def test_extras_transported(self):
-        t1 = KFoldTree("pTree", (ComponentTree(
-            ((LEAF, LEAF), LEAF), frozenset({()}),
-            (((0, 0), "1"), ((0, 1), "2"), ((1,), "3"))),))
-        t2 = KFoldTree("pTree", (ComponentTree(
-            (LEAF, (LEAF, LEAF)), frozenset({()}),
-            (((0,), "3"), ((1, 0), "1"), ((1, 1), "2"))),))
-        e1 = {(0, (0,)): "inner", (None, ()): "root"}
-        e2 = {(0, (1,)): "inner", (None, ()): "root"}
-        c1, x1 = T.canonicalize_with(t1, e1)
-        c2, x2 = T.canonicalize_with(t2, e2)
-        assert T.encode(c1) == T.encode(c2)
-        assert x1 == x2
-        assert x1[(None, ())] == "root"
+    @pytest.mark.parametrize("t", [
+        KFoldTree("pTree", (ComponentTree((LEAF, LEAF), frozenset({()})),), {(0, (5,)): True}),
+        KFoldTree("pTree", (ComponentTree((LEAF, (LEAF, LEAF))),)),
+        KFoldTree("sTree", (ComponentTree((LEAF,), frozenset({()})),), {(0, ()): True, (3, ()): True}),
+        KFoldTree("sTree", (ComponentTree(((LEAF,), (LEAF,)), frozenset({(0,), (1,)})),
+                            ComponentTree(((LEAF,),), frozenset({(0,)}))), {}),
+    ])
+    def test_invalid_tree_rejected(self, t):
+        with pytest.raises(OperadicError):
+            T.canonicalize(t)
 
-    def test_extras_break_ties(self):
-        # identical subtrees ordered by their decoration
-        c = ComponentTree(((), ()), frozenset({()}))
-        t = KFoldTree("pTree", (c,))
-        for vals in (("b", "a"), ("a", "b")):
-            extras = {(0, (0,)): vals[0], (0, (1,)): vals[1]}
-            _, moved = T.canonicalize_with(t, extras)
-            assert moved[(0, (0,))] == "a"
-            assert moved[(0, (1,))] == "b"
+    @pytest.mark.parametrize("variant, arities, vmax, kwargs", [
+        ("rpTree", (2,), 4, {}),
+        ("rpTree", (1, 1), 4, {}),
+        ("pTree", (2,), 4, {}),
+        ("pTree", (1, 2), 4, {}),
+        ("pTreeP", (2,), 3, {"k": 2}),
+        ("pTreeP", (2,), 3, {"k": 3}),
+        ("sTree", (2,), 4, {}),
+        ("sTree", (1, None), 4, {}),
+        ("sTree", (1, 1), 4, {}),
+        ("rsTree", (2,), 4, {}),
+        ("rsTree", (1, None), 4, {}),
+        ("rsTree", (1, 1), 4, {}),
+    ])
+    def test_orbit_members_return_the_representative(self, variant, arities, vmax, kwargs):
+        rng = Stream(41, ("orbit", variant, arities))
+        moved = 0
+        for n, t in enumerate(T.enumerate_trees(variant, arities, vmax, **kwargs).trees):
+            for trial in range(4):
+                s = scramble(t, rng.split((n, trial)))
+                moved += s != t
+                assert T.canonicalize(s) == t
+        assert moved
+
+
+def scramble(t, rng):
+    """A random member of t's orbit: the children of every vertex permuted,
+    except the spine slot of pearled variants, and the children of each
+    below-section vertex permuted alike in all components; pearls, labels
+    and marks move along."""
+    section = t.variant in ("rsTree", "sTree")
+    below = set(T.below_paths(t.components[0])) if section else set()
+    shared = {}
+
+    def order_at(c, path, n):
+        if path in below:
+            if path not in shared:
+                shared[path] = rng.shuffle(range(n))
+            return shared[path]
+        if not section and any(T.is_ancestor(path, p) and path != p for p in c.pearls):
+            return [0] + rng.shuffle(range(1, n))
+        return rng.shuffle(range(n))
+
+    def walk(c, node, path):
+        if not T.is_vertex(node):
+            return LEAF, {path: ()}
+        kids, moves = [], {path: ()}
+        for q, j in enumerate(order_at(c, path, len(node))):
+            sub, mv = walk(c, node[j], path + (j,))
+            kids.append(sub)
+            moves.update({old: (q,) + new for old, new in mv.items()})
+        return tuple(kids), moves
+
+    comps, moves = [], []
+    for c in t.components:
+        shape, mv = walk(c, c.shape, ())
+        comps.append(ComponentTree(shape, frozenset(mv[p] for p in c.pearls),
+                                   tuple(sorted((mv[p], s) for p, s in c.labels))))
+        moves.append(mv)
+    owner = (lambda j: 0) if t.variant == "pTreeP" else (lambda j: j)
+    marks = {(j, moves[owner(j)][p]): v for (j, p), v in t.marks}
+    return KFoldTree(t.variant, tuple(comps), tuple(marks.items()))
 
 
 # ---------------------------------------------------------------------------
