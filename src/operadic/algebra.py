@@ -18,19 +18,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import OperadicError
 from .exactgeom import (
     MARK,
     MarkedFiberConfig,
     RectConfig,
-    cube_split,
     embed_component,
     epsilon_glue,
     glue_shared,
     include_rect,
     label_key,
+    qualify,
     rect_compose,
     unit_config,
     validate_config,
@@ -732,10 +731,6 @@ def aug_mu_s(fiber: FiberPoint, operands: dict) -> AugmentedPoint:
 # glued rectangle elements over component-qualified labels
 
 
-def qualify(i: int, a: str) -> str:
-    return "%d:%s" % (i + 1, a)
-
-
 @dataclass(frozen=True)
 class GluedElement:
     """A rectangle configuration in the base dimension whose inputs are
@@ -792,18 +787,12 @@ def glued_relabel(value: GluedElement, i: int, mapping: dict) -> GluedElement:
 def glued_eta(family: RelativeFamily, xs) -> GluedElement:
     """Stack the component elements into last-axis slabs of the base cube;
     the image of a tuple of units is the bare slab configuration."""
-    present = [i for i, x in enumerate(xs) if x != PLUS]
-    if not present:
-        raise OperadicError("at least one component must be present")
-    slabs = cube_split(len(present), family.base.dim)
-    out = {}
-    for pos, i in enumerate(present):
-        emb = embed_component(xs[i], family.dims[-1], family.base.dim)
-        slab = slabs.rect(str(pos + 1))
-        for b, r in emb.rects:
-            out[qualify(i, b)] = slab.compose(r)
+    configs = tuple(
+        None if x == PLUS else x.relabel({b: qualify(i, b) for b in x.labels})
+        for i, x in enumerate(xs)
+    )
     sets = tuple(PLUS if x == PLUS else tuple(x.labels) for x in xs)
-    return GluedElement(family, sets, RectConfig(family.base.dim, out, "disjoint"))
+    return GluedElement(family, sets, glue_shared(family.dims, family.base.dim, configs))
 
 
 def glued_mu_s(fiber: FiberPoint, operands: dict) -> GluedElement:
@@ -866,35 +855,40 @@ class GluedEvaluator:
         return glued_mu_s(fiber, operands)
 
 
+def block_fiber(theta: OVecPoint) -> FiberPoint:
+    """The fiber point over the ground set 1..n whose parts share the label 1
+    and otherwise split into consecutive blocks, one per component; component
+    i carries theta's element with the mark renamed 1 and its other inputs,
+    in label order, renamed into block i."""
+    family = theta.family
+    parts = []
+    points = []
+    n = 1
+    for i, s in enumerate(theta.sets):
+        block = tuple(str(n + 1 + t) for t in range(len(s)))
+        n += len(s)
+        parts.append(("1",) + block)
+        mapping = {MARK: "1", **dict(zip(sorted(s, key=label_key), block))}
+        points.append(family.components[i].relabel(theta.points[i], mapping))
+    ground = tuple(str(j) for j in range(1, n + 1))
+    return FiberPoint(family, PKFamily(ground, tuple(parts)), tuple(points))
+
+
 def induced_infinitesimal(eta, theta: OVecPoint, m):
     """Derive the marked left action from the augmented one.
 
-    The ground set 1..n carries the partition family whose parts share the
-    label 1 and otherwise split into consecutive blocks, one per component;
-    position 1 receives m and every other position receives the image of a
-    unit under eta.
+    The left action of the block fiber of theta receives m at position 1 and
+    at every other position the image under eta of a unit on the input of
+    theta that the position renames.
     """
     k = theta.family.k
     if eta.k != k:
         raise OperadicError("evaluator and point have different component counts")
-    sets = tuple(tuple(sorted(s, key=label_key)) for s in theta.sets)
-    arities = [len(s) + 1 for s in sets]
-    n = sum(arities) - k + 1
-    ground = tuple(str(j) for j in range(1, n + 1))
-    parts = []
-    points = []
+    fiber = block_fiber(theta)
     operands = {"1": m}
-    for i in range(k):
-        start = sum(arities[:i]) - i + 2
-        block = tuple(str(start + t) for t in range(arities[i] - 1))
-        parts.append(("1",) + block)
-        mapping = {MARK: "1"}
-        for t, a in enumerate(sets[i]):
-            mapping[a] = block[t]
-            slots = tuple(a if j == i else PLUS for j in range(k))
-            operands[block[t]] = eta.unit_image(slots)
-        points.append(theta.family.components[i].relabel(theta.points[i], mapping))
-    fiber = FiberPoint(theta.family, PKFamily(ground, tuple(parts)), tuple(points))
+    for i, part in enumerate(fiber.pk.parts):
+        for a, b in zip(sorted(theta.sets[i], key=label_key), part[1:]):
+            operands[b] = eta.unit_image(tuple(a if j == i else PLUS for j in range(k)))
     return eta.mu_s(fiber, operands)
 
 

@@ -25,7 +25,9 @@ its result does not depend on the rewrite order.
 The rewrite engine is the one of `freeconstr`: a free point is the "ib" or
 "b" point with every time at one (`bv_tau`), and the free normal form is the
 timed one there.  This module adds the points with times, their checks and
-actions, and the module operations that absorb into the pearls.
+actions.  Absorbing into the pearls goes through the `ops` a caller passes,
+or else through the module operations that `freeconstr.module_ops` finds for
+the pearls' carrier.
 """
 
 from __future__ import annotations
@@ -35,31 +37,24 @@ from fractions import Fraction
 
 from .algebra import (
     FiberPoint,
-    GluedElement,
-    MARK,
     OperadModel,
     OVecPoint,
-    PKFamily,
     PLUS,
-    ProductPoint,
     RelativeFamily,
-    label_key,
+    block_fiber,
 )
 from .errors import OperadicError
 from .freeconstr import (
-    FormalGenerator,
     FreeBPoint,
     FreeIbPoint,
-    GluedBOps,
-    GluedIbOps,
-    ProductIbOps,
     _TimedState,
-    _check_fiber_marks,
+    _check_fibers,
     _free_state,
     _graft_leaf,
     _graft_left_ib,
     _graft_right,
     _merge_b_operands,
+    _new_root,
     _pearlward,
     _positional_ground,
     _positional_labels,
@@ -67,14 +62,9 @@ from .freeconstr import (
     _relabel_component,
     _validate_b_decorations,
     _validate_ib_decorations,
-    b_generator,
-    free_graft_b,
-    free_graft_ib,
-    ib_generator,
 )
 from .trees import (
     KFoldTree,
-    LEAF,
     arity,
     is_vertex,
     leaves,
@@ -265,58 +255,10 @@ def _validate_inter(p: BVPoint):
         raise OperadicError("the pearl decoration must sit at the pearl")
     if set(below) != {v for v in vertices(c.shape) if v != pearl}:
         raise OperadicError("fiber decorations must cover the other vertices")
-    for v in vertices(c.shape):
-        fiber = pearls.get(v, below.get(v))
-        if not isinstance(fiber, FiberPoint) or fiber.family != family:
-            raise OperadicError("decorations must be fiber points")
-        m = arity(c.shape, v)
-        if not _positional_ground(fiber, m):
-            raise OperadicError("fiber ground must be positional at %r" % (v,))
-        _check_fiber_marks(fiber, marks, v, m)
+    _check_fibers(family, c.shape, marks, {**pearls, **below})
     times = p.times_dict()
     if set(times) != set(below):
         raise OperadicError("times must cover the non-pearl vertices")
-
-
-# ---------------------------------------------------------------------------
-# module carriers for the pearl decorations
-
-
-class _FreeModuleOps:
-    """Right and left operations of the free module carriers."""
-
-    def __init__(self, flavor: str, family: RelativeFamily):
-        self.flavor = flavor
-        self.family = family
-
-    def _lift(self, value):
-        if isinstance(value, FormalGenerator):
-            lift = ib_generator if self.flavor == "ib" else b_generator
-            return lift(self.family, value)
-        return value
-
-    def right(self, value, i, pos, x):
-        graft = free_graft_ib if self.flavor == "ib" else free_graft_b
-        return graft(self._lift(value), ("right", i, pos, x))
-
-    def left(self, arg, value):
-        if self.flavor == "ib":
-            return free_graft_ib(self._lift(value), ("left", arg))
-        operands = [self._lift(v) for v in value]
-        return free_graft_b(operands[0], ("left", arg, operands))
-
-
-def module_ops(flavor: str, family: RelativeFamily, template):
-    """The module operations matching a pearl decoration's carrier."""
-    if isinstance(template, GluedElement):
-        return GluedBOps(family) if flavor == "b" else GluedIbOps(family)
-    if isinstance(template, ProductPoint):
-        if flavor != "ib":
-            raise OperadicError("the plain product carries no section action")
-        return ProductIbOps(family)
-    if isinstance(template, (FormalGenerator, FreeIbPoint, FreeBPoint)):
-        return _FreeModuleOps(flavor, family)
-    raise OperadicError("no module operations for %r" % type(template).__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -345,14 +287,7 @@ def _state_of(p: BVPoint, ops=None) -> _TimedState:
         jtimes,
         utimes,
     )
-    return _with_ops(st, ops)
-
-
-def _with_ops(st: _TimedState, ops) -> _TimedState:
-    """Absorbs fold into the pearls through ops, or else through the module
-    operations matching the pearl decorations."""
     st.ops = ops
-    st.module_ops = module_ops
     return st
 
 
@@ -438,34 +373,12 @@ def bv_act(p: BVPoint, action, rng=None, ops=None) -> BVPoint:
             if not isinstance(op, BVPoint) or op.flavor != "b" or op.family != p.family:
                 raise OperadicError("operands must be section points over the family")
         st = _merge_b_operands(p.family, fiber, [_state_of(op) for op in operands])
-        st = _with_ops(st, ops)
+        st.ops = ops
     return _point_of(st.run(rng))
 
 
 # ---------------------------------------------------------------------------
 # actions on the single-tree fiber flavor
-
-
-def _block_fiber(theta: OVecPoint) -> FiberPoint:
-    """The fiber point whose parts share position one and continue into
-    consecutive blocks, one per component, carrying theta's elements."""
-    family = theta.family
-    k = family.k
-    sets = tuple(tuple(sorted(s, key=label_key)) for s in theta.sets)
-    arities = [len(s) + 1 for s in sets]
-    n = sum(arities) - k + 1
-    ground = tuple(str(j) for j in range(1, n + 1))
-    parts = []
-    points = []
-    for i in range(k):
-        start = sum(arities[:i]) - i + 2
-        block = tuple(str(start + t) for t in range(arities[i] - 1))
-        parts.append(("1",) + block)
-        mapping = {MARK: "1"}
-        for t, a in enumerate(sets[i]):
-            mapping[a] = block[t]
-        points.append(family.components[i].relabel(theta.points[i], mapping))
-    return FiberPoint(family, PKFamily(ground, tuple(parts)), tuple(points))
 
 
 def intermediate_act(x: BVPoint, action, rng=None) -> BVPoint:
@@ -507,23 +420,12 @@ def intermediate_act(x: BVPoint, action, rng=None) -> BVPoint:
         raise OperadicError("the operand must be a marked product point")
     if not _positional_ovec(theta, [len(s) + 1 for s in theta.sets]):
         raise OperadicError("operand labels must be positional")
-    fiber = _block_fiber(theta)
+    fiber = block_fiber(theta)
     n = len(fiber.pk.ground)
-    base = max((int(s) for s in st.labels[0].values()), default=0)
-
-    def move(q):
-        return (0,) + q
-
-    st.shapes[0] = (st.shapes[0],) + (LEAF,) * (n - 1)
-    st._move_component(0, move)
-    st._move_joint_keys(move)
-    for t in range(n - 1):
-        st.labels[0][(t + 1,)] = str(base + t + 1)
+    _new_root(st, [n - 1], fiber)
     for u, part in enumerate(fiber.pk.parts):
         st.marks[(u, ())] = True
         st.marks[(u, (0,))] = True
         for s in range(1, n):
             st.marks[(u, (s,))] = str(s + 1) in part
-    st.below_dec[()] = fiber
-    st.jtimes[()] = Fraction(1)
     return _point_of(st.run(rng))

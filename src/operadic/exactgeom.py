@@ -30,29 +30,6 @@ from .errors import OperadicError
 MARK = "*"
 
 
-class _Infinity:
-    """Sentinel for infinite squared ratios; orderable above every Fraction."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "inf"
-
-    def __eq__(self, other):
-        return isinstance(other, _Infinity)
-
-    def __hash__(self):
-        return hash("operadic-inf")
-
-
-INF = _Infinity()
-
-
 def rat(value) -> Fraction:
     """Parse "p/q" / integer strings / ints into an exact rational."""
     if isinstance(value, Fraction):
@@ -61,14 +38,15 @@ def rat(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
-        if re.fullmatch(r"-?\d+(/\d+)?", text):
-            return Fraction(text)
+        if re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text):
+            try:
+                return Fraction(text)
+            except (ZeroDivisionError, ValueError):  # zero denominator, too many digits
+                pass
     raise OperadicError("not an exact rational: %r" % (value,))
 
 
 def rat_str(value) -> str:
-    if value is INF:
-        return "inf"
     f = Fraction(value)
     return "%d/%d" % (f.numerator, f.denominator) if f.denominator != 1 else str(f.numerator)
 
@@ -77,8 +55,10 @@ def label_key(label: str):
     """Sort key putting numeric labels in numeric order, "*" first."""
     if label == MARK:
         return (0, 0, "")
-    if re.fullmatch(r"\d+", label):
-        return (1, int(label), "")
+    if re.fullmatch(r"[0-9]+", label):
+        # numeric order without int(), which refuses very long digit strings
+        digits = label.lstrip("0")
+        return (1, len(digits), digits)
     return (2, 0, label)
 
 
@@ -188,7 +168,7 @@ def regime_str(regime) -> str:
         _, blocks, u = regime
         btxt = "|".join(",".join(block) for block in blocks)
         utxt = ",".join(
-            "%d%d=%s" % (p + 1, q + 1, "inf" if u[(p, q)] == "inf" else str(u[(p, q)]))
+            "%d%d=%s" % (p + 1, q + 1, u.get((p, q), "inf"))
             for p in range(len(blocks))
             for q in range(p, len(blocks))
         )
@@ -197,20 +177,30 @@ def regime_str(regime) -> str:
 
 
 def regime_parse(text: str):
+    """Inverse of regime_str.  A u-overlap bound "pq=v" names blocks p <= q
+    (1-based, one digit each) and v is a count or "inf"."""
+    if not isinstance(text, str):
+        raise OperadicError("a regime is written as a string, not %r" % (text,))
     text = text.strip()
     if text in ("overlapping", "disjoint"):
         return text
-    m = re.fullmatch(r"m-overlap\((\d+)\)", text)
+    m = re.fullmatch(r"m-overlap\(([0-9]{1,9})\)", text)
     if m:
+        if int(m.group(1)) < 1:
+            raise OperadicError("m-overlap needs m >= 1")
         return ("m-overlap", int(m.group(1)))
     m = re.fullmatch(r"u-overlap\(([^;]*);(.*)\)", text)
     if m:
         blocks = tuple(tuple(lbl for lbl in part.split(",") if lbl) for part in m.group(1).split("|"))
         u = {}
         for item in m.group(2).split(","):
-            pq, _, val = item.partition("=")
-            p, q = int(pq[0]) - 1, int(pq[1]) - 1
-            u[(p, q)] = "inf" if val == "inf" else int(val)
+            bound = re.fullmatch(r"([1-9])([1-9])=(inf|[0-9]{1,9})", item)
+            if not bound:
+                raise OperadicError("malformed u-overlap bound %r" % item)
+            p, q = int(bound.group(1)) - 1, int(bound.group(2)) - 1
+            if not p <= q < len(blocks):
+                raise OperadicError("u-overlap bound %r names no pair of blocks" % item)
+            u[(p, q)] = "inf" if bound.group(3) == "inf" else int(bound.group(3))
         return ("u-overlap", blocks, u)
     raise OperadicError("unknown regime %r" % text)
 
@@ -287,13 +277,24 @@ class RectConfig:
 
     @staticmethod
     def from_json(data) -> "RectConfig":
+        """Inverse of to_json; malformed input raises OperadicError."""
         if isinstance(data, str):
-            data = json.loads(data)
-        rects = {
-            lbl: Rect(tuple(rat(a) for a in spec["a"]), tuple(rat(b) for b in spec["b"]))
-            for lbl, spec in data["rects"].items()
-        }
-        return RectConfig(int(data["dim"]), rects, regime_parse(data.get("regime", "overlapping")))
+            try:
+                data = json.loads(data)
+            except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+                raise OperadicError("configuration is not JSON: %s" % exc) from None
+        if not isinstance(data, dict) or "dim" not in data or not isinstance(data.get("rects"), dict):
+            raise OperadicError('a configuration needs "dim" and a "rects" object')
+        dim = rat(data["dim"])
+        if dim.denominator != 1:
+            raise OperadicError("dimension %r is not an integer" % (data["dim"],))
+        rects = {}
+        for lbl, spec in data["rects"].items():
+            if not (isinstance(spec, dict) and isinstance(spec.get("a"), list)
+                    and isinstance(spec.get("b"), list)):
+                raise OperadicError('rectangle %r needs lists "a" and "b"' % lbl)
+            rects[lbl] = Rect(tuple(rat(a) for a in spec["a"]), tuple(rat(b) for b in spec["b"]))
+        return RectConfig(int(dim), rects, regime_parse(data.get("regime", "overlapping")))
 
 
 def config_from_seq(dim: int, rect_list, regime="overlapping") -> RectConfig:
@@ -537,48 +538,21 @@ class MarkedFiberConfig:
         return tuple(i for i, c in enumerate(self.configs) if c is not None)
 
 
-def epsilon_glue(f: MarkedFiberConfig) -> RectConfig:
-    """Stack the present components into last-axis slabs and fuse their marked
-    rectangles into a single one.
-
-    The result is a disjoint configuration over the labels "i:a" (component i,
-    label a) plus "*"; the fused rectangle is the bounding box of the marked
-    ones, which the fiber condition makes an exact union.
-    """
-    present = f.present
-    l = len(present)
-    n = f.ambient
-    slabs = cube_split(l, n)
-    out = {}
-    marked = []
-    for pos, i in enumerate(present):
-        cfg = f.configs[i]
-        placed = embed_component(cfg, f.dims[-1], n)
-        slab = slabs.rect(str(pos + 1))
-        for lbl, r in placed.rects:
-            moved = slab.compose(r)
-            if lbl == MARK:
-                marked.append(moved)
-            else:
-                out["%d:%s" % (i + 1, lbl)] = moved
-    fused = bounding_rect(marked)
-    _assert_exact_union(fused, marked)
-    out[MARK] = fused
-    result = RectConfig(n, out, "disjoint")
-    ok = validate_config(result, "disjoint")
-    if not ok:
-        raise OperadicError("glued configuration not disjoint: %r" % (ok.witness,))
-    return result
+def qualify(i: int, a: str) -> str:
+    """The label of input a of component i (0-based) in a glued configuration."""
+    return "%d:%s" % (i + 1, a)
 
 
 def glue_shared(dims: tuple, ambient: int, configs: tuple) -> RectConfig:
-    """Stack compatible components and fuse rectangles sharing a label.
+    """Stack compatible components into last-axis slabs and fuse the
+    rectangles sharing a label.
 
     configs[i] is a cube configuration of dimension dims[i] over a plain label
     set, or None for an absent component.  A label appearing in several
     components must appear in all present ones, with centered paddings of its
     cubes agreeing (the pairwise compatibility condition); the fused rectangle
-    is the bounding box, exact for the same column-tiling reason as above.
+    is the bounding box of its copies, which that condition makes an exact
+    union of slab columns.
     """
     present = [i for i, c in enumerate(configs) if c is not None]
     if not present:
@@ -624,6 +598,20 @@ def glue_shared(dims: tuple, ambient: int, configs: tuple) -> RectConfig:
     return result
 
 
+def epsilon_glue(f: MarkedFiberConfig) -> RectConfig:
+    """Stack the present components into last-axis slabs and fuse their marked
+    rectangles into a single one.
+
+    The result is a disjoint configuration over the labels "i:a" (component i,
+    label a) plus "*": `glue_shared` with the mark as the one shared label.
+    """
+    configs = tuple(
+        None if cfg is None else cfg.relabel({a: qualify(i, a) for a in cfg.labels if a != MARK})
+        for i, cfg in enumerate(f.configs)
+    )
+    return glue_shared(f.dims, f.ambient, configs)
+
+
 def _assert_exact_union(box: Rect, parts) -> None:
     """The fused rectangles must tile their bounding box exactly."""
     total = Fraction(0)
@@ -651,7 +639,7 @@ class FMCoords:
     n: int
     dim: int
     directions: tuple  # tuple of ((i, j), vector)
-    ratio_squares: tuple  # tuple of ((i, j, k), Fraction | INF)
+    ratio_squares: tuple  # tuple of ((i, j, k), Fraction)
 
     def direction(self, i: int, j: int) -> tuple:
         return dict(self.directions)[(i, j)]
@@ -671,9 +659,9 @@ class FMCoords:
 def fm_coords(points) -> FMCoords:
     """Unnormalized pairwise directions and squared distance ratios.
 
-    points are 1-indexed in the output keys; they must be pairwise distinct.
-    Ratio (i, j, k) is |x_i - x_j|^2 / |x_i - x_k|^2 with 0 and INF sentinels
-    reserved for degenerate limits (never produced from distinct points).
+    points are 1-indexed in the output keys; they must be pairwise distinct,
+    so every ratio (i, j, k) = |x_i - x_j|^2 / |x_i - x_k|^2 is a positive
+    finite Fraction.
     """
     pts = [tuple(rat(c) for c in p) for p in points]
     n = len(pts)
@@ -701,12 +689,7 @@ def fm_coords(points) -> FMCoords:
         for j in range(n):
             for k in range(n):
                 if len({i, j, k}) == 3:
-                    num = dist2(pts[i], pts[j])
-                    den = dist2(pts[i], pts[k])
-                    if den == 0:
-                        val = INF
-                    else:
-                        val = Fraction(num, den) if num else Fraction(0)
+                    val = dist2(pts[i], pts[j]) / dist2(pts[i], pts[k])
                     ratios.append(((i + 1, j + 1, k + 1), val))
     return FMCoords(n, dim, tuple(directions), tuple(ratios))
 

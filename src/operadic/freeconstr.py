@@ -20,6 +20,11 @@ times.  Normal form: no contractible vertex-vertex edge, no eliminable unit
 decoration, base-point pearls only at the root, children sorted by a
 decoration-aware key.  Point equality is field equality; the constructors
 re-run normalization and reject anything that is not already normal.
+
+Absorbing into a pearl at time zero goes through the module operations of
+the pearls' carrier.  `module_ops` looks them up here, next to the carriers'
+operations it returns (`ProductIbOps`, `GluedIbOps`, `GluedBOps` and the
+free carriers themselves).
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from .algebra import (
     qualify,
 )
 from .errors import OperadicError
-from .exactgeom import MARK, RectConfig, label_key
+from .exactgeom import RectConfig, label_key
 from .trees import (
     LEAF,
     ComponentTree,
@@ -294,6 +299,18 @@ def _check_fiber_marks(fiber: FiberPoint, marks: dict, v, m: int):
                 raise OperadicError("fiber pattern does not match the marks at %r" % (v,))
 
 
+def _check_fibers(family, shape, marks: dict, fibers: dict):
+    """Each vertex of fibers carries a fiber point over the family with
+    positional ground, matching the marks around the vertex."""
+    for v, fiber in fibers.items():
+        if not isinstance(fiber, FiberPoint) or fiber.family != family:
+            raise OperadicError("decorations at %r must be fiber points" % (v,))
+        m = arity(shape, v)
+        if not _positional_ground(fiber, m):
+            raise OperadicError("fiber ground must be positional at %r" % (v,))
+        _check_fiber_marks(fiber, marks, v, m)
+
+
 def _check_components(family, comps):
     if not isinstance(family, RelativeFamily):
         raise OperadicError("a relative family is required")
@@ -353,13 +370,7 @@ def _validate_b_decorations(family, tree: KFoldTree, pearls: dict, below: dict,
             raise OperadicError("pearl decoration arity mismatch at %r" % (v,))
     if set(below) != set(below_paths(comps[0])):
         raise OperadicError("fiber decorations must cover the below part")
-    for v, fiber in below.items():
-        if not isinstance(fiber, FiberPoint) or fiber.family != family:
-            raise OperadicError("below decorations must be fiber points")
-        m = arity(comps[0].shape, v)
-        if not _positional_ground(fiber, m):
-            raise OperadicError("fiber ground must be positional at %r" % (v,))
-        _check_fiber_marks(fiber, marks, v, m)
+    _check_fibers(family, comps[0].shape, marks, below)
     want = {(i, v) for i, c in enumerate(comps) for v in above_paths(c)}
     _check_upper(family, comps, upper, want, "above-section vertices")
     return set(below) | want
@@ -377,8 +388,9 @@ class _TimedState:
     "inter" a single pearled tree decorated by fiber points and "w" a single
     plain tree over one operad (the timed points of `bv`).  Free points are
     the "ib" and "b" states with every time at one.  Absorbing into a pearl
-    needs module operations: `ops`, or else `module_ops(flavor, family,
-    template)`, looked up when an absorb rule first fires."""
+    goes through module operations: `ops`, or else `module_ops(flavor,
+    family, template)` of the pearls' carrier, looked up when an absorb rule
+    first fires."""
 
     def __init__(self, flavor, family, shapes, pearls, labels, marks,
                  pearl_dec, below_dec, upper_dec, jtimes, utimes):
@@ -394,7 +406,6 @@ class _TimedState:
         self.jtimes = dict(jtimes)
         self.utimes = dict(utimes)
         self.ops = None
-        self.module_ops = None
         # the carrier of the pearls; it survives the drop of every pearl, so
         # that a pearl rebuilt at the root keeps the encoding
         self.base_template = next(iter(self.pearl_dec.values()), None)
@@ -416,9 +427,7 @@ class _TimedState:
 
     def _ops(self):
         if self.ops is None:
-            if self.module_ops is None:
-                raise OperadicError("absorbing into a pearl needs module operations")
-            self.ops = self.module_ops(self.flavor, self.family, self.base_template)
+            self.ops = module_ops(self.flavor, self.family, self.base_template)
         return self.ops
 
     # -- rewrite enumeration ----------------------------------------------
@@ -487,16 +496,12 @@ class _TimedState:
         shape = self.shapes[0]
         if not is_vertex(shape):
             return out
-        vs = vertices(shape)
         for q in sorted(self.jtimes):
             if self.jtimes[q] == 0:
                 out.append(("contract-zero", q))
-        for q in vs:
-            width = arity(shape, q)
-            if width == 1 and self.upper_dec[(0, q)] == self.family.unit("1"):
+        for q in vertices(shape):
+            if arity(shape, q) == 1 and self.upper_dec[(0, q)] == self.family.unit("1"):
                 out.append(("drop-unit-w", q))
-            if width == 0 and q and len(vs) > 1:
-                out.append(("compose-empty", q))
         return out
 
     def apply(self, rule, arg):
@@ -514,7 +519,6 @@ class _TimedState:
             "merge-pearl-up": self._merge_pearl_up,
             "contract-zero": self._contract_zero,
             "drop-unit-w": self._drop_unit_w,
-            "compose-empty": self._compose_empty,
         }.get(rule)
         if handler is None:
             raise OperadicError("unknown rewrite %r" % (rule,))
@@ -788,16 +792,6 @@ class _TimedState:
             # both edges are inner, so the merged edge keeps the longer one
             self.jtimes[path] = max(t_out, t_in)
 
-    def _compose_empty(self, path):
-        x = self.upper_dec.pop((0, path))
-        self.jtimes.pop(path)
-        par, slot = path[:-1], path[-1]
-        self.upper_dec[(0, par)] = compose_at(
-            self.family, self.upper_dec[(0, par)], slot + 1, x
-        )
-        move = self._drop_vertex(0, path)
-        self._move_joint_keys(move, drops={path})
-
     # -- canonical child order ----------------------------------------------
 
     def _model(self, i):
@@ -1046,10 +1040,6 @@ class FreeIbPoint:
     def arities(self) -> tuple:
         return self.tree.arities
 
-    def encoding(self) -> tuple:
-        state = _free_state(self)
-        return tuple(state._enc(i, ()) for i in range(state.k))
-
 
 @dataclass(frozen=True)
 class FreeBPoint:
@@ -1073,10 +1063,6 @@ class FreeBPoint:
     @property
     def arities(self) -> tuple:
         return tuple(PLUS if n is None else n for n in self.tree.arities)
-
-    def encoding(self) -> tuple:
-        state = _free_state(self)
-        return tuple(state._enc(i, ()) for i in range(state.k))
 
 
 def has_univalent_vertex(pt) -> bool:
@@ -1176,30 +1162,34 @@ def _graft_right(state: _TimedState, i: int, j, x) -> _TimedState:
     return state
 
 
-def _graft_left_ib(state: _TimedState, theta) -> _TimedState:
-    """Put a new root decorated by the marked product point theta below the
-    forest; its first input carries the old tree, the others are new leaves
-    labeled after the old ones."""
-    family = state.family
-    if not isinstance(theta, OVecPoint) or theta.family != family:
-        raise OperadicError("the left operand must be a marked product point")
-    if not _positional_ovec(theta, [len(s) + 1 for s in theta.sets]):
-        raise OperadicError("left operand labels must be positional")
+def _new_root(state: _TimedState, extras, decoration) -> _TimedState:
+    """Put a new root with the given decoration at time one below the forest;
+    its first input carries the old tree, and component i gets extras[i] more
+    inputs, new leaves labeled after its old ones."""
 
     def move(p):
         return (0,) + p
 
-    for i in range(family.k):
-        extra = len(theta.sets[i])
+    for i, extra in enumerate(extras):
         top = max((int(s) for s in state.labels[i].values()), default=0)
         state.shapes[i] = (state.shapes[i],) + (LEAF,) * extra
         state._move_component(i, move)
         for t in range(extra):
             state.labels[i][(t + 1,)] = str(top + t + 1)
     state._move_joint_keys(move)
-    state.below_dec[()] = theta
+    state.below_dec[()] = decoration
     state.jtimes[()] = ONE
     return state
+
+
+def _graft_left_ib(state: _TimedState, theta) -> _TimedState:
+    """Put a new root decorated by the marked product point theta below the
+    forest."""
+    if not isinstance(theta, OVecPoint) or theta.family != state.family:
+        raise OperadicError("the left operand must be a marked product point")
+    if not _positional_ovec(theta, [len(s) + 1 for s in theta.sets]):
+        raise OperadicError("left operand labels must be positional")
+    return _new_root(state, [len(s) for s in theta.sets], theta)
 
 
 def _merge_b_operands(family, fiber, operands) -> _TimedState:
@@ -1356,6 +1346,43 @@ class GluedBOps:
                 offsets[i] += len(value.sets[i])
             shifted[str(l + 1)] = value
         return glued_mu_s(fiber, shifted)
+
+
+class _FreeModuleOps:
+    """Right and left operations of the free module carriers."""
+
+    def __init__(self, flavor: str, family: RelativeFamily):
+        self.flavor = flavor
+        self.family = family
+
+    def _lift(self, value):
+        if isinstance(value, FormalGenerator):
+            lift = ib_generator if self.flavor == "ib" else b_generator
+            return lift(self.family, value)
+        return value
+
+    def right(self, value, i, pos, x):
+        graft = free_graft_ib if self.flavor == "ib" else free_graft_b
+        return graft(self._lift(value), ("right", i, pos, x))
+
+    def left(self, arg, value):
+        if self.flavor == "ib":
+            return free_graft_ib(self._lift(value), ("left", arg))
+        operands = [self._lift(v) for v in value]
+        return free_graft_b(operands[0], ("left", arg, operands))
+
+
+def module_ops(flavor: str, family: RelativeFamily, template):
+    """The module operations matching a pearl decoration's carrier."""
+    if isinstance(template, GluedElement):
+        return GluedBOps(family) if flavor == "b" else GluedIbOps(family)
+    if isinstance(template, ProductPoint):
+        if flavor != "ib":
+            raise OperadicError("the plain product carries no section action")
+        return ProductIbOps(family)
+    if isinstance(template, (FormalGenerator, FreeIbPoint, FreeBPoint)):
+        return _FreeModuleOps(flavor, family)
+    raise OperadicError("no module operations for %r" % type(template).__name__)
 
 
 def _pearl_fold(pt, path, value, ops):

@@ -2,6 +2,7 @@
 counit against the carriers, confluence, time monotonicity, the fiber flavor
 and the plain-tree flavor."""
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,6 +16,8 @@ from operadic.algebra import (
     ProductPoint,
     compose_at,
     cube_family,
+    fiber_compose_at,
+    fiber_relabel,
     glued_eta,
     operad_model,
     sample_fiber_point,
@@ -27,6 +30,7 @@ from operadic.freeconstr import (
     GluedBOps,
     GluedIbOps,
     ProductIbOps,
+    _TimedState,
     b_generator,
     base_generator,
     evaluate_b,
@@ -37,7 +41,16 @@ from operadic.freeconstr import (
     ib_generator,
 )
 from operadic.rng import Stream
-from operadic.trees import LEAF, ComponentTree, KFoldTree, corolla, is_vertex, subtree, vertices
+from operadic.trees import (
+    LEAF,
+    ComponentTree,
+    KFoldTree,
+    corolla,
+    is_vertex,
+    pearl_of,
+    subtree,
+    vertices,
+)
 
 FAM = cube_family((1, 2), 3)
 HALF = Fraction(1, 2)
@@ -310,6 +323,43 @@ def rand_inter_action(rr, x):
     return ("left", rand_theta(rr.split("th"), (rr.randint(0, 1), rr.randint(0, 1))))
 
 
+def monotone_times(p: BVPoint, r) -> dict:
+    """Seeded times in {0, 1/2, 1} that never decrease away from the pearl."""
+    c = p.tree.components[0]
+    pearl = pearl_of(c)
+    choices = (Fraction(0), HALF, Fraction(1))
+    times = {}
+
+    def pick(v, low):
+        times[v] = r.split(v).choice([t for t in choices if t >= low])
+
+    low = Fraction(0)
+    for depth in reversed(range(len(pearl))):
+        pick(pearl[:depth], low)
+        low = times[pearl[:depth]]
+    for v in sorted(vertices(c.shape), key=len):
+        if v != pearl and v not in times:
+            pick(v, Fraction(0) if v[:-1] == pearl else times[v[:-1]])
+    return times
+
+
+def fold_fibers(p: BVPoint):
+    """Iterated fiber_compose_at over the whole tree, inputs named by the
+    leaf labels."""
+    c = p.tree.components[0]
+    decs = {**p.pearls_dict(), **p.below_dict()}
+
+    def fold(v):
+        x = decs[v]
+        node = subtree(c.shape, v)
+        for s in reversed(range(len(node))):
+            if is_vertex(node[s]):
+                x = fiber_compose_at(x, s + 1, fold(v + (s,)))
+        return x
+
+    return fiber_relabel(fold(()), {str(n + 1): label for n, label in enumerate(p.leaf_labels(0))})
+
+
 class TestIntermediate:
     @pytest.mark.parametrize("side", ["right", "left"])
     def test_actions_normalize_idempotently(self, side):
@@ -327,6 +377,32 @@ class TestIntermediate:
                 assert bv_normalize(x, rng=Stream(step, ("iorder", trial))) == x
                 checked += 1
         assert checked >= 6
+
+    def test_mixed_times_normalize_and_fold(self, monkeypatch):
+        # times in {0, 1/2, 1} reach the rules that merge into the pearl
+        fired = Counter()
+        apply = _TimedState.apply
+
+        def counting(state, rule, arg):
+            fired[rule] += 1
+            return apply(state, rule, arg)
+
+        monkeypatch.setattr(_TimedState, "apply", counting)
+        rng = Stream(143, ("intertimes",))
+        for trial in range(40):
+            r = rng.split(trial)
+            x = inter_corolla(r, r.randint(1, 3))
+            for step in range(4):
+                act = rand_inter_action(r.split(("step", step)), x)
+                if act is not None:
+                    x = intermediate_act(x, act)
+            p = replace(x, times=monotone_times(x, r.split("times")))
+            q = bv_normalize(p)
+            assert bv_normalize(q) == q
+            for order in range(3):
+                assert bv_normalize(p, rng=Stream(order, ("itorder", trial))) == q
+            assert bv_eta(p) == bv_eta(q) == fold_fibers(p)
+        assert fired["merge-into-pearl"] and fired["merge-pearl-up"]
 
     def test_actions_reject_mismatched_operands(self):
         r = Stream(142, ("interbad",))
@@ -475,6 +551,39 @@ class TestPlainTrees:
                     assert bv_normalize(p, rng=Stream(order, ("wfo", name, n, trial))) == q
                 assert bv_eta(p) == bv_eta(q) == fold_w(model, shape, p.upper_dict())
         assert decreasing
+
+
+UNIT_SHAPES = (
+    (((LEAF, LEAF),), LEAF),
+    ((((LEAF, LEAF), LEAF),),),
+)
+
+
+class TestPlainUnits:
+    @pytest.mark.parametrize("name", ("terminal", "sym", "rect:2"))
+    def test_unit_between_inner_edges(self, name):
+        # dropping the unit at (0,) merges two inner edges into one that
+        # keeps the longer time
+        model = operad_model(name)
+        rng = Stream(165, ("wunit", name))
+        for n, shape in enumerate(UNIT_SHAPES):
+            for trial in range(20):
+                r = rng.split((n, trial))
+                times = {v: Fraction(r.split(("t", v)).randint(0, 2), 2) for v in vertices(shape) if v}
+                p = w_point(model, shape, r, times)
+                upper = {
+                    key: model.unit("1") if len(subtree(shape, key[1])) == 1 else x
+                    for key, x in p.upper
+                }
+                p = replace(p, upper=upper)
+                q = bv_normalize(p)
+                assert bv_normalize(q) == q
+                for order in range(3):
+                    assert bv_normalize(p, rng=Stream(order, ("wu", name, n, trial))) == q
+                assert bv_eta(p) == bv_eta(q) == fold_w(model, shape, upper)
+                if n == 0:
+                    longer = max(times[(0,)], times[(0, 0)])
+                    assert list(q.times_dict().values()) == ([longer] if longer else [])
 
 
 class TestDeeperUpperTrees:

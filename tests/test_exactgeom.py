@@ -1,13 +1,15 @@
 """Geometry core: independent oracles first, then pinned examples and axioms."""
 
+import json
 from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from operadic.errors import OperadicError
 from operadic.exactgeom import (
-    INF,
     MARK,
     Cube,
     MarkedFiberConfig,
@@ -480,7 +482,7 @@ class TestFM:
                 assert coords.direction(j, i) == tuple(-c for c in vec)
             for (i, j, k), val in coords.ratio_squares:
                 other = coords.ratio_square(i, k, j)
-                assert val != 0 and val is not INF
+                assert val > 0
                 assert val * other == 1
 
     def test_rejects_coincident_points(self):
@@ -569,3 +571,121 @@ class TestJson:
         data = cfg.to_json()
         assert data["dim"] == 1
         assert data["rects"]["1"] == {"a": ["1/2"], "b": ["0"]}
+
+
+# ---------------------------------------------------------------------------
+# malformed input is rejected with OperadicError only
+
+
+def _spec(a, b="0"):
+    return {"a": [a], "b": [b]}
+
+
+MALFORMED = [
+    ("rat", "1/0"),
+    ("rat", "7/00"),
+    pytest.param("rat", "1" * 5000, id="rat-too-many-digits"),
+    ("regime", "u-overlap(;)"),
+    ("regime", "u-overlap(a;1=2)"),
+    ("regime", "u-overlap(a;11=x)"),
+    ("regime", "u-overlap(a;12=1)"),
+    ("regime", "u-overlap(a|b;21=1)"),
+    ("regime", "m-overlap(0)"),
+    ("regime", 3),
+    ("json", "{}"),
+    ("json", "{"),
+    pytest.param("json", "[" * 100000, id="json-nested-too-deep"),
+    ("json", "[]"),
+    ("json", {"dim": 1, "rects": []}),
+    ("json", {"dim": "x", "rects": {}}),
+    ("json", {"dim": "1/2", "rects": {}}),
+    ("json", {"rects": {}}),
+    ("json", {"dim": 1, "rects": {"a": _spec("1/0")}}),
+    ("json", {"dim": 1, "rects": {"a": [["1"], ["0"]]}}),
+    ("json", {"dim": 1, "rects": {"a": {"a": "1", "b": "0"}}}),
+    ("json", {"dim": 1, "rects": {"a": _spec("1")}, "regime": None}),
+]
+PARSERS = {"rat": rat, "regime": regime_parse, "json": RectConfig.from_json}
+
+
+# seeded and without shrinking: a failure reports the generated input, and a
+# failing run cannot spend minutes shrinking regex-built strings
+FUZZ = settings(max_examples=100, deadline=None, derandomize=True, database=None,
+                phases=(Phase.explicit, Phase.generate))
+
+
+def _only_operadic_errors(parse, value):
+    try:
+        parse(value)
+    except OperadicError:
+        pass
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("kind,value", MALFORMED)
+    def test_rejected_with_operadic_error(self, kind, value):
+        with pytest.raises(OperadicError):
+            PARSERS[kind](value)
+
+    def test_unusual_but_valid_input_is_accepted(self):
+        # a label of more digits than int() converts, and a u-overlap regime
+        # leaving a block pair unbounded
+        long_label = "1" * 5000
+        cfg = RectConfig.from_json({
+            "dim": 1,
+            "regime": "u-overlap(2|%s;11=1)" % long_label,
+            "rects": {long_label: _spec("1/2"), "2": _spec("1/2", "1/2")},
+        })
+        assert cfg.labels == ("2", long_label)
+        assert regime_str(cfg.regime) == "u-overlap(2|%s;11=1,12=inf,22=inf)" % long_label
+        assert validate_config(cfg)
+
+    @FUZZ
+    @given(st.one_of(
+        st.text(max_size=12),
+        st.from_regex(r"-?[0-9]{1,4}(/[0-9]{1,3})?", fullmatch=True),
+        st.integers(),
+        st.none(),
+        st.floats(allow_nan=False),
+    ))
+    def test_rat_fuzz(self, value):
+        _only_operadic_errors(rat, value)
+
+    @FUZZ
+    @given(st.one_of(
+        st.text(max_size=16),
+        st.from_regex(r"m-overlap\([0-9]{0,3}\)", fullmatch=True),
+        st.from_regex(r"u-overlap\([ab,|]{0,5};[0-9a-z=,]{0,9}\)", fullmatch=True),
+        st.integers(),
+    ))
+    def test_regime_parse_fuzz(self, text):
+        _only_operadic_errors(regime_parse, text)
+
+    @FUZZ
+    @given(st.data())
+    def test_from_json_fuzz(self, data):
+        scalars = st.one_of(
+            st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=4),
+            st.sampled_from(["0", "1", "1/2", "3/4", "-1/4", "1/0", "x", "2"]),
+        )
+        anything = st.recursive(
+            scalars,
+            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+            max_leaves=8,
+        )
+        numbers = st.lists(st.sampled_from(["0", "1", "1/2", "1/4", "-1", "1/0", "x"]) | scalars, max_size=3)
+        spec = st.fixed_dictionaries({"a": numbers, "b": numbers}) | anything
+        regime = st.one_of(
+            st.sampled_from(["overlapping", "disjoint", "m-overlap(2)", "m-overlap(0)",
+                             "u-overlap(a|b;11=1,12=inf,22=2)", "u-overlap(a;11=x)", "u-overlap(;)"]),
+            anything,
+        )
+        config = st.fixed_dictionaries(
+            {"dim": st.integers(-1, 3) | anything,
+             "rects": st.dictionaries(st.sampled_from(["a", "b", "1", "2", "*", ""]), spec, max_size=3) | anything},
+            optional={"regime": regime},
+        )
+        value = data.draw(st.one_of(config, anything))
+        _only_operadic_errors(RectConfig.from_json, value)
+        _only_operadic_errors(RectConfig.from_json, json.dumps(value))
+        _only_operadic_errors(RectConfig.from_json, data.draw(st.text(max_size=20)))

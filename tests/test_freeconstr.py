@@ -593,14 +593,6 @@ class TestNormalForm:
         with pytest.raises(OperadicError):
             FreeIbPoint(FAM, pt.tree, v, ovec_unit(FAM), ())
 
-    def test_encodings_separate_points(self):
-        rng = Stream(59, ("enc",))
-        a = ib_generator(FAM, rand_glued(rng.split(0), (2, 1)))
-        b = ib_generator(FAM, rand_glued(rng.split(1), (2, 1)))
-        assert a != b
-        assert a.encoding() != b.encoding()
-        assert a.encoding() == a.encoding()
-
 
 class TestRestriction:
     def test_positive_arity_walks_stay_univalent_free(self):

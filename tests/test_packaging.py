@@ -1,6 +1,8 @@
-"""Packaging metadata: every console script declared in pyproject.toml
-resolves to a callable."""
+"""Packaging metadata and module layering: every console script declared in
+pyproject.toml resolves to a callable, and the modules of the package import
+one another in one order."""
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -19,3 +21,32 @@ def test_console_script_targets_import():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), name
+
+
+# Each module may import only modules before it: the engine in `freeconstr`
+# looks up everything it needs itself and never takes a callback from `bv`.
+LAYERS = ("errors", "rng", "trees", "exactgeom", "sampling", "algebra", "freeconstr", "bv")
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "operadic"
+
+
+def _package_imports(path: Path) -> set:
+    """Modules of the package imported anywhere in the file, function bodies
+    included."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                out |= {node.module} if node.module else {a.name for a in node.names}
+            elif node.level == 0 and (node.module or "").startswith("operadic."):
+                out.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            out |= {a.name.split(".")[1] for a in node.names if a.name.startswith("operadic.")}
+    return out
+
+
+def test_modules_import_only_earlier_layers():
+    modules = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+    assert sorted(LAYERS) == modules
+    for pos, name in enumerate(LAYERS):
+        imported = _package_imports(PACKAGE / (name + ".py"))
+        assert imported <= set(LAYERS[:pos]), (name, sorted(imported - set(LAYERS[:pos])))
