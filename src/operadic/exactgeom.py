@@ -168,7 +168,7 @@ def regime_str(regime) -> str:
         _, blocks, u = regime
         btxt = "|".join(",".join(block) for block in blocks)
         utxt = ",".join(
-            "%d%d=%s" % (p + 1, q + 1, u.get((p, q), "inf"))
+            "%d:%d=%s" % (p + 1, q + 1, u.get((p, q), "inf"))
             for p in range(len(blocks))
             for q in range(p, len(blocks))
         )
@@ -177,8 +177,9 @@ def regime_str(regime) -> str:
 
 
 def regime_parse(text: str):
-    """Inverse of regime_str.  A u-overlap bound "pq=v" names blocks p <= q
-    (1-based, one digit each) and v is a count or "inf"."""
+    """Inverse of regime_str.  A u-overlap bound "p:q=v" names blocks p <= q
+    (1-based) and v is a count or "inf".  The legacy form "pq=v", one digit
+    per block, is still read; it is unambiguous for fewer than ten blocks."""
     if not isinstance(text, str):
         raise OperadicError("a regime is written as a string, not %r" % (text,))
     text = text.strip()
@@ -194,11 +195,12 @@ def regime_parse(text: str):
         blocks = tuple(tuple(lbl for lbl in part.split(",") if lbl) for part in m.group(1).split("|"))
         u = {}
         for item in m.group(2).split(","):
-            bound = re.fullmatch(r"([1-9])([1-9])=(inf|[0-9]{1,9})", item)
+            bound = (re.fullmatch(r"([0-9]{1,9}):([0-9]{1,9})=(inf|[0-9]{1,9})", item)
+                     or re.fullmatch(r"([1-9])([1-9])=(inf|[0-9]{1,9})", item))
             if not bound:
                 raise OperadicError("malformed u-overlap bound %r" % item)
             p, q = int(bound.group(1)) - 1, int(bound.group(2)) - 1
-            if not p <= q < len(blocks):
+            if not 0 <= p <= q < len(blocks):
                 raise OperadicError("u-overlap bound %r names no pair of blocks" % item)
             u[(p, q)] = "inf" if bound.group(3) == "inf" else int(bound.group(3))
         return ("u-overlap", blocks, u)

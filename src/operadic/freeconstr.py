@@ -66,6 +66,7 @@ from .trees import (
     arity,
     below_paths,
     corolla,
+    has_null_non_pearl,
     is_ancestor,
     is_vertex,
     leaves,
@@ -1068,11 +1069,7 @@ class FreeBPoint:
 def has_univalent_vertex(pt) -> bool:
     """True when some non-pearl vertex has no inputs; the restricted variants
     exclude such points."""
-    for c in pt.tree.components:
-        for v in vertices(c.shape):
-            if v not in c.pearls and arity(c.shape, v) == 0:
-                return True
-    return False
+    return any(has_null_non_pearl(c) for c in pt.tree.components)
 
 
 # ---------------------------------------------------------------------------

@@ -32,12 +32,16 @@ of them.  In section variants the trunk is internal exactly in the
 components with a leaf count (arity None is a trivial component), every other
 edge is internal in exactly one component or in all, and an edge below a
 pearl with inputs is internal in that pearl's component.
+
+The poset of non-planar pearled trees (psi_category) is generated, not
+filtered: one recursion over set partitions of the leaf labels builds each
+isomorphism class once, as a planar representative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from itertools import product
 from operator import itemgetter
 
 from .errors import OperadicError
@@ -166,6 +170,7 @@ class ComponentTree:
     shape: tuple
     pearls: frozenset = frozenset()
     labels: tuple = ()  # ((leaf path, label), ...) covering leaves in order
+    n_vertices: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "pearls", frozenset(tuple(p) for p in self.pearls))
@@ -180,6 +185,7 @@ class ComponentTree:
         if len({s for _, s in lab}) != len(lab):
             raise OperadicError("duplicate leaf labels")
         vs = set(vertices(self.shape))
+        object.__setattr__(self, "n_vertices", len(vs))
         for p in self.pearls:
             if p not in vs:
                 raise OperadicError("pearl %r is not a vertex" % (p,))
@@ -187,10 +193,6 @@ class ComponentTree:
     @property
     def n_leaves(self) -> int:
         return len(self.labels)
-
-    @property
-    def n_vertices(self) -> int:
-        return len(vertices(self.shape))
 
     def leaf_of(self, label):
         for p, s in self.labels:
@@ -309,13 +311,15 @@ def section_edge_paths(c: ComponentTree) -> list:
 # validation
 
 
+def has_null_non_pearl(c: ComponentTree) -> bool:
+    """True when some vertex other than a pearl has no inputs (is univalent)."""
+    return any(arity(c.shape, v) == 0 and v not in c.pearls for v in vertices(c.shape))
+
+
 def _check_pearled(c: ComponentTree):
     if len(c.pearls) != 1:
         return "pearl-count"
-    p = pearl_of(c)
-    if any(i != 0 for i in p):
-        return "pearl-not-on-spine"
-    if len(p) > spine_depth(c.shape):
+    if pearl_of(c) not in pearl_positions(c.shape):
         return "pearl-not-on-spine"
     return None
 
@@ -415,10 +419,9 @@ def _validate(t: KFoldTree):
         bad = _check_pearled(c)
         if bad:
             return bad
+        if has_null_non_pearl(c):
+            return "univalent-vertex"
         p = pearl_of(c)
-        for v in vertices(c.shape):
-            if arity(c.shape, v) == 0 and v != p:
-                return "univalent-vertex"
         marks = t.marks_dict()
         ks = sorted({i for (i, _) in marks})
         edge_paths = vertices(c.shape) + leaves(c.shape)
@@ -451,10 +454,7 @@ def _validate(t: KFoldTree):
         if c.n_leaves == 0:
             # the nullary point is the bare zero-corolla
             return None if c.shape == () else "univalent-vertex"
-        for v in vertices(c.shape):
-            if arity(c.shape, v) == 0:
-                return "univalent-vertex"
-        return None
+        return "univalent-vertex" if has_null_non_pearl(c) else None
 
     raise OperadicError("unknown variant %r" % t.variant)
 
@@ -608,8 +608,8 @@ def _forests(n_leaves, vmax, allow_null):
 
 def gen_planar_trees(n_leaves: int, vmax: int, allow_null: bool = True) -> list:
     """All planar shapes with the given leaf count and at most vmax vertices."""
-    shapes = {s for s, _ in _trees_upto(n_leaves, vmax, allow_null)}
-    return sorted(shapes, key=lambda s: (len(vertices(s)), repr(s)))
+    counts = dict(_trees_upto(n_leaves, vmax, allow_null))
+    return sorted(counts, key=lambda s: (counts[s], repr(s)))
 
 
 def pearl_positions(shape) -> list:
@@ -637,10 +637,6 @@ class Enumeration:
 
     def __len__(self):
         return len(self.trees)
-
-
-def _has_null_non_pearl(c: ComponentTree) -> bool:
-    return any(arity(c.shape, v) == 0 and v not in c.pearls for v in vertices(c.shape))
 
 
 def enumerate_trees(variant, arities, max_vertices: int, k=None, no_univalent: bool = False) -> Enumeration:
@@ -724,7 +720,7 @@ def _enumerate_pearled(variant, arities, max_vertices, no_univalent):
         for shape in gen_planar_trees(n, max_vertices - (k - 1), allow_null=not no_univalent):
             for p in pearl_positions(shape):
                 c = ComponentTree(shape, frozenset({p}))
-                if no_univalent and _has_null_non_pearl(c):
+                if no_univalent and has_null_non_pearl(c):
                     continue
                 ok, _ = validate_labeling(KFoldTree(variant, (c,)))
                 if ok:
@@ -877,7 +873,7 @@ def _enumerate_intermediate(n, max_vertices, k):
     for shape in gen_planar_trees(n, max_vertices, allow_null=True):
         for p in pearl_positions(shape):
             c = ComponentTree(shape, frozenset({p}))
-            if _has_null_non_pearl(c):
+            if has_null_non_pearl(c):
                 continue
             for marks in _intermediate_marks(shape, p, k):
                 out.append(KFoldTree("pTreeP", (c,), marks))
@@ -935,60 +931,62 @@ class PsiObject:
         object.__setattr__(self, "key", key)
 
 
-def _psi_valid(c: ComponentTree) -> bool:
-    if len(c.pearls) != 1:
-        return False
-    p = next(iter(c.pearls))
-    return all(v == p or arity(c.shape, v) >= 2 for v in vertices(c.shape))
+def _set_partitions(items: tuple):
+    """Every set partition of `items` into blocks, each partition once."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        yield [(first,)] + part
+        for i, block in enumerate(part):
+            yield part[:i] + [(first,) + block] + part[i + 1 :]
 
 
-def _psi_shapes(k: int):
-    """(shape, pearl path) pairs covering every object class: a pearl at a
-    vertex of a min-arity-two shape, a unary pearl spliced into an edge, or
-    a nullary pearl standing in for an extra tip."""
-    out = []
+def _psi_trees(labels: tuple, pearl: bool, memo: dict) -> list:
+    """(shape, pearl path, leaf labels), once per non-planar tree on the leaf
+    set `labels` with one pearl if `pearl` (else none, path None) and every
+    other vertex of arity >= 2.  One label without the pearl is also a leaf.
 
-    def min_arity_two(s):
-        return all(arity(s, v) >= 2 for v in vertices(s))
+    A root splits `labels` into blocks, one child each.  The pearl is the
+    root itself, of any arity, or sits in the child of one block, the empty
+    block standing for a leafless extra child.
+    """
+    if (labels, pearl) not in memo:
+        out = [(LEAF, None, (((), labels[0]),))] if len(labels) == 1 and not pearl else []
+        for blocks in _set_partitions(labels):
+            # carrier: the block whose child holds the pearl, None for none
+            for carrier in [None, *range(len(blocks) + 1)] if pearl else [None]:
+                kids = blocks + [()] if carrier == len(blocks) else blocks
+                at_root = pearl and carrier is None
+                if len(kids) < 2 and not at_root:
+                    continue
+                for combo in product(*(_psi_trees(b, i == carrier, memo) for i, b in enumerate(kids))):
+                    path = () if at_root else None
+                    if carrier is not None:
+                        path = (carrier,) + combo[carrier][1]
+                    leaf_labels = tuple(((i,) + q, a) for i, (_, _, labs) in enumerate(combo) for q, a in labs)
+                    out.append((tuple(shape for shape, _, _ in combo), path, leaf_labels))
+        memo[labels, pearl] = out
+    return memo[labels, pearl]
 
-    base = [s for s in gen_planar_trees(k, max(k, 1), allow_null=False) if min_arity_two(s)]
-    for s in base:
-        for p in vertices(s):
-            out.append((s, p))
-        for e in vertices(s) + leaves(s):
-            out.append((replace(s, e, (subtree(s, e),)), e))
-    for s in gen_planar_trees(k + 1, max(k + 1, 1), allow_null=False):
-        if not min_arity_two(s):
-            continue
-        for leaf in leaves(s):
-            out.append((replace(s, leaf, ()), leaf))
-    if k == 0:
-        out.append(((), ()))
-    if k == 1:
-        out.append((corolla(1), ()))
-    return out
 
-
-def psi_category(k: int, max_k: int = 4) -> dict:
-    """The poset of non-planar pearled trees with k labeled leaves.
+def psi_category(k: int) -> dict:
+    """The poset of non-planar pearled trees with k labeled leaves, k <= 4.
 
     Objects: one pearl of any arity, every other vertex of arity at least
-    two.  One arrow per single inner-edge contraction, composites via
-    psi_closure.  The pearled corolla is terminal; prime_morphisms drops
-    the covering arrow from the two-vertex tree to it.
+    two; `_psi_trees` builds each class once, 2 t(k+1) of them (t counts
+    Schroeder's trees, OEIS A000311).  One arrow per single inner-edge
+    contraction, composites via psi_closure.  The pearled corolla is
+    terminal; prime_morphisms drops the covering arrow from the two-vertex
+    tree to it.
     """
-    if not 0 <= k <= max_k:
-        raise OperadicError("leaf count out of the configured range")
+    if not isinstance(k, int) or not 0 <= k <= 4:
+        raise OperadicError("leaf count must be an integer in 0..4")
     objects: dict = {}
-    for shape, p in _psi_shapes(k):
-        c0 = ComponentTree(shape, frozenset({p}))
-        if not _psi_valid(c0):
-            continue
-        lvs = leaves(shape)
-        for perm in permutations(range(1, k + 1)):
-            labs = tuple((q, str(s)) for q, s in zip(lvs, perm))
-            obj = PsiObject(ComponentTree(shape, frozenset({p}), labs))
-            objects.setdefault(obj.key, obj)
+    for shape, p, labels in _psi_trees(tuple(str(i + 1) for i in range(k)), True, {}):
+        obj = PsiObject(ComponentTree(shape, frozenset({p}), labels))
+        objects[obj.key] = obj
     keys = sorted(objects)
     index = {key: i for i, key in enumerate(keys)}
     arrows = set()

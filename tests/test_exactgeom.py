@@ -315,6 +315,25 @@ class TestRegimes:
         ):
             assert regime_parse(regime_str(regime)) == regime
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              phases=(Phase.explicit, Phase.generate))
+    @given(st.data())
+    def test_u_overlap_round_trip_with_many_blocks(self, data):
+        # ten or more blocks need the "p:q" separator to survive a round trip
+        sizes = data.draw(st.lists(st.integers(1, 2), min_size=1, max_size=12))
+        blocks = tuple(tuple("%d.%d" % (p, j) for j in range(n)) for p, n in enumerate(sizes))
+        bounds = st.one_of(st.integers(0, 12), st.just("inf"))
+        u = {(p, q): data.draw(bounds) for p in range(len(blocks)) for q in range(p, len(blocks))}
+        regime = ("u-overlap", blocks, u)
+        assert regime_parse(regime_str(regime)) == regime
+        cfg = RectConfig(1, {}, regime)
+        assert RectConfig.from_json(json.dumps(cfg.to_json())) == cfg
+
+    def test_legacy_u_overlap_bounds_are_read(self):
+        legacy = regime_parse("u-overlap(a|b;11=1,12=inf,22=2)")
+        assert legacy == ("u-overlap", (("a",), ("b",)), {(0, 0): 1, (0, 1): "inf", (1, 1): 2})
+        assert regime_str(legacy) == "u-overlap(a|b;1:1=1,1:2=inf,2:2=2)"
+
 
 # ---------------------------------------------------------------------------
 # paddings
@@ -637,7 +656,7 @@ class TestMalformedInput:
             "rects": {long_label: _spec("1/2"), "2": _spec("1/2", "1/2")},
         })
         assert cfg.labels == ("2", long_label)
-        assert regime_str(cfg.regime) == "u-overlap(2|%s;11=1,12=inf,22=inf)" % long_label
+        assert regime_str(cfg.regime) == "u-overlap(2|%s;1:1=1,1:2=inf,2:2=inf)" % long_label
         assert validate_config(cfg)
 
     @FUZZ
@@ -655,7 +674,7 @@ class TestMalformedInput:
     @given(st.one_of(
         st.text(max_size=16),
         st.from_regex(r"m-overlap\([0-9]{0,3}\)", fullmatch=True),
-        st.from_regex(r"u-overlap\([ab,|]{0,5};[0-9a-z=,]{0,9}\)", fullmatch=True),
+        st.from_regex(r"u-overlap\([ab,|]{0,5};[0-9a-z=,:]{0,9}\)", fullmatch=True),
         st.integers(),
     ))
     def test_regime_parse_fuzz(self, text):

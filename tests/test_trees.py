@@ -428,6 +428,18 @@ class TestEnumerate:
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
         assert enum.truncated
 
+    # first 16 hex digits of sha256(repr(psi_category(k))), pinned from the
+    # generate-and-filter construction of the pearled-tree poset
+    @pytest.mark.parametrize("k, digest", [
+        (0, "d818ecff379653cc"),
+        (1, "cff87f35bbe29efa"),
+        (2, "ca544110446524ff"),
+        (3, "49af6480dbc1591b"),
+        (4, "56dcc50530e540e6"),
+    ])
+    def test_golden_psi(self, k, digest):
+        assert hashlib.sha256(repr(T.psi_category(k)).encode()).hexdigest()[:16] == digest
+
 
 # ---------------------------------------------------------------------------
 # marking generators against every bit pattern
@@ -647,6 +659,32 @@ def oracle_psi(k):
     return objs, arrows
 
 
+def set_partitions(items):
+    if not items:
+        yield []
+        return
+    for part in set_partitions(items[1:]):
+        yield [[items[0]]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[items[0]] + part[i]] + part[i + 1:]
+
+
+def schroeder_t(n):
+    """Leaf-labeled rooted trees on n leaves whose internal vertices all have
+    arity >= 2 (Schroeder's fourth problem, OEIS A000311): a leaf, or a root
+    over a set partition of the leaves into at least two blocks."""
+    if n == 1:
+        return 1
+    total = 0
+    for part in set_partitions(list(range(n))):
+        if len(part) >= 2:
+            prod = 1
+            for block in part:
+                prod *= schroeder_t(len(block))
+            total += prod
+    return total
+
+
 class TestPsi:
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_counts_match_oracle(self, k):
@@ -654,6 +692,21 @@ class TestPsi:
         objs, arrows = oracle_psi(k)
         assert len(cat["objects"]) == len(objs)
         assert len(cat["morphisms"]) == len(arrows)
+        keys = [obj.key for obj in cat["objects"]]
+        assert set(keys) == set(objs)
+        assert {(keys[s], keys[t]) for s, t in cat["morphisms"]} == arrows
+
+    def test_schroeder_numbers(self):
+        assert [schroeder_t(n) for n in range(1, 7)] == [1, 1, 4, 26, 236, 2752]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_object_count_is_twice_schroeder(self, k):
+        assert len(T.psi_category(k)["objects"]) == 2 * schroeder_t(k + 1)
+
+    def test_each_class_built_once_at_five_leaves(self):
+        built = T._psi_trees(tuple(str(i + 1) for i in range(5)), True, {})
+        keys = {T.PsiObject(ComponentTree(shape, frozenset({p}), labels)).key for shape, p, labels in built}
+        assert len(built) == len(keys) == 2 * schroeder_t(6)
 
     def test_terminal_object(self):
         for k in (0, 1, 2, 3):
@@ -690,6 +743,11 @@ class TestPsi:
     def test_bound(self):
         with pytest.raises(OperadicError):
             T.psi_category(5)
+
+    @pytest.mark.parametrize("k", [2.5, "3", None])
+    def test_non_integer_leaf_count(self, k):
+        with pytest.raises(OperadicError):
+            T.psi_category(k)
 
 
 # ---------------------------------------------------------------------------
