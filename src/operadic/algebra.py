@@ -180,20 +180,33 @@ def _require_numeric(model: OperadModel, x) -> int:
     return n
 
 
+def renumbering(n: int, pos: int, m: int) -> tuple:
+    """The relabelings of positional substitution of an m-ary element into
+    input pos of an n-ary one: "apart" moves the inner inputs 1..m to fresh
+    labels, "back" renumbers the composite to 1..n+m-1, the inner inputs at
+    pos..pos+m-1 and the outer inputs after pos shifted by m-1."""
+    apart = {str(j): "in:%d" % j for j in range(1, m + 1)}
+    back = {"in:%d" % j: str(pos + j - 1) for j in range(1, m + 1)}
+    for t in range(pos + 1, n + 1):
+        back[str(t)] = str(t + m - 1)
+    return apart, back
+
+
 def compose_at(model: OperadModel, x, i: int, y):
     """Positional substitution with the standard renumbering."""
     n = _require_numeric(model, x)
     m = _require_numeric(model, y)
     if not 1 <= i <= n:
         raise OperadicError("missing slot %d" % i)
-    tmp = model.relabel(y, {str(j): "in:%d" % j for j in range(1, m + 1)})
-    z = model.compose(x, str(i), tmp)
-    mapping = {}
-    for j in range(1, m + 1):
-        mapping["in:%d" % j] = str(i + j - 1)
-    for j in range(i + 1, n + 1):
-        mapping[str(j)] = str(j + m - 1)
-    return model.relabel(z, mapping)
+    apart, back = renumbering(n, i, m)
+    z = model.compose(x, str(i), model.relabel(y, apart))
+    return model.relabel(z, back)
+
+
+def perm_mapping(sigma) -> dict:
+    """The relabeling of the right permutation action: old input sigma[j]
+    becomes input j + 1."""
+    return {str(sigma[j]): str(j + 1) for j in range(len(sigma))}
 
 
 def act_numeric(model: OperadModel, x, sigma) -> object:
@@ -201,7 +214,7 @@ def act_numeric(model: OperadModel, x, sigma) -> object:
     n = _require_numeric(model, x)
     if sorted(sigma) != list(range(1, n + 1)):
         raise OperadicError("not a permutation of 1..%d" % n)
-    return model.relabel(x, {str(sigma[j]): str(j + 1) for j in range(n)})
+    return model.relabel(x, perm_mapping(sigma))
 
 
 def inverse_perm(sigma) -> tuple:
@@ -278,15 +291,13 @@ class RelativeFamily:
         return frozenset(self.components[i].labels(x))
 
 
-def cube_family(dims, ambient: int, base: str = "rect") -> RelativeFamily:
-    if base not in ("rect", "rect-inf"):
-        raise OperadicError("cube family base must be a rectangle model")
+def cube_family(dims, ambient: int) -> RelativeFamily:
     comps = tuple(operad_model("cube:%d" % d) for d in dims)
-    return RelativeFamily(comps, operad_model("%s:%d" % (base, ambient)), "cube-pad")
+    return RelativeFamily(comps, operad_model("rect:%d" % ambient), "cube-pad")
 
 
-def identity_family(model: OperadModel, k: int = 1) -> RelativeFamily:
-    return RelativeFamily((model,) * k, model, "identity")
+def identity_family(model: OperadModel) -> RelativeFamily:
+    return RelativeFamily((model,), model, "identity")
 
 
 def collapse_family(components) -> RelativeFamily:
@@ -355,10 +366,11 @@ def pk_valid(ground, parts) -> bool:
     return True
 
 
-def pk_enumerate(ground, k: int, max_size: int = 4) -> list:
-    """All valid partition families over the ground set, brute force."""
+def pk_enumerate(ground, k: int) -> list:
+    """All valid partition families over a ground set of at most 4 labels,
+    brute force."""
     ground = tuple(sorted(set(ground), key=label_key))
-    if len(ground) > max_size:
+    if len(ground) > 4:
         raise OperadicError("ground set larger than the enumeration bound")
     if k < 1:
         raise OperadicError("need k >= 1")
@@ -492,14 +504,9 @@ def sample_fiber_point(rng: Stream, family: RelativeFamily, pk: PKFamily) -> Fib
 
 def fiber_compose_at(p: FiberPoint, pos: int, q: FiberPoint) -> FiberPoint:
     """Substitute q into ground position pos of p, renumbering to 1..n+m-1."""
-    n = len(p.pk.ground)
-    m = len(q.pk.ground)
-    tmp = fiber_relabel(q, {str(j): "in:%d" % j for j in range(1, m + 1)})
-    z = fiber_mu_a(p, str(pos), tmp)
-    mapping = {"in:%d" % j: str(pos + j - 1) for j in range(1, m + 1)}
-    for t in range(pos + 1, n + 1):
-        mapping[str(t)] = str(t + m - 1)
-    return fiber_relabel(z, mapping)
+    apart, back = renumbering(len(p.pk.ground), pos, len(q.pk.ground))
+    z = fiber_mu_a(p, str(pos), fiber_relabel(q, apart))
+    return fiber_relabel(z, back)
 
 
 def fiber_drop(p: FiberPoint, pos: int) -> FiberPoint:
@@ -602,15 +609,10 @@ def sample_ovec(rng: Stream, family: RelativeFamily, sets) -> OVecPoint:
 def ovec_compose_at(theta: OVecPoint, i: int, pos: int, x) -> OVecPoint:
     """Substitute x into the non-marked input labeled pos of component i."""
     model = theta.family.components[i]
-    n = model.arity(theta.points[i])
-    m = model.arity(x)
-    tmp = model.relabel(x, {str(j): "in:%d" % j for j in range(1, m + 1)})
-    z = model.compose(theta.points[i], str(pos), tmp)
-    mapping = {"in:%d" % j: str(pos + j - 1) for j in range(1, m + 1)}
-    for t in range(pos + 1, n + 1):
-        mapping[str(t)] = str(t + m - 1)
+    apart, back = renumbering(model.arity(theta.points[i]), pos, model.arity(x))
+    z = model.compose(theta.points[i], str(pos), model.relabel(x, apart))
     points = list(theta.points)
-    points[i] = model.relabel(z, mapping)
+    points[i] = model.relabel(z, back)
     return OVecPoint(theta.family, tuple(points))
 
 

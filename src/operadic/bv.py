@@ -25,9 +25,8 @@ its result does not depend on the rewrite order.
 The rewrite engine is the one of `freeconstr`: a free point is the "ib" or
 "b" point with every time at one (`bv_tau`), and the free normal form is the
 timed one there.  This module adds the points with times, their checks and
-actions.  Absorbing into the pearls goes through the `ops` a caller passes,
-or else through the module operations that `freeconstr.module_ops` finds for
-the pearls' carrier.
+actions.  Absorbing into the pearls goes through the module operations that
+`freeconstr.module_ops` finds for the pearls' carrier.
 """
 
 from __future__ import annotations
@@ -44,22 +43,19 @@ from .algebra import (
     block_fiber,
 )
 from .errors import OperadicError
+from .exactgeom import rat
 from .freeconstr import (
-    FreeBPoint,
-    FreeIbPoint,
     _TimedState,
+    _act,
     _check_fibers,
     _free_state,
     _graft_leaf,
-    _graft_left_ib,
-    _graft_right,
-    _merge_b_operands,
+    _name_inputs,
     _new_root,
     _pearlward,
     _positional_ground,
     _positional_labels,
     _positional_ovec,
-    _relabel_component,
     _validate_b_decorations,
     _validate_ib_decorations,
 )
@@ -67,7 +63,6 @@ from .trees import (
     KFoldTree,
     arity,
     is_vertex,
-    leaves,
     pearl_of,
     validate_labeling,
     vertices,
@@ -92,7 +87,7 @@ def _time_sort_key(key):
 
 
 def _as_time(value) -> Fraction:
-    t = Fraction(value)
+    t = rat(value)
     if t < 0 or t > 1:
         raise OperadicError("time %s out of range" % t)
     return t
@@ -265,8 +260,11 @@ def _validate_inter(p: BVPoint):
 # conversions with the free constructions
 
 
-def _state_of(p: BVPoint, ops=None) -> _TimedState:
-    """The engine state of a timed point."""
+def _state_of(p):
+    """The engine state of a timed point; None for anything that is no timed
+    point."""
+    if not isinstance(p, BVPoint):
+        return None
     jtimes = {}
     utimes = {}
     for key, t in p.times:
@@ -274,21 +272,8 @@ def _state_of(p: BVPoint, ops=None) -> _TimedState:
             utimes[key] = t
         else:
             jtimes[key] = t
-    st = _TimedState(
-        p.flavor,
-        p.family,
-        [c.shape for c in p.tree.components],
-        [c.pearls for c in p.tree.components],
-        [dict(c.labels) for c in p.tree.components],
-        p.tree.marks_dict(),
-        p.pearls_dict(),
-        p.below_dict(),
-        p.upper_dict(),
-        jtimes,
-        utimes,
-    )
-    st.ops = ops
-    return st
+    return _TimedState.of_tree(p.flavor, p.family, p.tree, p.pearls_dict(), p.below_dict(),
+                               p.upper_dict(), jtimes, utimes)
 
 
 def _point_of(st: _TimedState) -> BVPoint:
@@ -307,15 +292,16 @@ def _point_of(st: _TimedState) -> BVPoint:
 
 def bv_tau(pt) -> BVPoint:
     """Embed a free point with every non-pearl vertex at time one."""
-    if not isinstance(pt, (FreeIbPoint, FreeBPoint)):
+    st = _free_state(pt)
+    if st is None:
         raise OperadicError("no timed embedding for %r" % type(pt).__name__)
-    return _point_of(_free_state(pt))
+    return _point_of(st)
 
 
-def bv_eta(p: BVPoint, ops=None, rng=None):
+def bv_eta(p: BVPoint, rng=None):
     """Send every time to zero and contract fully; the result is the value
     of the underlying composition, with inputs named by the leaf labels."""
-    st = _state_of(p, ops)
+    st = _state_of(p)
     st.jtimes = {key: Fraction(0) for key in st.jtimes}
     st.utimes = {key: Fraction(0) for key in st.utimes}
     st.run(rng)
@@ -330,28 +316,19 @@ def bv_eta(p: BVPoint, ops=None, rng=None):
         return model.relabel(st.upper_dec[(0, ())], mapping)
     if st.below_dec or st.upper_dec or set(st.pearl_dec) != {()}:
         raise OperadicError("the collapse left non-pearl vertices")
-    value = st.pearl_dec[()]
-    for i in range(st.k):
-        mapping = {
-            str(pos + 1): st.labels[i][q]
-            for pos, q in enumerate(leaves(st.shapes[i]))
-        }
-        mapping = {a: b for a, b in mapping.items() if a != b}
-        if mapping:
-            value = _relabel_component(value, i, mapping)
-    return value
+    return _name_inputs(st.pearl_dec[()], st.shapes, st.labels)
 
 
-def bv_normalize(p: BVPoint, rng=None, ops=None) -> BVPoint:
+def bv_normalize(p: BVPoint, rng=None) -> BVPoint:
     """The canonical form; the rewrite order (rng) never changes the result."""
-    return _point_of(_state_of(p, ops).run(rng))
+    return _point_of(_state_of(p).run(rng))
 
 
 # ---------------------------------------------------------------------------
 # module actions on the pearled flavors
 
 
-def bv_act(p: BVPoint, action, rng=None, ops=None) -> BVPoint:
+def bv_act(p: BVPoint, action, rng=None) -> BVPoint:
     """Graft at time one and renormalize.
 
     Actions are ("right", i, j, x) with x an operad element of component i
@@ -359,22 +336,7 @@ def bv_act(p: BVPoint, action, rng=None, ops=None) -> BVPoint:
     ("left", fiber, operands) with operand points for the "b" flavor."""
     if p.flavor not in ("ib", "b"):
         raise OperadicError("module actions apply to the pearled flavors")
-    if action[0] == "right":
-        _, i, j, x = action
-        st = _graft_right(_state_of(p, ops), i, j, x)
-    elif action[0] != "left":
-        raise OperadicError("unknown action %r" % (action[0],))
-    elif p.flavor == "ib":
-        st = _graft_left_ib(_state_of(p, ops), action[1])
-    else:
-        _, fiber, operands = action
-        operands = tuple(operands)
-        for op in operands:
-            if not isinstance(op, BVPoint) or op.flavor != "b" or op.family != p.family:
-                raise OperadicError("operands must be section points over the family")
-        st = _merge_b_operands(p.family, fiber, [_state_of(op) for op in operands])
-        st.ops = ops
-    return _point_of(st.run(rng))
+    return _point_of(_act(_state_of(p), action, _state_of).run(rng))
 
 
 # ---------------------------------------------------------------------------

@@ -53,8 +53,10 @@ from .algebra import (
     is_unit_ovec,
     ovec_compose_at,
     ovec_splice,
+    perm_mapping,
     prod_mu,
     qualify,
+    renumbering,
 )
 from .errors import OperadicError
 from .exactgeom import RectConfig, label_key
@@ -145,14 +147,10 @@ def stable_key(value) -> str:
     return repr(value)
 
 
-def _perm_map(perm) -> dict:
-    return {str(perm[j]): str(j + 1) for j in range(len(perm))}
-
-
 def act_component(value, i: int, perm) -> object:
     """Slot permutation on component i of a decoration; result slot j carries
     old slot perm[j].  A fiber point permutes its whole ground at once."""
-    return _relabel_component(value, i, _perm_map(perm))
+    return _relabel_component(value, i, perm_mapping(perm))
 
 
 def _relabel_component(value, i: int, mapping: dict) -> object:
@@ -163,16 +161,12 @@ def _relabel_component(value, i: int, mapping: dict) -> object:
         if orders[i] != PLUS:
             orders[i] = tuple(mapping.get(a, a) for a in orders[i])
         return FormalGenerator(value.name, tuple(orders), value.base)
-    if isinstance(value, OVecPoint):
+    if isinstance(value, (OVecPoint, ProductPoint)):
         points = list(value.points)
         points[i] = value.family.components[i].relabel(points[i], mapping)
-        return OVecPoint(value.family, tuple(points))
+        return type(value)(value.family, tuple(points))
     if isinstance(value, FiberPoint):
         return fiber_relabel(value, mapping)
-    if isinstance(value, ProductPoint):
-        points = list(value.points)
-        points[i] = value.family.components[i].relabel(points[i], mapping)
-        return ProductPoint(value.family, tuple(points))
     if isinstance(value, AugmentedPoint):
         points = list(value.points)
         if points[i] != PLUS:
@@ -190,7 +184,7 @@ def _relabel_component(value, i: int, mapping: dict) -> object:
     raise OperadicError("no component action for %r" % type(value).__name__)
 
 
-def _model_fragment(model, x, label: str):
+def _model_fragment(x, label: str):
     if isinstance(x, RectConfig):
         return x.rect(label) if x.has(label) else None
     if isinstance(x, tuple):
@@ -207,18 +201,16 @@ def slot_fragment(value, i: int, j: int):
         if value.orders[i] == PLUS:
             return None
         return value.orders[i].index(label) if label in value.orders[i] else None
-    if isinstance(value, OVecPoint):
-        return _model_fragment(value.family.components[i], value.points[i], label)
+    if isinstance(value, (OVecPoint, ProductPoint)):
+        return _model_fragment(value.points[i], label)
     if isinstance(value, FiberPoint):
         if value.pk.parts[i] == PLUS or label not in value.pk.parts[i]:
             return None
-        return _model_fragment(value.family.components[i], value.points[i], label)
-    if isinstance(value, ProductPoint):
-        return _model_fragment(value.family.components[i], value.points[i], label)
+        return _model_fragment(value.points[i], label)
     if isinstance(value, AugmentedPoint):
         if value.points[i] == PLUS:
             return None
-        return _model_fragment(value.family.base, value.points[i], label)
+        return _model_fragment(value.points[i], label)
     if isinstance(value, GluedElement):
         q = qualify(i, label)
         return value.config.rect(q) if value.config.has(q) else None
@@ -389,9 +381,8 @@ class _TimedState:
     "inter" a single pearled tree decorated by fiber points and "w" a single
     plain tree over one operad (the timed points of `bv`).  Free points are
     the "ib" and "b" states with every time at one.  Absorbing into a pearl
-    goes through module operations: `ops`, or else `module_ops(flavor,
-    family, template)` of the pearls' carrier, looked up when an absorb rule
-    first fires."""
+    goes through `module_ops(flavor, family, template)` of the pearls'
+    carrier, looked up when an absorb rule first fires and kept in `ops`."""
 
     def __init__(self, flavor, family, shapes, pearls, labels, marks,
                  pearl_dec, below_dec, upper_dec, jtimes, utimes):
@@ -410,6 +401,15 @@ class _TimedState:
         # the carrier of the pearls; it survives the drop of every pearl, so
         # that a pearl rebuilt at the root keeps the encoding
         self.base_template = next(iter(self.pearl_dec.values()), None)
+
+    @classmethod
+    def of_tree(cls, flavor, family, tree: KFoldTree, pearl_dec, below_dec, upper_dec,
+                jtimes, utimes) -> "_TimedState":
+        """The state of a decorated tree family with the given times."""
+        comps = tree.components
+        return cls(flavor, family, [c.shape for c in comps], [c.pearls for c in comps],
+                   [dict(c.labels) for c in comps], tree.marks_dict(),
+                   pearl_dec, below_dec, upper_dec, jtimes, utimes)
 
     @property
     def k(self) -> int:
@@ -736,10 +736,7 @@ class _TimedState:
         pattern = tuple(PLUS if part == PLUS else 0 for part in fiber.pk.parts)
         for i in range(self.k):
             self.pearls[i].add(path)
-        if self.base_template is None:
-            self.pearl_dec[path] = base_generator(pattern)
-        else:
-            self.pearl_dec[path] = base_like(self.base_template, self.family, pattern)
+        self.pearl_dec[path] = base_like(self.base_template, self.family, pattern)
 
     # -- single-tree fiber rewrites ------------------------------------------
 
@@ -808,7 +805,7 @@ class _TimedState:
     def _fragment(self, i, path, j):
         """What the decoration at path attaches to its slot j in component i."""
         if (i, path) in self.upper_dec:
-            return _model_fragment(self._model(i), self.upper_dec[(i, path)], str(j + 1))
+            return _model_fragment(self.upper_dec[(i, path)], str(j + 1))
         decor = self._decor_at(i, path)
         return None if decor is None else slot_fragment(decor, i, j)
 
@@ -939,21 +936,9 @@ def _pearlward(pearls, path) -> bool:
 # the points
 
 
-def _time_one(flavor, family, tree, marks, pearl_dec, below_dec, upper_dec) -> _TimedState:
-    comps = tree.components
-    return _TimedState(
-        flavor,
-        family,
-        [c.shape for c in comps],
-        [c.pearls for c in comps],
-        [dict(c.labels) for c in comps],
-        marks,
-        pearl_dec,
-        below_dec,
-        upper_dec,
-        {v: ONE for v in below_dec},
-        {key: ONE for key in upper_dec},
-    )
+def _time_one(flavor, family, tree, pearl_dec, below_dec, upper_dec) -> _TimedState:
+    return _TimedState.of_tree(flavor, family, tree, pearl_dec, below_dec, upper_dec,
+                               {v: ONE for v in below_dec}, {key: ONE for key in upper_dec})
 
 
 def _state_ib(family, tree, pearl, below, upper) -> _TimedState:
@@ -965,19 +950,22 @@ def _state_ib(family, tree, pearl, below, upper) -> _TimedState:
         below_dec[()] = below
     elif len(pearl_path) != 0:
         raise OperadicError("a pearl below the root needs a spine decoration")
-    return _time_one("ib", family, tree, {}, {pearl_path: pearl}, below_dec, dict(upper))
+    return _time_one("ib", family, tree, {pearl_path: pearl}, below_dec, dict(upper))
 
 
 def _state_b(family, tree, pearls, below, upper) -> _TimedState:
     below_dec = {} if below is None else {(): below}
-    return _time_one("b", family, tree, tree.marks_dict(), dict(pearls), below_dec, dict(upper))
+    return _time_one("b", family, tree, dict(pearls), below_dec, dict(upper))
 
 
-def _free_state(pt) -> _TimedState:
-    """The point as an engine state at time one."""
+def _free_state(pt):
+    """The point as an engine state at time one; None for anything that is
+    no free point."""
     if isinstance(pt, FreeIbPoint):
         return _state_ib(pt.family, pt.tree, pt.pearl, pt.below, pt.upper)
-    return _state_b(pt.family, pt.tree, pt.pearls, pt.below, pt.upper)
+    if isinstance(pt, FreeBPoint):
+        return _state_b(pt.family, pt.tree, pt.pearls, pt.below, pt.upper)
+    return None
 
 
 def _fields(state: _TimedState) -> tuple:
@@ -1153,7 +1141,7 @@ def _graft_right(state: _TimedState, i: int, j, x) -> _TimedState:
     m = model.arity(x)
     if not _positional_labels(model, x, m):
         raise OperadicError("operand labels must be positional")
-    path = _graft_leaf(state, i, int(j), m)
+    path = _graft_leaf(state, i, j, m)
     state.upper_dec[(i, path)] = x
     state.utimes[(i, path)] = ONE
     return state
@@ -1228,40 +1216,45 @@ def _merge_b_operands(family, fiber, operands) -> _TimedState:
                        pearl_dec, below_dec, upper_dec, jtimes, utimes)
 
 
+def _act(state: _TimedState, action, operand_state) -> _TimedState:
+    """Apply a module action to a pearled ("ib") or section ("b") state at
+    time one: ("right", i, j, x) grafts the operad element x of component i
+    onto the leaf labeled j, ("left", theta) puts a marked product point
+    below a pearled forest and ("left", fiber, operands) a fiber point below
+    the section states that operand_state makes of the operands (None for
+    an operand that is no point)."""
+    kind = action[0] if isinstance(action, (tuple, list)) and action else None
+    width = {"right": 4, "left": 2 if state.flavor == "ib" else 3}.get(kind)
+    if width is None or len(action) != width:
+        raise OperadicError("malformed action %r" % (action,))
+    if kind == "right":
+        _, i, j, x = action
+        if type(i) is not int or not 0 <= i < state.k:
+            raise OperadicError("no component %r" % (i,))
+        if type(j) is not int:
+            raise OperadicError("leaf label %r is not an integer" % (j,))
+        return _graft_right(state, i, j, x)
+    if state.flavor == "ib":
+        return _graft_left_ib(state, action[1])
+    _, fiber, operands = action
+    if not isinstance(operands, (tuple, list)):
+        raise OperadicError("the operands must be a sequence")
+    states = [operand_state(op) for op in operands]
+    if any(s is None or s.flavor != "b" or s.family != state.family for s in states):
+        raise OperadicError("operands must be section points over the family")
+    return _merge_b_operands(state.family, fiber, states)
+
+
 def free_graft_ib(pt: FreeIbPoint, action, rng=None) -> FreeIbPoint:
     """Apply a right corolla graft ("right", i, j, x) or a left marked
     product graft ("left", theta); returns the normal form."""
-    if action[0] == "right":
-        _, i, j, x = action
-        if not 1 <= int(j) <= pt.arities[i]:
-            raise OperadicError("leaf index out of range")
-        state = _graft_right(_free_state(pt), i, j, x)
-    elif action[0] == "left":
-        state = _graft_left_ib(_free_state(pt), action[1])
-    else:
-        raise OperadicError("unknown action %r" % (action[0],))
-    return _snapshot_ib(pt.family, state.run(rng))
+    return _snapshot_ib(pt.family, _act(_free_state(pt), action, _free_state).run(rng))
 
 
 def free_graft_b(pt: FreeBPoint, action, rng=None) -> FreeBPoint:
     """Apply a right corolla graft ("right", i, j, x) or a ground-indexed
     left graft ("left", fiber, operands); returns the normal form."""
-    family = pt.family
-    if action[0] == "right":
-        _, i, j, x = action
-        if pt.arities[i] == PLUS or not 1 <= int(j) <= pt.arities[i]:
-            raise OperadicError("leaf index out of range")
-        state = _graft_right(_free_state(pt), i, j, x)
-    elif action[0] == "left":
-        _, fiber, operands = action
-        operands = tuple(operands)
-        for op in operands:
-            if not isinstance(op, FreeBPoint) or op.family != family:
-                raise OperadicError("operands must be section points over the family")
-        state = _merge_b_operands(family, fiber, [_free_state(op) for op in operands])
-    else:
-        raise OperadicError("unknown action %r" % (action[0],))
-    return _snapshot_b(family, state.run(rng))
+    return _snapshot_b(pt.family, _act(_free_state(pt), action, _free_state).run(rng))
 
 
 # ---------------------------------------------------------------------------
@@ -1292,43 +1285,31 @@ class ProductIbOps:
         return prod_mu(_shift_theta(theta, tuple(len(s) for s in p.sets)), p)
 
 
-def _glued_compose_at(m: GluedElement, i: int, pos: int, y) -> GluedElement:
-    """Positional right substitution in one component of a glued element."""
-    if m.sets[i] == PLUS:
-        raise OperadicError("component %d is absent" % i)
-    n = len(m.sets[i])
-    my = len(y.labels)
-    tmp = y.relabel({str(j): "in:%d" % j for j in range(1, my + 1)})
-    z = glued_circ(m, i, str(pos), tmp)
-    mapping = {"in:%d" % j: str(pos + j - 1) for j in range(1, my + 1)}
-    for t in range(pos + 1, n + 1):
-        mapping[str(t)] = str(t + my - 1)
-    return glued_relabel(z, i, mapping)
-
-
-class GluedIbOps:
-    """Right and left operations of the glued rectangles carrier in the
-    all-present range."""
+class _GluedOps:
+    """Right operations of the glued rectangles carrier: positional
+    substitution in one component."""
 
     def __init__(self, family: RelativeFamily):
         self.family = family
 
     def right(self, p: GluedElement, i: int, pos: int, x) -> GluedElement:
-        return _glued_compose_at(p, i, pos, x)
+        if p.sets[i] == PLUS:
+            raise OperadicError("component %d is absent" % i)
+        apart, back = renumbering(len(p.sets[i]), pos, len(x.labels))
+        z = glued_circ(p, i, str(pos), x.relabel(apart))
+        return glued_relabel(z, i, back)
+
+
+class GluedIbOps(_GluedOps):
+    """The glued rectangles carrier with the marked left action, in the
+    all-present range."""
 
     def left(self, theta: OVecPoint, p: GluedElement) -> GluedElement:
         return glued_mu_direct(_shift_theta(theta, tuple(len(s) for s in p.sets)), p)
 
 
-class GluedBOps:
-    """Right operations and the ground-indexed left action of the glued
-    rectangles carrier."""
-
-    def __init__(self, family: RelativeFamily):
-        self.family = family
-
-    def right(self, p: GluedElement, i: int, pos: int, x) -> GluedElement:
-        return _glued_compose_at(p, i, pos, x)
+class GluedBOps(_GluedOps):
+    """The glued rectangles carrier with the ground-indexed left action."""
 
     def left(self, fiber: FiberPoint, operands) -> GluedElement:
         shifted = {}
@@ -1394,15 +1375,15 @@ def _pearl_fold(pt, path, value, ops):
     return value
 
 
-def _apply_sigma(value, pt):
-    for i, c in enumerate(pt.tree.components):
-        n = c.n_leaves
-        lab = dict(c.labels)
-        inv = [0] * n
-        for pos0, p in enumerate(leaves(c.shape)):
-            inv[int(lab[p]) - 1] = pos0 + 1
-        if inv != list(range(1, n + 1)):
-            value = act_component(value, i, tuple(inv))
+def _name_inputs(value, shapes, labels):
+    """Rename input p of each component i of a decoration to the label of the
+    p-th leaf of shapes[i] in planar order; labels[i] maps leaf paths to
+    labels."""
+    for i, shape in enumerate(shapes):
+        mapping = {str(pos + 1): labels[i][q] for pos, q in enumerate(leaves(shape))}
+        mapping = {a: b for a, b in mapping.items() if a != b}
+        if mapping:
+            value = _relabel_component(value, i, mapping)
     return value
 
 
@@ -1415,7 +1396,8 @@ def evaluate_ib(pt: FreeIbPoint, ops):
     value = _pearl_fold(pt, pearl_of(pt.tree.components[0]), pt.pearl, ops)
     if pt.below is not None:
         value = ops.left(pt.below, value)
-    return _apply_sigma(value, pt)
+    comps = pt.tree.components
+    return _name_inputs(value, [c.shape for c in comps], [dict(c.labels) for c in comps])
 
 
 def evaluate_b(pt: FreeBPoint, ops):
@@ -1425,4 +1407,5 @@ def evaluate_b(pt: FreeBPoint, ops):
         value = folded[()]
     else:
         value = ops.left(pt.below, [folded[(l,)] for l in range(len(folded))])
-    return _apply_sigma(value, pt)
+    comps = pt.tree.components
+    return _name_inputs(value, [c.shape for c in comps], [dict(c.labels) for c in comps])

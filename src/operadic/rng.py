@@ -15,6 +15,8 @@ from __future__ import annotations
 import hashlib
 from fractions import Fraction
 
+from .errors import OperadicError
+
 ALGORITHM_ID = "sha256-stream-v1"
 
 
@@ -49,7 +51,7 @@ class Stream:
     def randint(self, lo: int, hi: int) -> int:
         # inclusive bounds, uniform via rejection
         if lo > hi:
-            raise ValueError("empty range")
+            raise OperadicError("empty range")
         span = hi - lo + 1
         nbits = max(1, span.bit_length())
         while True:
@@ -60,7 +62,7 @@ class Stream:
     def choice(self, seq):
         seq = list(seq)
         if not seq:
-            raise ValueError("choice from empty sequence")
+            raise OperadicError("choice from empty sequence")
         return seq[self.randint(0, len(seq) - 1)]
 
     def shuffle(self, seq) -> list:
@@ -70,16 +72,18 @@ class Stream:
             out[i], out[j] = out[j], out[i]
         return out
 
-    def fraction(self, max_den: int = 64, lo: Fraction = Fraction(0), hi: Fraction = Fraction(1)) -> Fraction:
-        """Uniform-ish rational in [lo, hi] with raw denominator <= max_den."""
+    def fraction(self, max_den: int = 64, hi: Fraction = Fraction(1)) -> Fraction:
+        """Uniform-ish rational in [0, hi] with raw denominator <= max_den."""
         q = self.randint(1, max_den)
         p = self.randint(0, q)
-        return lo + (hi - lo) * Fraction(p, q)
-
-    def fraction_pos(self, max_den: int = 64, hi: Fraction = Fraction(1)) -> Fraction:
-        q = self.randint(2, max_den)
-        p = self.randint(1, q - 1)
         return hi * Fraction(p, q)
 
-    def maybe(self, num: int = 1, den: int = 2) -> bool:
-        return self.randint(1, den) <= num
+    def fraction_pos(self, max_den: int = 64) -> Fraction:
+        """Uniform-ish rational in (0, 1) with raw denominator <= max_den."""
+        q = self.randint(2, max_den)
+        p = self.randint(1, q - 1)
+        return Fraction(p, q)
+
+    def maybe(self) -> bool:
+        """A fair coin."""
+        return self.randint(1, 2) == 1

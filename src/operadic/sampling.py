@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import OperadicError
 from .exactgeom import MARK, Cube, MarkedFiberConfig, Rect, RectConfig
 from .rng import Stream
 
@@ -58,18 +59,18 @@ def _rect_in_box(rng: Stream, box, cube: bool) -> Rect:
     return Rect(tuple(scales), tuple(offsets))
 
 
-def sample_disjoint_config(rng: Stream, dim: int, labels, cube: bool = False, regime="disjoint") -> RectConfig:
+def sample_disjoint_config(rng: Stream, dim: int, labels, cube: bool = False) -> RectConfig:
     labels = list(labels)
     if not labels:
-        return RectConfig(dim, {}, regime)
+        return RectConfig(dim, {}, "disjoint")
     unit_box = (tuple(Fraction(0) for _ in range(dim)), tuple(Fraction(1) for _ in range(dim)))
     boxes = _split_boxes(rng.split("boxes"), unit_box, len(labels))
     rects = {lbl: _rect_in_box(rng.split(lbl), box, cube) for lbl, box in zip(labels, boxes)}
-    return RectConfig(dim, rects, regime)
+    return RectConfig(dim, rects, "disjoint")
 
 
-def sample_cube_config(rng: Stream, dim: int, labels, regime="disjoint") -> RectConfig:
-    return sample_disjoint_config(rng, dim, labels, cube=True, regime=regime)
+def sample_cube_config(rng: Stream, dim: int, labels) -> RectConfig:
+    return sample_disjoint_config(rng, dim, labels, cube=True)
 
 
 def sample_moverlap_config(rng: Stream, dim: int, labels, m: int) -> RectConfig:
@@ -88,7 +89,7 @@ def sample_moverlap_config(rng: Stream, dim: int, labels, m: int) -> RectConfig:
     return RectConfig(dim, rects, ("m-overlap", m))
 
 
-def sample_marked_cube_config(rng: Stream, dim: int, labels, marked_cube: Rect, regime="disjoint") -> RectConfig:
+def sample_marked_cube_config(rng: Stream, dim: int, labels, marked_cube: Rect) -> RectConfig:
     """Cubes over labels plus the given marked cube at "*", all disjoint.
 
     The non-marked cubes are packed into the two slabs on either side of the
@@ -105,7 +106,7 @@ def sample_marked_cube_config(rng: Stream, dim: int, labels, marked_cube: Rect, 
         slabs.append(((b0 + a,) + tuple(Fraction(0) for _ in range(dim - 1)),
                       (Fraction(1),) + tuple(Fraction(1) for _ in range(dim - 1))))
     if labels and not slabs:
-        raise ValueError("marked cube leaves no room")
+        raise OperadicError("marked cube leaves no room")
     rects = {MARK: marked_cube}
     if labels:
         counts = [0] * len(slabs)
@@ -119,7 +120,7 @@ def sample_marked_cube_config(rng: Stream, dim: int, labels, marked_cube: Rect, 
             for box in boxes:
                 rects[labels[pos]] = _rect_in_box(rng.split(labels[pos]), box, cube=True)
                 pos += 1
-    return RectConfig(dim, rects, regime)
+    return RectConfig(dim, rects, "disjoint")
 
 
 def sample_marked_fiber(rng: Stream, dims, ambient: int, label_sets, present=None) -> MarkedFiberConfig:
@@ -198,7 +199,7 @@ def sample_points(rng: Stream, n: int, dim: int) -> list:
     while len(pts) < n:
         attempts += 1
         if attempts > 100 * n:
-            raise ValueError("could not sample distinct points")
+            raise OperadicError("could not sample distinct points")
         p = tuple(rng.fraction(max_den=16) for _ in range(dim))
         if p not in seen:
             seen.add(p)

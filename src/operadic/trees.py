@@ -226,12 +226,6 @@ class KFoldTree:
         items = tuple(sorted(((int(i), tuple(p)), bool(v)) for (i, p), v in dict(self.marks).items()))
         object.__setattr__(self, "marks", items)
 
-    @property
-    def k(self) -> int:
-        if self.variant == "pTreeP":
-            return len({i for (i, _), _ in self.marks})
-        return len(self.components)
-
     def marks_dict(self) -> dict:
         return dict(self.marks)
 
@@ -717,7 +711,7 @@ def _enumerate_pearled(variant, arities, max_vertices, no_univalent):
     per_comp = []
     for n in arities:
         options = []
-        for shape in gen_planar_trees(n, max_vertices - (k - 1), allow_null=not no_univalent):
+        for shape in gen_planar_trees(n, max_vertices - (k - 1)):
             for p in pearl_positions(shape):
                 c = ComponentTree(shape, frozenset({p}))
                 if no_univalent and has_null_non_pearl(c):

@@ -17,9 +17,11 @@ from operadic.algebra import (
     compose_at,
     cube_family,
     fiber_compose_at,
+    fiber_drop,
     fiber_relabel,
     glued_eta,
     operad_model,
+    ovec_unit,
     sample_fiber_point,
     sample_ovec,
     sample_pk,
@@ -31,14 +33,17 @@ from operadic.freeconstr import (
     GluedIbOps,
     ProductIbOps,
     _TimedState,
+    act_component,
     b_generator,
     base_generator,
+    base_point,
     evaluate_b,
     evaluate_ib,
     formal_generator,
     free_graft_b,
     free_graft_ib,
     ib_generator,
+    is_base_value,
 )
 from operadic.rng import Stream
 from operadic.trees import (
@@ -217,7 +222,6 @@ class TestCounit:
                 want = direct_value(flavor, seed, actions[:n], ops)
                 assert evaluate(pt, ops) == want
                 assert bv_eta(bp) == want
-                assert bv_eta(bp, ops=ops) == want
 
     @pytest.mark.parametrize("flavor", ["ib", "b"])
     def test_eta_ignores_the_times(self, flavor):
@@ -290,6 +294,77 @@ class TestMonotone:
         p, _ = upper_chain()
         with pytest.raises(OperadicError):
             replace(p, times={(0, (0,)): 2})
+
+    @pytest.mark.parametrize("value", ["1/0", "x", None, float("inf"), 0.1])
+    def test_malformed_times(self, value):
+        p, _ = upper_chain()
+        with pytest.raises(OperadicError):
+            replace(p, times={(0, (0,)): value})
+
+
+def spine_chain(r):
+    """An "ib" generator, a marked product point theta and the timed point
+    with theta at the root at time one above a spine vertex at time one
+    half."""
+    gen = ib_generator(FAM, rand_glued(r.split("v"), (1, 1)))
+    theta = rand_theta(r.split("b"), (1, 1))
+    p = bv_act(bv_tau(gen), ("left", rand_theta(r.split("a"), (0, 0))))
+    return gen, theta, bv_act(replace(p, times={(): HALF}), ("left", theta))
+
+
+class TestTimedUnits:
+    def test_unit_spine_vertex_below_the_root_is_dropped(self):
+        gen, theta, p = spine_chain(Stream(133, ("unitspine",)))
+        assert p.times_dict() == {(): 1, (0,): HALF}
+        p = replace(p, below={**p.below_dict(), (0,): ovec_unit(FAM)})
+        assert bv_normalize(p) == bv_act(bv_tau(gen), ("left", theta))
+
+    def test_unit_grafts_fix_timed_points(self):
+        _, _, p = spine_chain(Stream(134, ("unitgraft",)))
+        for order in range(3):
+            rng = Stream(order, ("unitorder",))
+            assert bv_act(p, ("left", ovec_unit(FAM)), rng=rng) == p
+            for i in range(FAM.k):
+                for label in p.leaf_labels(i):
+                    unit = FAM.components[i].unit("1")
+                    assert bv_act(p, ("right", i, int(label), unit), rng=rng) == p
+
+
+# ---------------------------------------------------------------------------
+# malformed module actions
+
+
+def _action_targets():
+    r = Stream(135, ("badact",))
+    ib = ib_generator(FAM, rand_glued(r.split("ib"), (1, 1)))
+    b = b_generator(FAM, rand_glued(r.split("b"), (1, 1)))
+    return [(free_graft_ib, ib), (free_graft_b, b), (bv_act, bv_tau(ib)), (bv_act, bv_tau(b))]
+
+
+X1 = positional(FAM.components[0], Stream(136, ("x1",)), 1)
+FIB1 = sample_fiber_point(Stream(137, ("fib1",)), FAM, PKFamily(("1",), (("1",), ("1",))))
+
+
+@pytest.mark.parametrize("action", [
+    (),
+    ("up", 0, 1, X1),
+    ("right", 0, 1),
+    ("right", 0, 1, X1, X1),
+    ("left",),
+    ("right", 5, 1, X1),
+    ("right", -1, 1, X1),
+    ("right", "0", 1, X1),
+    ("right", 0, "x", X1),
+    ("right", 0, 1.5, X1),
+    ("left", FIB1, 5),
+    ("left", FIB1, None),
+], ids=["empty", "unknown-kind", "short-right", "long-right", "short-left", "i=5", "i=-1",
+        "i='0'", "j='x'", "j=1.5", "operands=5", "operands=None"])
+@pytest.mark.parametrize("act, point", _action_targets(),
+                         ids=["free-ib", "free-b", "timed-ib", "timed-b"])
+def test_malformed_actions_raise_operadic_errors(act, point, action):
+    with pytest.raises(OperadicError):
+        act(point, action)
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +525,32 @@ class TestBaseOperands:
 
 
 class TestCarrierWithoutOps:
+    def test_augmented_section_pearls(self):
+        r = Stream(152, ("augb",))
+        aug = AugmentedPoint(FAM, (positional(FAM.base, r.split("a"), 2), PLUS))
+        pt = b_generator(FAM, aug)
+        assert pt.arities == (2, PLUS)
+        # the corolla on leaf 1 sorts after leaf 2, which permutes the pearl
+        grafted = free_graft_b(pt, ("right", 0, 1, positional(FAM.components[0], r.split("x"), 2)))
+        assert grafted.arities == (3, PLUS)
+        assert dict(grafted.pearls)[()] == act_component(aug, 0, (2, 1))
+        other = b_generator(FAM, AugmentedPoint(FAM, (positional(FAM.base, r.split("o"), 1), PLUS)))
+        fib = sample_fiber_point(r.split("fib"), FAM, PKFamily(("1", "2"), (("1", "2"), PLUS)))
+        out = free_graft_b(grafted, ("left", fib, (grafted, other)))
+        timed = bv_act(bv_tau(grafted), ("left", fib, (bv_tau(grafted), bv_tau(other))))
+        assert timed == bv_tau(out)
+        half = replace(timed, times={key: HALF for key, _ in timed.times})
+        assert bv_normalize(half) == half
+        for order in range(3):
+            assert bv_normalize(half, rng=Stream(order, ("augorder",))) == half
+        # a base-point operand drops out of the fiber
+        base = base_point(FAM, (0, PLUS), template=aug)
+        assert dict(base.pearls)[()] == AugmentedPoint(FAM, (FAM.base.point0(), PLUS))
+        assert is_base_value(dict(base.pearls)[()])
+        assert free_graft_b(pt, ("left", fib, (pt, base))) == free_graft_b(
+            pt, ("left", fiber_drop(fib, 2), (pt,))
+        )
+
     def test_augmented_walks_normalize(self):
         rng = Stream(151, ("aug",))
         for trial in range(4):

@@ -363,11 +363,21 @@ class TestEnumerate:
 
     def test_lambda_restricted_finite_class(self):
         enum = T.enumerate_trees("rpTree", (1,), 4, no_univalent=True)
-        assert len(enum) == 4
+        assert len(enum) == 5
         assert not enum.truncated
         for t in enum.trees:
             c = t.components[0]
             assert all(T.arity(c.shape, v) > 0 or v in c.pearls for v in T.vertices(c.shape))
+
+    @pytest.mark.parametrize("variant", ["pTree", "rpTree", "sTree", "rsTree"])
+    def test_no_univalent_is_the_filtered_enumeration(self, variant):
+        # univalent pearls stay; only univalent non-pearl vertices go
+        for arities in [(0,), (1,), (2,), (0, 1), (1, 1), (2, 1)]:
+            full = T.enumerate_trees(variant, arities, 4)
+            want = [T.encode(t) for t in full.trees
+                    if not any(T.has_null_non_pearl(c) for c in t.components)]
+            got = T.enumerate_trees(variant, arities, 4, no_univalent=True)
+            assert [T.encode(t) for t in got.trees] == want, arities
 
     def test_bad_variant(self):
         with pytest.raises(OperadicError):
