@@ -18,9 +18,12 @@ and in what decorates the vertices:
 Every non-pearl vertex carries a rational time in [0, 1]; pearls sit at
 time zero.  Along an inner edge the time grows away from the pearls (for
 "w" the times are unconstrained).  Canonical form contracts equal-time
-neighbours, absorbs time-zero neighbours of pearls, removes unit-decorated
-vertices and sorts children by content; `bv_normalize` is idempotent and
-its result does not depend on the rewrite order.
+neighbours, a pearl counting as time zero, removes unit-decorated vertices
+and sorts children by content; `bv_normalize` is idempotent and its result
+does not depend on the rewrite order.  The engine has seven rules:
+`contract` and `drop-unit` for every pearled flavor, `absorb-star`,
+`drop-base-pearl` and `pearlize` for the section forests of "b", and
+`contract-zero` and `drop-unit-w` for "w", whose times are edge lengths.
 
 The rewrite engine is the one of `freeconstr`: a free point is the "ib" or
 "b" point with every time at one (`bv_tau`), and the free normal form is the
@@ -35,12 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
-    FiberPoint,
     OperadModel,
-    OVecPoint,
-    PLUS,
     RelativeFamily,
-    block_fiber,
 )
 from .errors import OperadicError
 from .exactgeom import rat
@@ -48,20 +47,15 @@ from .freeconstr import (
     _TimedState,
     _act,
     _check_fibers,
+    _check_upper,
     _free_state,
-    _graft_leaf,
     _name_inputs,
-    _new_root,
     _pearlward,
-    _positional_ground,
-    _positional_labels,
-    _positional_ovec,
     _validate_b_decorations,
     _validate_ib_decorations,
 )
 from .trees import (
     KFoldTree,
-    arity,
     is_vertex,
     pearl_of,
     validate_labeling,
@@ -221,13 +215,8 @@ def _validate_w(p: BVPoint):
     if p.pearls or p.below:
         raise OperadicError("flavor 'w' has operad decorations only")
     shape = p.tree.components[0].shape
-    upper = p.upper_dict()
     want = {(0, v) for v in vertices(shape)}
-    if set(upper) != want:
-        raise OperadicError("operad decorations must cover the vertices")
-    for (_, v), x in upper.items():
-        if not _positional_labels(model, x, arity(shape, v)):
-            raise OperadicError("operad decoration labels must be positional")
+    _check_upper([model], p.tree.components, p.upper_dict(), want, "vertices")
     times = p.times_dict()
     if set(times) != {v for v in vertices(shape) if v != ()}:
         raise OperadicError("times must cover the non-root vertices")
@@ -261,10 +250,9 @@ def _validate_inter(p: BVPoint):
 
 
 def _state_of(p):
-    """The engine state of a timed point; None for anything that is no timed
-    point."""
+    """The engine state of a timed point."""
     if not isinstance(p, BVPoint):
-        return None
+        raise OperadicError("%r is no timed point" % type(p).__name__)
     jtimes = {}
     utimes = {}
     for key, t in p.times:
@@ -292,10 +280,7 @@ def _point_of(st: _TimedState) -> BVPoint:
 
 def bv_tau(pt) -> BVPoint:
     """Embed a free point with every non-pearl vertex at time one."""
-    st = _free_state(pt)
-    if st is None:
-        raise OperadicError("no timed embedding for %r" % type(pt).__name__)
-    return _point_of(st)
+    return _point_of(_free_state(pt))
 
 
 def bv_eta(p: BVPoint, rng=None):
@@ -334,9 +319,10 @@ def bv_act(p: BVPoint, action, rng=None) -> BVPoint:
     Actions are ("right", i, j, x) with x an operad element of component i
     placed at the leaf labeled j, ("left", theta) for the "ib" flavor, and
     ("left", fiber, operands) with operand points for the "b" flavor."""
-    if p.flavor not in ("ib", "b"):
+    st = _state_of(p)
+    if st.flavor not in ("ib", "b"):
         raise OperadicError("module actions apply to the pearled flavors")
-    return _point_of(_act(_state_of(p), action, _state_of).run(rng))
+    return _point_of(_act(st, action, _state_of).run(rng))
 
 
 # ---------------------------------------------------------------------------
@@ -350,44 +336,7 @@ def intermediate_act(x: BVPoint, action, rng=None) -> BVPoint:
     pattern must match the leaf's marks.  ("left", theta) adds a new root
     whose first input carries the old tree and whose remaining inputs split
     into consecutive blocks, one per component."""
-    if x.flavor != "inter":
-        raise OperadicError("intermediate actions apply to the fiber flavor")
-    family = x.family
     st = _state_of(x)
-    if action[0] == "right":
-        _, j, fiber = action
-        j = int(j)
-        if not isinstance(fiber, FiberPoint) or fiber.family != family:
-            raise OperadicError("the operand must be a fiber point")
-        m = len(fiber.pk.ground)
-        if not _positional_ground(fiber, m):
-            raise OperadicError("fiber ground must be positional")
-        leafp = x.tree.components[0].leaf_of(str(j))
-        for u, part in enumerate(fiber.pk.parts):
-            if st.marks[(u, leafp)] == (part == PLUS):
-                raise OperadicError(
-                    "sentinel pattern does not match the marking of leaf %r" % (j,)
-                )
-        _graft_leaf(st, 0, j, m)
-        st.below_dec[leafp] = fiber
-        st.jtimes[leafp] = Fraction(1)
-        for u, part in enumerate(fiber.pk.parts):
-            for t in range(m):
-                st.marks[(u, leafp + (t,))] = part != PLUS and str(t + 1) in part
-        return _point_of(st.run(rng))
-    if action[0] != "left":
-        raise OperadicError("unknown action %r" % (action[0],))
-    _, theta = action
-    if not isinstance(theta, OVecPoint) or theta.family != family:
-        raise OperadicError("the operand must be a marked product point")
-    if not _positional_ovec(theta, [len(s) + 1 for s in theta.sets]):
-        raise OperadicError("operand labels must be positional")
-    fiber = block_fiber(theta)
-    n = len(fiber.pk.ground)
-    _new_root(st, [n - 1], fiber)
-    for u, part in enumerate(fiber.pk.parts):
-        st.marks[(u, ())] = True
-        st.marks[(u, (0,))] = True
-        for s in range(1, n):
-            st.marks[(u, (s,))] = str(s + 1) in part
-    return _point_of(st.run(rng))
+    if st.flavor != "inter":
+        raise OperadicError("intermediate actions apply to the fiber flavor")
+    return _point_of(_act(st, action, _state_of).run(rng))

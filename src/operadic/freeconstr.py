@@ -41,6 +41,7 @@ from .algebra import (
     ProductPoint,
     RelativeFamily,
     act_numeric,
+    block_fiber,
     compose_at,
     fiber_compose_at,
     fiber_drop,
@@ -311,11 +312,13 @@ def _check_components(family, comps):
         raise OperadicError("component count mismatch")
 
 
-def _check_upper(family, comps, upper: dict, want: set, where: str):
+def _check_upper(models, comps, upper: dict, want: set, where: str):
+    """The operad decorations cover the keys in want; component i's are
+    positional elements of models[i]."""
     if set(upper) != want:
         raise OperadicError("operad decorations must cover the %s" % where)
     for (i, v), x in upper.items():
-        if not _positional_labels(family.components[i], x, arity(comps[i].shape, v)):
+        if not _positional_labels(models[i], x, arity(comps[i].shape, v)):
             raise OperadicError("operad decoration labels must be positional")
 
 
@@ -342,7 +345,7 @@ def _validate_ib_decorations(family, tree: KFoldTree, pearls: dict, below: dict,
         (i, v) for i, c in enumerate(comps) for v in vertices(c.shape)
         if v != pearl and v not in spine
     }
-    _check_upper(family, comps, upper, want, "off-spine vertices")
+    _check_upper(family.components, comps, upper, want, "off-spine vertices")
     return spine | want
 
 
@@ -365,7 +368,7 @@ def _validate_b_decorations(family, tree: KFoldTree, pearls: dict, below: dict,
         raise OperadicError("fiber decorations must cover the below part")
     _check_fibers(family, comps[0].shape, marks, below)
     want = {(i, v) for i, c in enumerate(comps) for v in above_paths(c)}
-    _check_upper(family, comps, upper, want, "above-section vertices")
+    _check_upper(family.components, comps, upper, want, "above-section vertices")
     return set(below) | want
 
 
@@ -380,9 +383,29 @@ class _TimedState:
     The flavor fixes the layout: "ib" pearled forests, "b" section forests,
     "inter" a single pearled tree decorated by fiber points and "w" a single
     plain tree over one operad (the timed points of `bv`).  Free points are
-    the "ib" and "b" states with every time at one.  Absorbing into a pearl
-    goes through `module_ops(flavor, family, template)` of the pearls'
-    carrier, looked up when an absorb rule first fires and kept in `ops`."""
+    the "ib" and "b" states with every time at one.
+
+    A rule takes a vertex key (i, path): i is the component of an upper
+    vertex and None for a joint one, a pearl or a vertex below.  A pearl
+    sits at time zero.  The seven rules:
+
+    contract         a vertex and its parent at equal times become one
+                     vertex; when either is a pearl, the merged vertex is
+                     the pearl ("b" absorbs pearls into their parent only by
+                     absorb-star, as the section's left action takes all its
+                     operands at once)
+    drop-unit        a unit vertex of arity one goes
+    absorb-star      a "b" vertex at time zero whose inputs are all pearls
+                     becomes one pearl
+    drop-base-pearl  a "b" pearl carrying a base point leaves its fiber
+    pearlize         a "b" root without inputs becomes a base-point pearl
+    contract-zero    a "w" edge of length zero contracts
+    drop-unit-w      a "w" unit vertex goes, the merged edge keeping the
+                     longer length
+
+    Composing with a pearl goes through `module_ops(flavor, family,
+    template)` of the pearls' carrier, looked up when first needed and kept
+    in `ops`."""
 
     def __init__(self, flavor, family, shapes, pearls, labels, marks,
                  pearl_dec, below_dec, upper_dec, jtimes, utimes):
@@ -415,9 +438,6 @@ class _TimedState:
     def k(self) -> int:
         return len(self.shapes)
 
-    def is_pearl(self, path) -> bool:
-        return any(path in p for p in self.pearls)
-
     def components(self) -> tuple:
         comps = []
         for i in range(self.k):
@@ -431,65 +451,43 @@ class _TimedState:
             self.ops = module_ops(self.flavor, self.family, self.base_template)
         return self.ops
 
+    def _clock(self, i, path):
+        """The time of the vertex at path; a pearl sits at time zero."""
+        return 0 if path in self.pearl_dec else self._time_at(i, path)
+
     # -- rewrite enumeration ----------------------------------------------
 
     def available(self) -> list:
         if self.flavor == "w":
             return self._available_w()
-        if self.flavor == "inter":
-            return self._available_inter()
         out = []
         for (i, q) in sorted(self.upper_dec):
-            par = q[:-1]
-            t = self.utimes[(i, q)]
-            if self.is_pearl(par):
-                if t == 0:
-                    out.append(("absorb-upper", (i, q)))
-            elif par in self.below_dec:
-                if t == self.jtimes[par]:
-                    out.append(("merge-upper", (i, q)))
-            elif t == self.utimes[(i, par)]:
-                out.append(("merge-upper", (i, q)))
+            if self.utimes[(i, q)] == self._clock(i, q[:-1]):
+                out.append(("contract", (i, q)))
             if (arity(self.shapes[i], q) == 1
                     and self.upper_dec[(i, q)] == self.family.components[i].unit("1")):
-                out.append(("drop-unit-upper", (i, q)))
+                out.append(("drop-unit", (i, q)))
+        is_unit = is_unit_ovec if self.flavor == "ib" else is_unit_fiber
         for q in sorted(self.below_dec):
+            t = self.jtimes[q]
             width = arity(self.shapes[0], q)
-            dec = self.below_dec[q]
-            is_unit = is_unit_ovec if self.flavor == "ib" else is_unit_fiber
-            if width == 1 and is_unit(dec):
-                out.append(("drop-unit-below", q))
-            if q and self.jtimes[q] == self.jtimes[q[:-1]]:
-                out.append(("merge-below", q))
-            if self.jtimes[q] == 0:
-                if self.flavor == "ib":
-                    if self.is_pearl(q + (0,)):
-                        out.append(("absorb-below", q))
-                elif width and all(self.is_pearl(q + (s,)) for s in range(width)):
-                    out.append(("absorb-star", q))
+            if width == 1 and is_unit(self.below_dec[q]):
+                out.append(("drop-unit", (None, q)))
+            if q and t == self._clock(None, q[:-1]):
+                out.append(("contract", (None, q)))
+            if t != 0:
+                continue
+            if self.flavor != "b":
+                if q + (0,) in self.pearl_dec:
+                    out.append(("contract", (None, q + (0,))))
+            elif width and all(q + (s,) in self.pearl_dec for s in range(width)):
+                out.append(("absorb-star", (None, q)))
         if self.flavor == "b":
             for q in sorted(self.pearl_dec):
                 if q and is_base_value(self.pearl_dec[q]):
-                    out.append(("drop-base-pearl", q))
+                    out.append(("drop-base-pearl", (None, q)))
             if () in self.below_dec and arity(self.shapes[0], ()) == 0:
-                out.append(("pearlize", ()))
-        return out
-
-    def _available_inter(self) -> list:
-        out = []
-        for q in sorted(self.below_dec):
-            t = self.jtimes[q]
-            if arity(self.shapes[0], q) == 1 and is_unit_fiber(self.below_dec[q]):
-                out.append(("drop-unit-below", q))
-            if q:
-                par = q[:-1]
-                if par in self.below_dec:
-                    if t == self.jtimes[par]:
-                        out.append(("merge-below", q))
-                elif t == 0:
-                    out.append(("merge-into-pearl", q))
-            if t == 0 and self.is_pearl(q + (0,)):
-                out.append(("merge-pearl-up", q))
+                out.append(("pearlize", (None, ())))
         return out
 
     def _available_w(self) -> list:
@@ -499,34 +497,25 @@ class _TimedState:
             return out
         for q in sorted(self.jtimes):
             if self.jtimes[q] == 0:
-                out.append(("contract-zero", q))
+                out.append(("contract-zero", (0, q)))
         for q in vertices(shape):
             if arity(shape, q) == 1 and self.upper_dec[(0, q)] == self.family.unit("1"):
-                out.append(("drop-unit-w", q))
+                out.append(("drop-unit-w", (0, q)))
         return out
 
     def apply(self, rule, arg):
         handler = {
-            "merge-upper": self._merge_upper,
-            "absorb-upper": self._absorb_upper,
-            "drop-unit-upper": self._drop_unit_upper,
-            "merge-below": self._merge_below,
-            "absorb-below": self._absorb_below,
+            "contract": self._contract,
+            "drop-unit": self._drop_unit,
             "absorb-star": self._absorb_star,
-            "drop-unit-below": self._drop_unit_below,
             "drop-base-pearl": self._drop_base_pearl,
             "pearlize": self._pearlize,
-            "merge-into-pearl": self._merge_into_pearl,
-            "merge-pearl-up": self._merge_pearl_up,
             "contract-zero": self._contract_zero,
             "drop-unit-w": self._drop_unit_w,
         }.get(rule)
         if handler is None:
             raise OperadicError("unknown rewrite %r" % (rule,))
-        if rule in ("merge-upper", "absorb-upper", "drop-unit-upper"):
-            handler(*arg)
-        else:
-            handler(arg)
+        handler(*arg)
 
     def run(self, rng=None) -> "_TimedState":
         while True:
@@ -591,22 +580,6 @@ class _TimedState:
         self._move_component(i, move, drops={path})
         return move
 
-    def _drop_vertex(self, i, path):
-        """Remove a childless vertex; returns the move applied."""
-        par, slot = path[:-1], path[-1]
-        node = subtree(self.shapes[i], par)
-        self.shapes[i] = replace(
-            self.shapes[i], par, node[:slot] + node[slot + 1 :]
-        )
-
-        def move(p):
-            if len(p) > len(par) and p[: len(par)] == par and p[len(par)] > slot:
-                return par + (p[len(par)] - 1,) + p[len(par) + 1 :]
-            return p
-
-        self._move_component(i, move, drops={path})
-        return move
-
     def _splice_children(self, i, path, drops):
         """Replace the node at path by the concatenation of its children."""
         node = subtree(self.shapes[i], path)
@@ -628,83 +601,76 @@ class _TimedState:
         self._move_component(i, move, drops=drops)
         return move
 
-    # -- shared rewrites ------------------------------------------------------
+    # -- the rewrites --------------------------------------------------------
 
-    def _merge_upper(self, i, path):
-        x = self.upper_dec.pop((i, path))
-        self.utimes.pop((i, path))
-        par, slot = path[:-1], path[-1]
-        if par in self.below_dec and self.flavor == "ib":
-            self.below_dec[par] = ovec_compose_at(self.below_dec[par], i, slot + 1, x)
-        else:
-            model = self.family.components[i]
-            self.upper_dec[(i, par)] = compose_at(
-                model, self.upper_dec[(i, par)], slot + 1, x
-            )
-        self._contract_into_parent(i, path)
-
-    def _absorb_upper(self, i, path):
-        x = self.upper_dec.pop((i, path))
-        self.utimes.pop((i, path))
-        par, slot = path[:-1], path[-1]
-        self.pearl_dec[par] = self._ops().right(self.pearl_dec[par], i, slot + 1, x)
-        self._contract_into_parent(i, path)
-
-    def _drop_unit_upper(self, i, path):
-        self.upper_dec.pop((i, path))
-        self.utimes.pop((i, path))
-        self._contract_into_parent(i, path)
-
-    def _merge_below(self, path):
-        child = self.below_dec.pop(path)
-        self.jtimes.pop(path)
-        par, slot = path[:-1], path[-1]
-        if self.flavor == "ib":
-            self.below_dec[par] = ovec_splice(self.below_dec[par], child)
-        else:
-            self.below_dec[par] = fiber_compose_at(self.below_dec[par], slot + 1, child)
-        move = None
-        for i in range(self.k):
-            move = self._contract_into_parent(i, path)
+    def _splice_out(self, i, path):
+        """Remove the vertex at path, its children taking its slot in the
+        parent, and return its decoration.  i names the component of an upper
+        vertex and is None for a joint one, which goes in every component."""
+        if i is not None:
+            self.utimes.pop((i, path))
+            x = self.upper_dec.pop((i, path))
+            self._contract_into_parent(i, path)
+            return x
+        self.jtimes.pop(path, None)
+        x = self.pearl_dec.pop(path) if path in self.pearl_dec else self.below_dec.pop(path)
+        for j in range(self.k):
+            move = self._contract_into_parent(j, path)
         # joint contractions sit at slot zero or have equal shapes across the
         # components, so any component's relocation map serves the joint keys
         self._move_joint_keys(move, drops={path})
+        return x
 
-    def _drop_unit_below(self, path):
+    def _contract(self, i, path):
+        """Compose the vertex at path into its parent, the two sitting at equal
+        times; when either end is a pearl, the merged vertex is the pearl."""
+        par, slot = path[:-1], path[-1]
+        pearl_child = path in self.pearl_dec
+        x = self._splice_out(i, path)
+        if i is not None:
+            if par in self.pearl_dec:
+                self.pearl_dec[par] = self._ops().right(self.pearl_dec[par], i, slot + 1, x)
+            elif par in self.below_dec:
+                self.below_dec[par] = ovec_compose_at(self.below_dec[par], i, slot + 1, x)
+            else:
+                self.upper_dec[(i, par)] = compose_at(
+                    self._model(i), self.upper_dec[(i, par)], slot + 1, x
+                )
+            return
+        target = self.pearl_dec if par in self.pearl_dec else self.below_dec
+        parent = target.pop(par)
+        if self.flavor != "ib":
+            value = fiber_compose_at(parent, slot + 1, x)
+        elif pearl_child:
+            value = self._ops().left(parent, x)
+        else:
+            value = ovec_splice(parent, x)
+        if pearl_child:
+            self.jtimes.pop(par)
+            target = self.pearl_dec
+            for pearls in self.pearls:
+                pearls.add(par)
+        target[par] = value
+
+    def _drop_unit(self, i, path):
+        """Remove a unit vertex of arity one; at the root its child becomes
+        the root."""
+        if path:
+            self._splice_out(i, path)
+            return
         self.below_dec.pop(path)
         self.jtimes.pop(path)
-        if path == ():
-            self.marks = {(j, p): v for (j, p), v in self.marks.items() if p != ()}
+        self.marks = {(j, p): v for (j, p), v in self.marks.items() if p != ()}
 
-            def move(p):
-                return p[1:]
+        def move(p):
+            return p[1:]
 
-            for i in range(self.k):
-                self.shapes[i] = subtree(self.shapes[i], (0,))
-                self._move_component(i, move)
-            self._move_joint_keys(move)
-            return
-        move = None
-        for i in range(self.k):
-            move = self._contract_into_parent(i, path)
-        self._move_joint_keys(move, drops={path})
+        for j in range(self.k):
+            self.shapes[j] = subtree(self.shapes[j], (0,))
+            self._move_component(j, move)
+        self._move_joint_keys(move)
 
-    # -- pearled rewrites -------------------------------------------------------
-
-    def _absorb_below(self, path):
-        theta = self.below_dec.pop(path)
-        self.jtimes.pop(path)
-        pearl = path + (0,)
-        value = self._ops().left(theta, self.pearl_dec.pop(pearl))
-        move = None
-        for i in range(self.k):
-            self.pearls[i].discard(pearl)
-            move = self._contract_into_parent(i, pearl)
-            self.pearls[i].add(path)
-        self._move_joint_keys(move, drops={pearl})
-        self.pearl_dec[path] = value
-
-    def _absorb_star(self, path):
+    def _absorb_star(self, _, path):
         fiber = self.below_dec.pop(path)
         self.jtimes.pop(path)
         width = arity(self.shapes[0], path)
@@ -718,17 +684,12 @@ class _TimedState:
         self._move_joint_keys(lambda p: p, drops=drops)
         self.pearl_dec[path] = value
 
-    def _drop_base_pearl(self, path):
-        self.base_template = self.pearl_dec.pop(path)
+    def _drop_base_pearl(self, _, path):
+        self.base_template = self._splice_out(None, path)
         par, slot = path[:-1], path[-1]
         self.below_dec[par] = fiber_drop(self.below_dec[par], slot + 1)
-        move = None
-        for i in range(self.k):
-            self.pearls[i].discard(path)
-            move = self._drop_vertex(i, path)
-        self._move_joint_keys(move, drops={path})
 
-    def _pearlize(self, path):
+    def _pearlize(self, _, path):
         fiber = self.below_dec.pop(path)
         # the surviving datum of a zero-width root is its arity pattern; the
         # time has nothing left to weight and is discarded
@@ -738,53 +699,32 @@ class _TimedState:
             self.pearls[i].add(path)
         self.pearl_dec[path] = base_like(self.base_template, self.family, pattern)
 
-    # -- single-tree fiber rewrites ------------------------------------------
-
-    def _merge_into_pearl(self, path):
-        child = self.below_dec.pop(path)
-        self.jtimes.pop(path)
-        par, slot = path[:-1], path[-1]
-        self.pearl_dec[par] = fiber_compose_at(self.pearl_dec[par], slot + 1, child)
-        move = self._contract_into_parent(0, path)
-        self._move_joint_keys(move, drops={path})
-
-    def _merge_pearl_up(self, path):
-        fiber = self.below_dec.pop(path)
-        self.jtimes.pop(path)
-        pearl = path + (0,)
-        value = fiber_compose_at(fiber, 1, self.pearl_dec.pop(pearl))
-        self.pearls[0].discard(pearl)
-        move = self._contract_into_parent(0, pearl)
-        self.pearls[0].add(path)
-        self._move_joint_keys(move, drops={pearl})
-        self.pearl_dec[path] = value
-
     # -- plain tree rewrites ---------------------------------------------------
 
-    def _contract_zero(self, path):
-        x = self.upper_dec.pop((0, path))
+    def _contract_zero(self, i, path):
+        x = self.upper_dec.pop((i, path))
         self.jtimes.pop(path)
         par, slot = path[:-1], path[-1]
-        self.upper_dec[(0, par)] = compose_at(
-            self.family, self.upper_dec[(0, par)], slot + 1, x
+        self.upper_dec[(i, par)] = compose_at(
+            self.family, self.upper_dec[(i, par)], slot + 1, x
         )
-        move = self._contract_into_parent(0, path)
+        move = self._contract_into_parent(i, path)
         self._move_joint_keys(move, drops={path})
 
-    def _drop_unit_w(self, path):
-        self.upper_dec.pop((0, path))
-        node = subtree(self.shapes[0], path)
+    def _drop_unit_w(self, i, path):
+        self.upper_dec.pop((i, path))
+        node = subtree(self.shapes[i], path)
         child = path + (0,)
         t_out = self.jtimes.pop(path, None)
         t_in = self.jtimes.pop(child, None)
-        self.shapes[0] = replace(self.shapes[0], path, node[0])
+        self.shapes[i] = replace(self.shapes[i], path, node[0])
 
         def move(p):
             if is_ancestor(child, p):
                 return path + p[len(child) :]
             return p
 
-        self._move_component(0, move)
+        self._move_component(i, move)
         self._move_joint_keys(move)
         if t_out is not None and t_in is not None:
             # both edges are inner, so the merged edge keeps the longer one
@@ -959,13 +899,12 @@ def _state_b(family, tree, pearls, below, upper) -> _TimedState:
 
 
 def _free_state(pt):
-    """The point as an engine state at time one; None for anything that is
-    no free point."""
+    """The point as an engine state at time one."""
     if isinstance(pt, FreeIbPoint):
         return _state_ib(pt.family, pt.tree, pt.pearl, pt.below, pt.upper)
     if isinstance(pt, FreeBPoint):
         return _state_b(pt.family, pt.tree, pt.pearls, pt.below, pt.upper)
-    return None
+    raise OperadicError("%r is no free point" % type(pt).__name__)
 
 
 def _fields(state: _TimedState) -> tuple:
@@ -1064,26 +1003,26 @@ def has_univalent_vertex(pt) -> bool:
 # builders
 
 
-def _snapshot_ib(family, state: _TimedState) -> FreeIbPoint:
+def _snapshot_ib(state: _TimedState) -> FreeIbPoint:
     tree, pearls, belows, upper = _fields(state)
-    return FreeIbPoint(family, tree, pearls[0][1], belows[0][1] if belows else None, upper)
+    return FreeIbPoint(state.family, tree, pearls[0][1], belows[0][1] if belows else None, upper)
 
 
-def _snapshot_b(family, state: _TimedState) -> FreeBPoint:
+def _snapshot_b(state: _TimedState) -> FreeBPoint:
     tree, pearls, belows, upper = _fields(state)
-    return FreeBPoint(family, tree, pearls, belows[0][1] if belows else None, upper)
+    return FreeBPoint(state.family, tree, pearls, belows[0][1] if belows else None, upper)
 
 
 def ib_point(family, tree, pearl, below=None, upper=(), rng=None) -> FreeIbPoint:
     """Normalize a decorated pearled forest and freeze the result."""
     state = _state_ib(family, tree, pearl, below, dict(upper)).run(rng)
-    return _snapshot_ib(family, state)
+    return _snapshot_ib(state)
 
 
 def b_point(family, tree, pearls, below=None, upper=(), rng=None) -> FreeBPoint:
     """Normalize a decorated section forest and freeze the result."""
     state = _state_b(family, tree, dict(pearls), below, dict(upper)).run(rng)
-    return _snapshot_b(family, state)
+    return _snapshot_b(state)
 
 
 def ib_generator(family: RelativeFamily, pearl) -> FreeIbPoint:
@@ -1147,6 +1086,34 @@ def _graft_right(state: _TimedState, i: int, j, x) -> _TimedState:
     return state
 
 
+def _check_fiber_operand(family, fiber):
+    if not isinstance(fiber, FiberPoint) or fiber.family != family:
+        raise OperadicError("the operand must be a fiber point over the family")
+    if not _positional_ground(fiber, len(fiber.pk.ground)):
+        raise OperadicError("fiber ground must be positional")
+
+
+def _mark_inputs(state: _TimedState, path, fiber):
+    """Mark the input edges of the fiber vertex at path from its parts."""
+    for u, part in enumerate(fiber.pk.parts):
+        for t in range(len(fiber.pk.ground)):
+            state.marks[(u, path + (t,))] = part != PLUS and str(t + 1) in part
+
+
+def _graft_fiber(state: _TimedState, j, fiber) -> _TimedState:
+    """Graft a corolla of the fiber point onto the leaf labeled j of a
+    single-tree fiber state; the fiber's sentinel pattern must match the
+    leaf's marks."""
+    _check_fiber_operand(state.family, fiber)
+    path = _graft_leaf(state, 0, j, len(fiber.pk.ground))
+    if any(state.marks[(u, path)] == (part == PLUS) for u, part in enumerate(fiber.pk.parts)):
+        raise OperadicError("sentinel pattern does not match the marking of leaf %r" % (j,))
+    state.below_dec[path] = fiber
+    state.jtimes[path] = ONE
+    _mark_inputs(state, path, fiber)
+    return state
+
+
 def _new_root(state: _TimedState, extras, decoration) -> _TimedState:
     """Put a new root with the given decoration at time one below the forest;
     its first input carries the old tree, and component i gets extras[i] more
@@ -1167,25 +1134,38 @@ def _new_root(state: _TimedState, extras, decoration) -> _TimedState:
     return state
 
 
-def _graft_left_ib(state: _TimedState, theta) -> _TimedState:
-    """Put a new root decorated by the marked product point theta below the
-    forest."""
-    if not isinstance(theta, OVecPoint) or theta.family != state.family:
+def _check_ovec_operand(family, theta):
+    if not isinstance(theta, OVecPoint) or theta.family != family:
         raise OperadicError("the left operand must be a marked product point")
     if not _positional_ovec(theta, [len(s) + 1 for s in theta.sets]):
         raise OperadicError("left operand labels must be positional")
+
+
+def _graft_left_ib(state: _TimedState, theta) -> _TimedState:
+    """Put a new root decorated by the marked product point theta below the
+    forest."""
+    _check_ovec_operand(state.family, theta)
     return _new_root(state, [len(s) for s in theta.sets], theta)
+
+
+def _graft_left_inter(state: _TimedState, theta) -> _TimedState:
+    """Put a new root decorated by the block fiber of the marked product
+    point theta below a single-tree fiber state; its inputs after the first
+    split into consecutive blocks, one per component."""
+    _check_ovec_operand(state.family, theta)
+    fiber = block_fiber(theta)
+    _new_root(state, [len(fiber.pk.ground) - 1], fiber)
+    for u in range(theta.family.k):
+        state.marks[(u, ())] = True
+    _mark_inputs(state, (), fiber)
+    return state
 
 
 def _merge_b_operands(family, fiber, operands) -> _TimedState:
     """Put a new root decorated by the fiber point below the operand states,
     one per ground element, continuing each component's leaf labels."""
-    if not isinstance(fiber, FiberPoint) or fiber.family != family:
-        raise OperadicError("the left operand must be a fiber point")
-    m = len(fiber.pk.ground)
-    if not _positional_ground(fiber, m):
-        raise OperadicError("fiber ground must be positional")
-    if len(operands) != m:
+    _check_fiber_operand(family, fiber)
+    if len(operands) != len(fiber.pk.ground):
         raise OperadicError("one operand per ground element is required")
     k = family.k
     shapes = [[] for _ in range(k)]
@@ -1217,30 +1197,32 @@ def _merge_b_operands(family, fiber, operands) -> _TimedState:
 
 
 def _act(state: _TimedState, action, operand_state) -> _TimedState:
-    """Apply a module action to a pearled ("ib") or section ("b") state at
-    time one: ("right", i, j, x) grafts the operad element x of component i
-    onto the leaf labeled j, ("left", theta) puts a marked product point
-    below a pearled forest and ("left", fiber, operands) a fiber point below
-    the section states that operand_state makes of the operands (None for
-    an operand that is no point)."""
+    """Apply a module action to a pearled ("ib"), section ("b") or single-tree
+    fiber ("inter") state at time one: ("right", i, j, x) grafts the operad
+    element x of component i onto the leaf labeled j, ("right", j, fiber) a
+    fiber corolla onto the leaf labeled j of a fiber state, ("left", theta)
+    puts a marked product point (or its block fiber) below the tree and
+    ("left", fiber, operands) a fiber point below the section states that
+    operand_state makes of the operands."""
     kind = action[0] if isinstance(action, (tuple, list)) and action else None
-    width = {"right": 4, "left": 2 if state.flavor == "ib" else 3}.get(kind)
+    inter = state.flavor == "inter"
+    width = {"right": 3 if inter else 4, "left": 3 if state.flavor == "b" else 2}.get(kind)
     if width is None or len(action) != width:
         raise OperadicError("malformed action %r" % (action,))
     if kind == "right":
-        _, i, j, x = action
+        i, j, x = (0, *action[1:]) if inter else action[1:]
         if type(i) is not int or not 0 <= i < state.k:
             raise OperadicError("no component %r" % (i,))
         if type(j) is not int:
             raise OperadicError("leaf label %r is not an integer" % (j,))
-        return _graft_right(state, i, j, x)
-    if state.flavor == "ib":
-        return _graft_left_ib(state, action[1])
+        return _graft_fiber(state, j, x) if inter else _graft_right(state, i, j, x)
+    if state.flavor != "b":
+        return (_graft_left_inter if inter else _graft_left_ib)(state, action[1])
     _, fiber, operands = action
     if not isinstance(operands, (tuple, list)):
         raise OperadicError("the operands must be a sequence")
     states = [operand_state(op) for op in operands]
-    if any(s is None or s.flavor != "b" or s.family != state.family for s in states):
+    if any(s.flavor != "b" or s.family != state.family for s in states):
         raise OperadicError("operands must be section points over the family")
     return _merge_b_operands(state.family, fiber, states)
 
@@ -1248,13 +1230,13 @@ def _act(state: _TimedState, action, operand_state) -> _TimedState:
 def free_graft_ib(pt: FreeIbPoint, action, rng=None) -> FreeIbPoint:
     """Apply a right corolla graft ("right", i, j, x) or a left marked
     product graft ("left", theta); returns the normal form."""
-    return _snapshot_ib(pt.family, _act(_free_state(pt), action, _free_state).run(rng))
+    return _snapshot_ib(_act(_free_state(pt), action, _free_state).run(rng))
 
 
 def free_graft_b(pt: FreeBPoint, action, rng=None) -> FreeBPoint:
     """Apply a right corolla graft ("right", i, j, x) or a ground-indexed
     left graft ("left", fiber, operands); returns the normal form."""
-    return _snapshot_b(pt.family, _act(_free_state(pt), action, _free_state).run(rng))
+    return _snapshot_b(_act(_free_state(pt), action, _free_state).run(rng))
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,22 @@ from operadic.algebra import (
     sample_ovec,
     sample_pk,
 )
-from operadic.bv import BVPoint, bv_act, bv_eta, bv_normalize, bv_tau, intermediate_act
+from operadic.bv import (
+    BVPoint,
+    _point_of,
+    _state_of,
+    bv_act,
+    bv_eta,
+    bv_normalize,
+    bv_tau,
+    intermediate_act,
+)
 from operadic.errors import OperadicError
 from operadic.freeconstr import (
     GluedBOps,
     GluedIbOps,
     ProductIbOps,
+    _act,
     _TimedState,
     act_component,
     b_generator,
@@ -334,15 +344,31 @@ class TestTimedUnits:
 # malformed module actions
 
 
+def inter_target():
+    """An "inter" corolla whose every edge is marked, so FIB1 fits leaf 1."""
+    pk = PKFamily(("1", "2"), (("1", "2"), ("1", "2")))
+    marks = {(i, p): True for i in range(FAM.k) for p in ((), (0,), (1,))}
+    tree = KFoldTree("pTreeP", (ComponentTree(corolla(2), frozenset({()})),), marks)
+    fiber = sample_fiber_point(Stream(138, ("intertarget",)), FAM, pk)
+    return BVPoint("inter", FAM, tree, pearls={(): fiber})
+
+
 def _action_targets():
     r = Stream(135, ("badact",))
     ib = ib_generator(FAM, rand_glued(r.split("ib"), (1, 1)))
     b = b_generator(FAM, rand_glued(r.split("b"), (1, 1)))
-    return [(free_graft_ib, ib), (free_graft_b, b), (bv_act, bv_tau(ib)), (bv_act, bv_tau(b))]
+    return [(free_graft_ib, ib), (free_graft_b, b), (bv_act, bv_tau(ib)), (bv_act, bv_tau(b)),
+            (intermediate_act, inter_target())]
 
 
 X1 = positional(FAM.components[0], Stream(136, ("x1",)), 1)
 FIB1 = sample_fiber_point(Stream(137, ("fib1",)), FAM, PKFamily(("1",), (("1",), ("1",))))
+
+
+def test_inter_target_takes_a_fiber_at_leaf_one():
+    # the malformed "inter" envelopes below differ from this one in one field
+    x = intermediate_act(inter_target(), ("right", 1, FIB1))
+    assert len(x.below) == 1 and sorted(x.leaf_labels(0)) == ["1", "2"]
 
 
 @pytest.mark.parametrize("action", [
@@ -358,13 +384,34 @@ FIB1 = sample_fiber_point(Stream(137, ("fib1",)), FAM, PKFamily(("1",), (("1",),
     ("right", 0, 1.5, X1),
     ("left", FIB1, 5),
     ("left", FIB1, None),
+    ("up", 1, FIB1),
+    ("right", 1),
+    ("right", 1, FIB1, FIB1),
+    ("right", "x", FIB1),
+    ("right", 1.5, FIB1),
 ], ids=["empty", "unknown-kind", "short-right", "long-right", "short-left", "i=5", "i=-1",
-        "i='0'", "j='x'", "j=1.5", "operands=5", "operands=None"])
+        "i='0'", "j='x'", "j=1.5", "operands=5", "operands=None", "inter-unknown-kind",
+        "inter-short-right", "inter-long-right", "inter-j='x'", "inter-j=1.5"])
 @pytest.mark.parametrize("act, point", _action_targets(),
-                         ids=["free-ib", "free-b", "timed-ib", "timed-b"])
+                         ids=["free-ib", "free-b", "timed-ib", "timed-b", "timed-inter"])
 def test_malformed_actions_raise_operadic_errors(act, point, action):
     with pytest.raises(OperadicError):
         act(point, action)
+
+
+@pytest.mark.parametrize("value", [None, "x"])
+@pytest.mark.parametrize("call", [
+    bv_eta,
+    bv_normalize,
+    lambda p: bv_act(p, ("right", 0, 1, X1)),
+    lambda p: intermediate_act(p, ("right", 1, FIB1)),
+    lambda p: free_graft_ib(p, ("right", 0, 1, X1)),
+    lambda p: free_graft_b(p, ("right", 0, 1, X1)),
+], ids=["bv_eta", "bv_normalize", "bv_act", "intermediate_act", "free_graft_ib",
+        "free_graft_b"])
+def test_non_points_raise_operadic_errors(call, value):
+    with pytest.raises(OperadicError):
+        call(value)
 
 
 # ---------------------------------------------------------------------------
@@ -454,12 +501,16 @@ class TestIntermediate:
         assert checked >= 6
 
     def test_mixed_times_normalize_and_fold(self, monkeypatch):
-        # times in {0, 1/2, 1} reach the rules that merge into the pearl
+        # times in {0, 1/2, 1} reach the joint contractions into the pearl
+        # and of the pearl into its parent
         fired = Counter()
         apply = _TimedState.apply
 
         def counting(state, rule, arg):
-            fired[rule] += 1
+            i, path = arg
+            if rule == "contract" and i is None:
+                fired["into-pearl"] += path[:-1] in state.pearl_dec
+                fired["pearl-up"] += path in state.pearl_dec
             return apply(state, rule, arg)
 
         monkeypatch.setattr(_TimedState, "apply", counting)
@@ -477,7 +528,7 @@ class TestIntermediate:
             for order in range(3):
                 assert bv_normalize(p, rng=Stream(order, ("itorder", trial))) == q
             assert bv_eta(p) == bv_eta(q) == fold_fibers(p)
-        assert fired["merge-into-pearl"] and fired["merge-pearl-up"]
+        assert fired["into-pearl"] and fired["pearl-up"]
 
     def test_actions_reject_mismatched_operands(self):
         r = Stream(142, ("interbad",))
@@ -806,3 +857,140 @@ class TestTimeScaling:
             _, points, actions = free_walk(r, flavor, "formal", 4)
             for n, bp in enumerate(timed_walk(points, actions)):
                 check_scaling(with_times(bp, r.split(("times", n))))
+
+
+# ---------------------------------------------------------------------------
+# every rewrite order: a depth-first walk applies each available rewrite at
+# each reachable state, so confluence is checked, not sampled
+
+
+RULES = {"contract", "drop-unit", "absorb-star", "drop-base-pearl", "pearlize",
+         "contract-zero", "drop-unit-w"}
+
+
+def clone(st):
+    out = _TimedState(st.flavor, st.family, st.shapes, st.pearls, st.labels, st.marks,
+                      st.pearl_dec, st.below_dec, st.upper_dec, st.jtimes, st.utimes)
+    out.base_template, out.ops = st.base_template, st.ops
+    return out
+
+
+def state_key(st):
+    return repr((st.shapes, [sorted(p) for p in st.pearls],
+                 [sorted(l.items()) for l in st.labels], sorted(st.marks.items()),
+                 sorted(st.pearl_dec.items()), sorted(st.below_dec.items()),
+                 sorted(st.upper_dec.items()), sorted(st.jtimes.items()),
+                 sorted(st.utimes.items())))
+
+
+def explore(start, fired):
+    """The distinct normal forms that the rewrite orders from start reach,
+    and the number of states met; fired counts the rewrites applied."""
+    seen, forms, todo = set(), [], [start]
+    while todo:
+        st = todo.pop()
+        key = state_key(st)
+        if key in seen:
+            continue
+        seen.add(key)
+        moves = st.available()
+        for rule, arg in moves:
+            nxt = clone(st)
+            nxt.apply(rule, arg)
+            fired[rule] += 1
+            todo.append(nxt)
+        if not moves:
+            st.sort()
+            form = _point_of(st)
+            if form not in forms:
+                forms.append(form)
+    return forms, len(seen)
+
+
+def walk_starts():
+    """Points of "ib" glued and product and "b" glued walks with seeded times."""
+    rng = Stream(201, ("orders",))
+    for flavor, carrier in (("ib", "glued"), ("ib", "product"), ("b", "glued")):
+        for trial in range(10):
+            r = rng.split((flavor, carrier, trial))
+            _, points, _ = free_walk(r, flavor, carrier, 3)
+            for n, pt in enumerate(points):
+                yield with_times(bv_tau(pt), r.split(("times", n)))
+
+
+def inter_starts():
+    """The mixed-time "inter" points of test_mixed_times_normalize_and_fold."""
+    rng = Stream(143, ("intertimes",))
+    for trial in range(40):
+        r = rng.split(trial)
+        x = inter_corolla(r, r.randint(1, 3))
+        for step in range(4):
+            act = rand_inter_action(r.split(("step", step)), x)
+            if act is not None:
+                x = intermediate_act(x, act)
+        yield replace(x, times=monotone_times(x, r.split("times")))
+
+
+def w_starts():
+    """Plain trees with units on their arity-one vertices."""
+    for name in W_MODELS:
+        model = operad_model(name)
+        rng = Stream(202, ("orderw", name))
+        for n, shape in enumerate(W_SHAPES + UNIT_SHAPES):
+            for trial in range(2):
+                r = rng.split((n, trial))
+                times = {v: Fraction(r.split(("t", v)).randint(0, 2), 2)
+                         for v in vertices(shape) if v}
+                p = w_point(model, shape, r, times)
+                yield replace(p, upper={
+                    key: model.unit("1") if len(subtree(shape, key[1])) == 1 else x
+                    for key, x in p.upper
+                })
+
+
+def base_operand_states():
+    """The states that bv_act builds from all-base operands, before any
+    rewrite, as in TestBaseOperands."""
+    rng = Stream(43, ("allbase",))
+    for trial in range(20):
+        r = rng.split(trial)
+        m = r.randint(1, 3)
+        ground = tuple(str(t + 1) for t in range(m))
+        pk = sample_pk(r.split("pk"), ground, FAM.k)
+        pats = [
+            tuple(0 if p != PLUS and str(l + 1) in p else PLUS for p in pk.parts)
+            for l in range(m)
+        ]
+        if any(all(n == PLUS for n in pat) for pat in pats):
+            continue
+        fib = sample_fiber_point(r.split("fib"), FAM, pk)
+        ops = tuple(bv_tau(b_generator(FAM, rand_glued(r.split(("op", l)), pat)))
+                    for l, pat in enumerate(pats))
+        yield _act(_state_of(ops[0]), ("left", fib, ops), _state_of)
+    fib = sample_fiber_point(Stream(44, ("fbase",)), FAM, PKFamily(("1",), (("1",), PLUS)))
+    op = bv_tau(b_generator(FAM, base_generator((0, PLUS))))
+    yield _act(_state_of(op), ("left", fib, (op,)), _state_of)
+
+
+def unit_graft_states():
+    """The states that the unit grafts of TestTimedUnits build, before any
+    rewrite."""
+    p = spine_chain(Stream(134, ("unitgraft",)))[2]
+    yield _act(_state_of(p), ("left", ovec_unit(FAM)), _state_of)
+    for i in range(FAM.k):
+        for label in p.leaf_labels(i):
+            unit = FAM.components[i].unit("1")
+            yield _act(_state_of(p), ("right", i, int(label), unit), _state_of)
+
+
+class TestEveryRewriteOrder:
+    def test_each_start_reaches_one_normal_form(self):
+        fired = Counter()
+        unit_spine = spine_chain(Stream(133, ("unitspine",)))[2]
+        unit_spine = replace(unit_spine, below={**unit_spine.below_dict(), (0,): ovec_unit(FAM)})
+        points = [*walk_starts(), *inter_starts(), *w_starts(), unit_spine]
+        starts = [*map(_state_of, points), *base_operand_states(), *unit_graft_states()]
+        for st in starts:
+            forms, _ = explore(st, fired)
+            assert forms == [_point_of(clone(st).run())]
+        assert set(fired) == RULES
