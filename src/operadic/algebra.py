@@ -29,8 +29,10 @@ from .exactgeom import (
     glue_shared,
     include_rect,
     label_key,
+    perm_mapping,
     qualify,
     rect_compose,
+    renumbering,
     unit_config,
     validate_config,
 )
@@ -180,18 +182,6 @@ def _require_numeric(model: OperadModel, x) -> int:
     return n
 
 
-def renumbering(n: int, pos: int, m: int) -> tuple:
-    """The relabelings of positional substitution of an m-ary element into
-    input pos of an n-ary one: "apart" moves the inner inputs 1..m to fresh
-    labels, "back" renumbers the composite to 1..n+m-1, the inner inputs at
-    pos..pos+m-1 and the outer inputs after pos shifted by m-1."""
-    apart = {str(j): "in:%d" % j for j in range(1, m + 1)}
-    back = {"in:%d" % j: str(pos + j - 1) for j in range(1, m + 1)}
-    for t in range(pos + 1, n + 1):
-        back[str(t)] = str(t + m - 1)
-    return apart, back
-
-
 def compose_at(model: OperadModel, x, i: int, y):
     """Positional substitution with the standard renumbering."""
     n = _require_numeric(model, x)
@@ -201,12 +191,6 @@ def compose_at(model: OperadModel, x, i: int, y):
     apart, back = renumbering(n, i, m)
     z = model.compose(x, str(i), model.relabel(y, apart))
     return model.relabel(z, back)
-
-
-def perm_mapping(sigma) -> dict:
-    """The relabeling of the right permutation action: old input sigma[j]
-    becomes input j + 1."""
-    return {str(sigma[j]): str(j + 1) for j in range(len(sigma))}
 
 
 def act_numeric(model: OperadModel, x, sigma) -> object:

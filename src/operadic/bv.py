@@ -24,6 +24,10 @@ does not depend on the rewrite order.  The engine has seven rules:
 `contract` and `drop-unit` for every pearled flavor, `absorb-star`,
 `drop-base-pearl` and `pearlize` for the section forests of "b", and
 `contract-zero` and `drop-unit-w` for "w", whose times are edge lengths.
+`contract-zero` is `contract` under the W condition t == 0, and
+`drop-unit-w` is `drop-unit` with the merged edge keeping the longer
+length.  A "w" point keys its times by vertex path; the engine keeps them
+with the upper vertices' times, under (0, path).
 
 The rewrite engine is the one of `freeconstr`: a free point is the "ib" or
 "b" point with every time at one (`bv_tau`), and the free normal form is the
@@ -152,11 +156,11 @@ class BVPoint:
 
 
 def _check_decimal_labels(tree: KFoldTree):
+    """Leaf labels are canonical decimals: "0" or ASCII digits without a
+    leading zero, so that no two labels name one number."""
     for i, c in enumerate(tree.components):
         for _, s in c.labels:
-            try:
-                int(s)
-            except ValueError:
+            if s != "0" and not (s.isascii() and s.isdigit() and s[0] != "0"):
                 raise OperadicError(
                     "leaf label %r of component %d is not decimal" % (s, i)
                 )
@@ -256,17 +260,17 @@ def _state_of(p):
     jtimes = {}
     utimes = {}
     for key, t in p.times:
-        if _is_upper_key(key):
-            utimes[key] = t
-        else:
-            jtimes[key] = t
+        if p.flavor == "w":  # the engine keys a W time by its vertex
+            key = (0, key)
+        (utimes if _is_upper_key(key) else jtimes)[key] = t
     return _TimedState.of_tree(p.flavor, p.family, p.tree, p.pearls_dict(), p.below_dict(),
                                p.upper_dict(), jtimes, utimes)
 
 
 def _point_of(st: _TimedState) -> BVPoint:
-    times = dict(st.jtimes)
-    times.update(st.utimes)
+    times = {**st.jtimes, **st.utimes}
+    if st.flavor == "w":
+        times = {path: t for (_, path), t in times.items()}
     return BVPoint(
         st.flavor,
         st.family,

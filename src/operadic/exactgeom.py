@@ -158,21 +158,29 @@ def regime_kind(regime) -> str:
     return regime if isinstance(regime, str) else regime[0]
 
 
+def _is_count(v) -> bool:
+    return type(v) is int and v >= 0
+
+
 def regime_str(regime) -> str:
-    if isinstance(regime, str):
+    """The text form of a regime; anything `regime_parse` would not return
+    raises OperadicError."""
+    if regime in ("overlapping", "disjoint"):
         return regime
-    kind = regime[0]
-    if kind == "m-overlap":
+    kind = regime[0] if isinstance(regime, tuple) and regime else None
+    if kind == "m-overlap" and len(regime) == 2 and _is_count(regime[1]) and regime[1] >= 1:
         return "m-overlap(%d)" % regime[1]
-    if kind == "u-overlap":
+    if kind == "u-overlap" and len(regime) == 3 and isinstance(regime[1], tuple):
         _, blocks, u = regime
-        btxt = "|".join(",".join(block) for block in blocks)
-        utxt = ",".join(
-            "%d:%d=%s" % (p + 1, q + 1, u.get((p, q), "inf"))
-            for p in range(len(blocks))
-            for q in range(p, len(blocks))
-        )
-        return "u-overlap(%s;%s)" % (btxt, utxt)
+        pairs = [(p, q) for p in range(len(blocks)) for q in range(p, len(blocks))]
+        # labels must survive the text form, and bounds sit on block pairs
+        labels_ok = all(isinstance(block, tuple) and all(
+            isinstance(lbl, str) and re.fullmatch(r"[^,|;]+", lbl) for lbl in block) for block in blocks)
+        if (labels_ok and isinstance(u, dict) and set(u) <= set(pairs)
+                and all(v == "inf" or _is_count(v) for v in u.values())):
+            btxt = "|".join(",".join(block) for block in blocks)
+            utxt = ",".join("%d:%d=%s" % (p + 1, q + 1, u.get((p, q), "inf")) for p, q in pairs)
+            return "u-overlap(%s;%s)" % (btxt, utxt)
     raise OperadicError("unknown regime %r" % (regime,))
 
 
@@ -218,21 +226,21 @@ class RectConfig:
     regime: object = "overlapping"
 
     def __post_init__(self):
-        if isinstance(self.rects, dict):
-            items = tuple(sorted(self.rects.items(), key=lambda kv: label_key(kv[0])))
-        else:
-            items = tuple(sorted(tuple(self.rects), key=lambda kv: label_key(kv[0])))
-        object.__setattr__(self, "rects", items)
+        items = tuple(self.rects.items() if isinstance(self.rects, dict) else self.rects)
         seen = set()
-        for label, r in items:
+        for item in items:
+            if not (isinstance(item, tuple) and len(item) == 2):
+                raise OperadicError("a configuration holds (label, Rect) pairs, not %r" % (item,))
+            label, r = item
             if not isinstance(label, str) or not label:
                 raise OperadicError("labels must be non-empty strings")
             if label in seen:
                 raise OperadicError("duplicate label %r" % label)
             seen.add(label)
-            if r.dim != self.dim:
-                raise OperadicError("rectangle of dim %d in config of dim %d" % (r.dim, self.dim))
-        regime_str(self.regime)  # validates shape
+            if not isinstance(r, Rect) or r.dim != self.dim:
+                raise OperadicError("%r is no rectangle of dim %d" % (r, self.dim))
+        object.__setattr__(self, "rects", tuple(sorted(items, key=lambda kv: label_key(kv[0]))))
+        regime_str(self.regime)  # raises on a malformed regime
 
     @property
     def labels(self) -> tuple:
@@ -325,6 +333,7 @@ class ValidationResult:
 def validate_config(config: RectConfig, regime=None) -> ValidationResult:
     """Containment plus the regime's overlap predicate; total on valid shapes."""
     regime = config.regime if regime is None else regime
+    regime_str(regime)  # raises on a malformed regime
     for lbl, r in config.rects:
         if not r.in_unit():
             return ValidationResult(False, "containment", (lbl,))
@@ -340,8 +349,6 @@ def validate_config(config: RectConfig, regime=None) -> ValidationResult:
         return ValidationResult(True)
     if kind == "m-overlap":
         m = regime[1]
-        if m < 1:
-            raise OperadicError("m-overlap needs m >= 1")
         items = config.rects
         from itertools import combinations
 
@@ -377,6 +384,24 @@ def validate_config(config: RectConfig, regime=None) -> ValidationResult:
 # operadic composition
 
 
+def renumbering(n: int, pos: int, m: int) -> tuple:
+    """The relabelings of positional substitution of an m-ary element into
+    input pos of an n-ary one: "apart" moves the inner inputs 1..m to fresh
+    labels, "back" renumbers the composite to 1..n+m-1, the inner inputs at
+    pos..pos+m-1 and the outer inputs after pos shifted by m-1."""
+    apart = {str(j): "in:%d" % j for j in range(1, m + 1)}
+    back = {"in:%d" % j: str(pos + j - 1) for j in range(1, m + 1)}
+    for t in range(pos + 1, n + 1):
+        back[str(t)] = str(t + m - 1)
+    return apart, back
+
+
+def perm_mapping(sigma) -> dict:
+    """The relabeling of the right permutation action: old input sigma[j]
+    becomes input j + 1."""
+    return {str(sigma[j]): str(j + 1) for j in range(len(sigma))}
+
+
 def rect_compose(outer: RectConfig, slot, inner: RectConfig) -> RectConfig:
     """Substitute `inner` into input `slot` of `outer`.
 
@@ -387,7 +412,12 @@ def rect_compose(outer: RectConfig, slot, inner: RectConfig) -> RectConfig:
     standard way (inner block replaces position i).
     """
     if isinstance(slot, int):
-        return _rect_compose_numeric(outer, slot, inner)
+        if not (outer.numeric() and inner.numeric()):
+            raise OperadicError("positional composition needs numeric labels")
+        if not 1 <= slot <= outer.arity:
+            raise OperadicError("missing slot %d" % slot)
+        apart, back = renumbering(outer.arity, slot, inner.arity)
+        return rect_compose(outer, str(slot), inner.relabel(apart)).relabel(back)
     if outer.dim != inner.dim:
         raise OperadicError("dim mismatch: %d vs %d" % (outer.dim, inner.dim))
     socket = outer.rect(slot)  # raises on missing slot
@@ -399,37 +429,18 @@ def rect_compose(outer: RectConfig, slot, inner: RectConfig) -> RectConfig:
     return RectConfig(outer.dim, out, outer.regime)
 
 
-def _rect_compose_numeric(outer: RectConfig, i: int, inner: RectConfig) -> RectConfig:
-    if not (outer.numeric() and inner.numeric()):
-        raise OperadicError("positional composition needs numeric labels")
-    n, m = outer.arity, inner.arity
-    if not 1 <= i <= n:
-        raise OperadicError("missing slot %d" % i)
-    tmp_inner = inner.relabel({str(j + 1): "in:%d" % (j + 1) for j in range(m)})
-    composed = rect_compose(outer, str(i), tmp_inner)
-    mapping = {}
-    for j in range(1, i):
-        mapping[str(j)] = str(j)
-    for j in range(1, m + 1):
-        mapping["in:%d" % j] = str(i + j - 1)
-    for j in range(i + 1, n + 1):
-        mapping[str(j)] = str(j + m - 1)
-    return composed.relabel(mapping)
-
-
 def act_perm(config: RectConfig, sigma) -> RectConfig:
     """Right action of a permutation on a numeric configuration.
 
     sigma is a tuple with sigma[j-1] in 1..n; the result's slot j carries the
     rectangle formerly at slot sigma[j].
     """
-    if not config.numeric():
-        raise OperadicError("permutation action needs numeric labels")
     n = config.arity
+    if config.labels != tuple(str(j) for j in range(1, n + 1)):
+        raise OperadicError("permutation action needs labels 1..n")
     if sorted(sigma) != list(range(1, n + 1)):
         raise OperadicError("not a permutation of 1..%d" % n)
-    rects = config.as_dict()
-    return RectConfig(config.dim, {str(j + 1): rects[str(sigma[j])] for j in range(n)}, config.regime)
+    return config.relabel(perm_mapping(sigma))
 
 
 # ---------------------------------------------------------------------------

@@ -54,13 +54,11 @@ from .algebra import (
     is_unit_ovec,
     ovec_compose_at,
     ovec_splice,
-    perm_mapping,
     prod_mu,
     qualify,
-    renumbering,
 )
 from .errors import OperadicError
-from .exactgeom import RectConfig, label_key
+from .exactgeom import RectConfig, label_key, perm_mapping, renumbering
 from .trees import (
     LEAF,
     ComponentTree,
@@ -68,6 +66,7 @@ from .trees import (
     above_paths,
     arity,
     below_paths,
+    contraction,
     corolla,
     has_null_non_pearl,
     is_ancestor,
@@ -399,9 +398,14 @@ class _TimedState:
                      becomes one pearl
     drop-base-pearl  a "b" pearl carrying a base point leaves its fiber
     pearlize         a "b" root without inputs becomes a base-point pearl
-    contract-zero    a "w" edge of length zero contracts
-    drop-unit-w      a "w" unit vertex goes, the merged edge keeping the
-                     longer length
+    contract-zero    contract under the "w" condition: an edge of length
+                     zero (t == 0) contracts
+    drop-unit-w      drop-unit for "w", the merged edge keeping the longer
+                     length
+
+    A "w" time is the length of the edge below its vertex and is kept, like
+    an upper vertex's time, in `utimes` under the key (0, path); `bv` keys it
+    by the path alone.
 
     Composing with a pearl goes through `module_ops(flavor, family,
     template)` of the pearls' carrier, looked up when first needed and kept
@@ -495,9 +499,9 @@ class _TimedState:
         shape = self.shapes[0]
         if not is_vertex(shape):
             return out
-        for q in sorted(self.jtimes):
-            if self.jtimes[q] == 0:
-                out.append(("contract-zero", (0, q)))
+        for key in sorted(self.utimes):
+            if self.utimes[key] == 0:
+                out.append(("contract-zero", key))
         for q in vertices(shape):
             if arity(shape, q) == 1 and self.upper_dec[(0, q)] == self.family.unit("1"):
                 out.append(("drop-unit-w", (0, q)))
@@ -510,7 +514,7 @@ class _TimedState:
             "absorb-star": self._absorb_star,
             "drop-base-pearl": self._drop_base_pearl,
             "pearlize": self._pearlize,
-            "contract-zero": self._contract_zero,
+            "contract-zero": self._contract,
             "drop-unit-w": self._drop_unit_w,
         }.get(rule)
         if handler is None:
@@ -532,28 +536,17 @@ class _TimedState:
     def _move_component(self, i, move, drops=frozenset()):
         self.pearls[i] = {move(p) for p in self.pearls[i] if p not in drops}
         self.labels[i] = {move(p): s for p, s in self.labels[i].items()}
-        self.upper_dec = {
-            ((j, move(p)) if j == i else (j, p)): v
-            for (j, p), v in self.upper_dec.items()
-            if not (j == i and p in drops)
-        }
-        self.utimes = {
-            ((j, move(p)) if j == i else (j, p)): v
-            for (j, p), v in self.utimes.items()
-            if not (j == i and p in drops)
-        }
-        if self.flavor == "b":
-            self.marks = {
-                ((j, move(p)) if j == i else (j, p)): v
-                for (j, p), v in self.marks.items()
-                if not (j == i and p in drops)
-            }
-        elif self.flavor == "inter":
-            self.marks = {
-                (j, move(p)): v
-                for (j, p), v in self.marks.items()
-                if p not in drops
-            }
+
+        def rekey(keyed, whole=False):
+            return {((j, move(p)) if whole or j == i else (j, p)): v
+                    for (j, p), v in keyed.items()
+                    if not ((whole or j == i) and p in drops)}
+
+        self.upper_dec = rekey(self.upper_dec)
+        self.utimes = rekey(self.utimes)
+        if self.flavor in ("b", "inter"):
+            # "inter" marks are keyed by marking index over its single tree
+            self.marks = rekey(self.marks, whole=self.flavor == "inter")
 
     def _move_joint_keys(self, move, drops=frozenset()):
         self.pearl_dec = {move(p): v for p, v in self.pearl_dec.items() if p not in drops}
@@ -563,61 +556,35 @@ class _TimedState:
     def _contract_into_parent(self, i, path):
         """Splice the children of the vertex at path into its parent slot;
         returns the move applied to that component's paths."""
-        node = subtree(self.shapes[i], path)
-        par, slot = path[:-1], path[-1]
-        parent_node = subtree(self.shapes[i], par)
-        self.shapes[i] = replace(
-            self.shapes[i], par, parent_node[:slot] + node + parent_node[slot + 1 :]
-        )
-
-        def move(p):
-            if is_ancestor(path, p) and p != path:
-                return par + (slot + p[len(path)],) + p[len(path) + 1 :]
-            if len(p) > len(par) and p[: len(par)] == par and p[len(par)] > slot:
-                return par + (p[len(par)] + len(node) - 1,) + p[len(par) + 1 :]
-            return p
-
+        self.shapes[i], move = contraction(self.shapes[i], path)
         self._move_component(i, move, drops={path})
         return move
 
-    def _splice_children(self, i, path, drops):
-        """Replace the node at path by the concatenation of its children."""
-        node = subtree(self.shapes[i], path)
-        offs = []
-        acc = 0
-        for child in node:
-            offs.append(acc)
-            acc += len(child)
-        self.shapes[i] = replace(
-            self.shapes[i], path, tuple(c for child in node for c in child)
-        )
-
-        def move(p):
-            if len(p) > len(path) + 1 and p[: len(path)] == path:
-                s = p[len(path)]
-                return path + (offs[s] + p[len(path) + 1],) + p[len(path) + 2 :]
-            return p
-
-        self._move_component(i, move, drops=drops)
-        return move
-
     # -- the rewrites --------------------------------------------------------
+
+    def _pop(self, i, path):
+        """Remove the decoration and time of the vertex (i, path) and return
+        the decoration."""
+        if i is not None:
+            self.utimes.pop((i, path), None)
+            return self.upper_dec.pop((i, path))
+        self.jtimes.pop(path, None)
+        return (self.pearl_dec if path in self.pearl_dec else self.below_dec).pop(path)
 
     def _splice_out(self, i, path):
         """Remove the vertex at path, its children taking its slot in the
         parent, and return its decoration.  i names the component of an upper
         vertex and is None for a joint one, which goes in every component."""
+        x = self._pop(i, path)
         if i is not None:
-            self.utimes.pop((i, path))
-            x = self.upper_dec.pop((i, path))
             self._contract_into_parent(i, path)
             return x
-        self.jtimes.pop(path, None)
-        x = self.pearl_dec.pop(path) if path in self.pearl_dec else self.below_dec.pop(path)
         for j in range(self.k):
             move = self._contract_into_parent(j, path)
-        # joint contractions sit at slot zero or have equal shapes across the
-        # components, so any component's relocation map serves the joint keys
+        # no joint vertex lies right of a spliced joint vertex whose arity
+        # differs between the components (a pearl sits at slot zero, and
+        # absorb-star splices its pearls last first), so any component's
+        # move serves the joint keys
         self._move_joint_keys(move, drops={path})
         return x
 
@@ -658,8 +625,7 @@ class _TimedState:
         if path:
             self._splice_out(i, path)
             return
-        self.below_dec.pop(path)
-        self.jtimes.pop(path)
+        self._pop(i, path)
         self.marks = {(j, p): v for (j, p), v in self.marks.items() if p != ()}
 
         def move(p):
@@ -671,18 +637,12 @@ class _TimedState:
         self._move_joint_keys(move)
 
     def _absorb_star(self, _, path):
-        fiber = self.below_dec.pop(path)
-        self.jtimes.pop(path)
+        fiber = self._pop(None, path)
         width = arity(self.shapes[0], path)
-        kids = [path + (s,) for s in range(width)]
-        value = self._ops().left(fiber, [self.pearl_dec.pop(q) for q in kids])
-        drops = set(kids)
-        for i in range(self.k):
-            self.pearls[i] -= drops
-            self._splice_children(i, path, drops)
-            self.pearls[i].add(path)
-        self._move_joint_keys(lambda p: p, drops=drops)
-        self.pearl_dec[path] = value
+        operands = [self._splice_out(None, path + (s,)) for s in reversed(range(width))]
+        for pearls in self.pearls:
+            pearls.add(path)
+        self.pearl_dec[path] = self._ops().left(fiber, operands[::-1])
 
     def _drop_base_pearl(self, _, path):
         self.base_template = self._splice_out(None, path)
@@ -690,45 +650,21 @@ class _TimedState:
         self.below_dec[par] = fiber_drop(self.below_dec[par], slot + 1)
 
     def _pearlize(self, _, path):
-        fiber = self.below_dec.pop(path)
         # the surviving datum of a zero-width root is its arity pattern; the
         # time has nothing left to weight and is discarded
-        self.jtimes.pop(path)
+        fiber = self._pop(None, path)
         pattern = tuple(PLUS if part == PLUS else 0 for part in fiber.pk.parts)
         for i in range(self.k):
             self.pearls[i].add(path)
         self.pearl_dec[path] = base_like(self.base_template, self.family, pattern)
 
-    # -- plain tree rewrites ---------------------------------------------------
-
-    def _contract_zero(self, i, path):
-        x = self.upper_dec.pop((i, path))
-        self.jtimes.pop(path)
-        par, slot = path[:-1], path[-1]
-        self.upper_dec[(i, par)] = compose_at(
-            self.family, self.upper_dec[(i, par)], slot + 1, x
-        )
-        move = self._contract_into_parent(i, path)
-        self._move_joint_keys(move, drops={path})
-
     def _drop_unit_w(self, i, path):
-        self.upper_dec.pop((i, path))
-        node = subtree(self.shapes[i], path)
-        child = path + (0,)
-        t_out = self.jtimes.pop(path, None)
-        t_in = self.jtimes.pop(child, None)
-        self.shapes[i] = replace(self.shapes[i], path, node[0])
-
-        def move(p):
-            if is_ancestor(child, p):
-                return path + p[len(child) :]
-            return p
-
-        self._move_component(i, move)
-        self._move_joint_keys(move)
+        t_out = self.utimes.get((i, path))
+        t_in = self.utimes.pop((i, path + (0,)), None)
+        self._drop_unit(i, path)
         if t_out is not None and t_in is not None:
             # both edges are inner, so the merged edge keeps the longer one
-            self.jtimes[path] = max(t_out, t_in)
+            self.utimes[(i, path)] = max(t_out, t_in)
 
     # -- canonical child order ----------------------------------------------
 

@@ -878,18 +878,15 @@ def _enumerate_intermediate(n, max_vertices, k):
 # edge contraction
 
 
-def contract_edge(c: ComponentTree, path) -> ComponentTree:
-    """Merge the vertex at `path` into its parent.  A pearl endpoint makes
-    the merged vertex a pearl."""
-    if not path:
-        raise OperadicError("cannot contract the trunk")
-    node = subtree(c.shape, path)
-    if not is_vertex(node):
-        raise OperadicError("cannot contract a leaf edge")
+def contraction(shape, path):
+    """Splice the children of the vertex at `path` into its parent's slot.
+
+    Returns the new shape and the move of every other path to its new place;
+    the move keeps planar order, leaves included."""
+    node = subtree(shape, path)
     par, slot = path[:-1], path[-1]
-    parent_node = subtree(c.shape, par)
-    merged = parent_node[:slot] + node + parent_node[slot + 1 :]
-    new_shape = replace(c.shape, par, merged)
+    parent_node = subtree(shape, par)
+    new_shape = replace(shape, par, parent_node[:slot] + node + parent_node[slot + 1 :])
 
     def move(p):
         if is_ancestor(path, p) and p != path:
@@ -898,13 +895,22 @@ def contract_edge(c: ComponentTree, path) -> ComponentTree:
             return par + (p[len(par)] + len(node) - 1,) + p[len(par) + 1 :]
         return p
 
-    was_pearl = path in c.pearls or par in c.pearls
+    return new_shape, move
+
+
+def contract_edge(c: ComponentTree, path) -> ComponentTree:
+    """Merge the vertex at `path` into its parent.  A pearl endpoint makes
+    the merged vertex a pearl."""
+    if not path:
+        raise OperadicError("cannot contract the trunk")
+    if not is_vertex(subtree(c.shape, path)):
+        raise OperadicError("cannot contract a leaf edge")
+    new_shape, move = contraction(c.shape, path)
     pearls = {move(p) for p in c.pearls if p != path}
-    if was_pearl:
-        pearls.add(par)
-    lvs = leaves(new_shape)
-    labels = sorted(((move(p), s) for p, s in c.labels), key=lambda ps: lvs.index(ps[0]))
-    return ComponentTree(new_shape, frozenset(pearls), tuple(labels))
+    if path in c.pearls or path[:-1] in c.pearls:
+        pearls.add(path[:-1])
+    labels = tuple((move(p), s) for p, s in c.labels)
+    return ComponentTree(new_shape, frozenset(pearls), labels)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 counit against the carriers, confluence, time monotonicity, the fiber flavor,
 the plain-tree flavor and the time-scaling homotopy."""
 
+import hashlib
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -54,6 +55,7 @@ from operadic.freeconstr import (
     free_graft_ib,
     ib_generator,
     is_base_value,
+    stable_key,
 )
 from operadic.rng import Stream
 from operadic.trees import (
@@ -705,6 +707,23 @@ class TestPlainTrees:
         assert decreasing
 
 
+class TestLeafLabels:
+    @staticmethod
+    def corolla_point(labels):
+        model = operad_model("sym")
+        tree = KFoldTree("plain", (ComponentTree(corolla(2), labels=tuple(zip([(0,), (1,)], labels))),))
+        return BVPoint("w", model, tree, upper={(0, ()): positional(model, Stream(172, ("lbl",)), 2)})
+
+    def test_canonical_decimals_are_accepted(self):
+        assert self.corolla_point(("0", "10")).leaf_labels(0) == ("0", "10")
+
+    @pytest.mark.parametrize("label", ["07", "+7", "1_0", " 5", "٣"])
+    def test_other_digit_strings_are_rejected(self, label):
+        # int() reads each of these, so two leaves could name one number
+        with pytest.raises(OperadicError):
+            self.corolla_point((label, "9"))
+
+
 UNIT_SHAPES = (
     (((LEAF, LEAF),), LEAF),
     ((((LEAF, LEAF), LEAF),),),
@@ -876,16 +895,19 @@ def clone(st):
 
 
 def state_key(st):
+    # decorations go through stable_key: the repr of a frozenset follows its
+    # hash order, and equal states must meet under every PYTHONHASHSEED
+    decs = [sorted((key, stable_key(x)) for key, x in d.items())
+            for d in (st.pearl_dec, st.below_dec, st.upper_dec)]
     return repr((st.shapes, [sorted(p) for p in st.pearls],
                  [sorted(l.items()) for l in st.labels], sorted(st.marks.items()),
-                 sorted(st.pearl_dec.items()), sorted(st.below_dec.items()),
-                 sorted(st.upper_dec.items()), sorted(st.jtimes.items()),
-                 sorted(st.utimes.items())))
+                 decs, sorted(st.jtimes.items()), sorted(st.utimes.items())))
 
 
-def explore(start, fired):
+def explore(start, trace):
     """The distinct normal forms that the rewrite orders from start reach,
-    and the number of states met; fired counts the rewrites applied."""
+    and the number of states met; trace records each rewrite applied as
+    (rule, arg)."""
     seen, forms, todo = set(), [], [start]
     while todo:
         st = todo.pop()
@@ -897,7 +919,7 @@ def explore(start, fired):
         for rule, arg in moves:
             nxt = clone(st)
             nxt.apply(rule, arg)
-            fired[rule] += 1
+            trace.append((rule, arg))
             todo.append(nxt)
         if not moves:
             st.sort()
@@ -985,12 +1007,16 @@ def unit_graft_states():
 
 class TestEveryRewriteOrder:
     def test_each_start_reaches_one_normal_form(self):
-        fired = Counter()
+        trace = []
         unit_spine = spine_chain(Stream(133, ("unitspine",)))[2]
         unit_spine = replace(unit_spine, below={**unit_spine.below_dict(), (0,): ovec_unit(FAM)})
         points = [*walk_starts(), *inter_starts(), *w_starts(), unit_spine]
         starts = [*map(_state_of, points), *base_operand_states(), *unit_graft_states()]
         for st in starts:
-            forms, _ = explore(st, fired)
+            forms, _ = explore(st, trace)
             assert forms == [_point_of(clone(st).run())]
-        assert set(fired) == RULES
+        assert {rule for rule, _ in trace} == RULES
+        # the rewrites applied, in order, pinned so that a refactor of the
+        # engine that changes any of them shows here
+        digest = hashlib.sha256(repr(trace).encode()).hexdigest()[:16]
+        assert (len(trace), digest) == (374, "ad106f26ad0a34f6")

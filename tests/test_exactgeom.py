@@ -640,11 +640,37 @@ def _only_operadic_errors(parse, value):
         pass
 
 
+_HALF_SQUARE = Rect((Fraction(1, 2), Fraction(1, 2)), (0, 0))
+_ONE_RECT = RectConfig(2, {"a": _HALF_SQUARE})
+MALFORMED_CALLS = [
+    pytest.param(lambda: RectConfig(2, {1: _HALF_SQUARE}), id="label-not-a-string"),
+    pytest.param(lambda: RectConfig(2, [("a",)]), id="item-not-a-pair"),
+    pytest.param(lambda: RectConfig(2, {"a": _HALF_SQUARE}, "bogus"), id="unknown-regime"),
+    pytest.param(lambda: RectConfig(2, {"a": _HALF_SQUARE}, ("m-overlap",)), id="m-overlap-without-m"),
+    pytest.param(lambda: RectConfig(2, {"a": _HALF_SQUARE}, ("u-overlap", (("a",),))),
+                 id="u-overlap-without-bounds"),
+    pytest.param(lambda: RectConfig(2, {"a,b": _HALF_SQUARE}, ("u-overlap", (("a,b",),), {})),
+                 id="u-overlap-label-lost-in-text-form"),
+    pytest.param(lambda: validate_config(_ONE_RECT, ("m-overlap", "2")), id="m-overlap-string-m"),
+    pytest.param(lambda: validate_config(_ONE_RECT, ("u-overlap", (("a",),), {(0, 0): "x"})),
+                 id="u-overlap-string-bound"),
+    pytest.param(lambda: validate_config(_ONE_RECT, ("u-overlap", (("a",),), {(0, 0): -1})),
+                 id="u-overlap-negative-bound"),
+    pytest.param(lambda: act_perm(RectConfig(2, {"1": _HALF_SQUARE, "3": _HALF_SQUARE}), (2, 1)),
+                 id="act-perm-labels-not-positional"),
+]
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("kind,value", MALFORMED)
     def test_rejected_with_operadic_error(self, kind, value):
         with pytest.raises(OperadicError):
             PARSERS[kind](value)
+
+    @pytest.mark.parametrize("call", MALFORMED_CALLS)
+    def test_malformed_configs_and_regimes_raise_operadic_error(self, call):
+        with pytest.raises(OperadicError):
+            call()
 
     def test_unusual_but_valid_input_is_accepted(self):
         # a label of more digits than int() converts, and a u-overlap regime

@@ -168,6 +168,23 @@ class TestShapes:
         assert out.pearls == frozenset({()})
         assert [s for _, s in out.labels] == ["1", "2", "3"]
 
+    def test_contraction_moves_every_other_path(self):
+        for n in range(5):
+            for allow in (True, False):
+                for shape in T.gen_planar_trees(n, 4, allow_null=allow):
+                    paths = T.vertices(shape) + T.leaves(shape)
+                    for v in T.vertices(shape)[1:]:
+                        new, move = T.contraction(shape, v)
+                        assert T.leaves(new) == [move(p) for p in T.leaves(shape)]
+                        assert len(T.vertices(new)) == len(T.vertices(shape)) - 1
+                        par = v[:-1]
+                        assert T.arity(new, par) == T.arity(shape, par) + T.arity(shape, v) - 1
+                        others = [p for p in paths if p != v]
+                        assert len({move(p) for p in others}) == len(others)
+                        for p in others:
+                            if not T.is_ancestor(p, v):
+                                assert T.subtree(new, move(p)) == T.subtree(shape, p)
+
     def test_contract_trunk_rejected(self):
         c = ComponentTree((LEAF,), frozenset({()}))
         with pytest.raises(OperadicError):
