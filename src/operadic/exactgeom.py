@@ -226,7 +226,13 @@ class RectConfig:
     regime: object = "overlapping"
 
     def __post_init__(self):
-        items = tuple(self.rects.items() if isinstance(self.rects, dict) else self.rects)
+        if type(self.dim) is not int or self.dim < 1:
+            raise OperadicError("dimension %r is not a positive integer" % (self.dim,))
+        try:
+            items = tuple(self.rects.items() if isinstance(self.rects, dict) else self.rects)
+        except TypeError:
+            raise OperadicError("a configuration holds (label, Rect) pairs, not %r"
+                                % (self.rects,)) from None
         seen = set()
         for item in items:
             if not (isinstance(item, tuple) and len(item) == 2):
@@ -258,9 +264,6 @@ class RectConfig:
 
     def has(self, label: str) -> bool:
         return any(lbl == label for lbl, _ in self.rects)
-
-    def as_dict(self) -> dict:
-        return dict(self.rects)
 
     def relabel(self, mapping: dict) -> "RectConfig":
         """Injectively rename labels; identity outside the mapping."""

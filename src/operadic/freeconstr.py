@@ -17,9 +17,9 @@ rational times; `bv` builds its resolutions on it.  A free point is the slice
 where every non-pearl vertex sits at time one: there equal-time neighbours
 always contract, nothing is absorbed into a pearl, and the snapshot drops the
 times.  Normal form: no contractible vertex-vertex edge, no eliminable unit
-decoration, base-point pearls only at the root, children sorted by a
-decoration-aware key.  Point equality is field equality; the constructors
-re-run normalization and reject anything that is not already normal.
+decoration, base-point pearls only at the root, children sorted by their
+encodings.  Point equality is field equality; the constructors re-run
+normalization and reject anything that is not already normal.
 
 Absorbing into a pearl at time zero goes through the module operations of
 the pearls' carrier.  `module_ops` looks them up here, next to the carriers'
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, groupby, permutations, product
 
 from .algebra import (
     PLUS,
@@ -55,7 +56,6 @@ from .algebra import (
     ovec_compose_at,
     ovec_splice,
     prod_mu,
-    qualify,
 )
 from .errors import OperadicError
 from .exactgeom import RectConfig, label_key, perm_mapping, renumbering
@@ -123,7 +123,7 @@ def base_generator(pattern) -> FormalGenerator:
 
 
 # ---------------------------------------------------------------------------
-# decoration dispatch: component action, slot content, stable text
+# decoration dispatch: component action, stable text
 
 
 def stable_key(value) -> str:
@@ -144,6 +144,12 @@ def stable_key(value) -> str:
         return "Aug[%s]" % stable_key(value.points)
     if isinstance(value, FormalGenerator):
         return "Gen[%s;%s;%d]" % (value.name, stable_key(value.orders), value.base)
+    if isinstance(value, (FreeIbPoint, FreeBPoint)):
+        tree = value.tree
+        comps = tuple((c.shape, c.pearls, c.labels) for c in tree.components)
+        pearls = value.pearl if isinstance(value, FreeIbPoint) else value.pearls
+        return "%s[%s]" % (type(value).__name__,
+                           stable_key((comps, tree.marks, pearls, value.below, value.upper)))
     return repr(value)
 
 
@@ -182,39 +188,6 @@ def _relabel_component(value, i: int, mapping: dict) -> object:
             return ib_point(value.family, tree, value.pearl, value.below, value.upper)
         return b_point(value.family, tree, value.pearls, value.below, value.upper)
     raise OperadicError("no component action for %r" % type(value).__name__)
-
-
-def _model_fragment(x, label: str):
-    if isinstance(x, RectConfig):
-        return x.rect(label) if x.has(label) else None
-    if isinstance(x, tuple):
-        return x.index(label) if label in x else None
-    if isinstance(x, frozenset):
-        return "member" if label in x else None
-    raise OperadicError("no slot content for %r" % type(x).__name__)
-
-
-def slot_fragment(value, i: int, j: int):
-    """Content a decoration attaches to slot j (0-based) of component i."""
-    label = str(j + 1)
-    if isinstance(value, FormalGenerator):
-        if value.orders[i] == PLUS:
-            return None
-        return value.orders[i].index(label) if label in value.orders[i] else None
-    if isinstance(value, (OVecPoint, ProductPoint)):
-        return _model_fragment(value.points[i], label)
-    if isinstance(value, FiberPoint):
-        if value.pk.parts[i] == PLUS or label not in value.pk.parts[i]:
-            return None
-        return _model_fragment(value.points[i], label)
-    if isinstance(value, AugmentedPoint):
-        if value.points[i] == PLUS:
-            return None
-        return _model_fragment(value.points[i], label)
-    if isinstance(value, GluedElement):
-        q = qualify(i, label)
-        return value.config.rect(q) if value.config.has(q) else None
-    raise OperadicError("no slot content for %r" % type(value).__name__)
 
 
 def is_base_value(value) -> bool:
@@ -409,7 +382,11 @@ class _TimedState:
 
     Composing with a pearl goes through `module_ops(flavor, family,
     template)` of the pearls' carrier, looked up when first needed and kept
-    in `ops`."""
+    in `ops`.
+
+    Children sort by their encodings, which describe whole subtrees.  Ties
+    go to the order whose acted parent decoration has the least
+    `stable_key`."""
 
     def __init__(self, flavor, family, shapes, pearls, labels, marks,
                  pearl_dec, below_dec, upper_dec, jtimes, utimes):
@@ -678,13 +655,6 @@ class _TimedState:
             return self.below_dec[path]
         return self.upper_dec.get((i, path))
 
-    def _fragment(self, i, path, j):
-        """What the decoration at path attaches to its slot j in component i."""
-        if (i, path) in self.upper_dec:
-            return _model_fragment(self.upper_dec[(i, path)], str(j + 1))
-        decor = self._decor_at(i, path)
-        return None if decor is None else slot_fragment(decor, i, j)
-
     def _time_at(self, i, path):
         if path in self.jtimes:
             return self.jtimes[path]
@@ -699,35 +669,47 @@ class _TimedState:
             )
         return None
 
-    def _enc(self, i, path):
-        node = subtree(self.shapes[i], path)
+    def _enc(self, i, path, node):
+        """The encoding of the subtree node at path in component i: its leaf
+        labels, marks, times and decorations.  Leaves come before vertices,
+        in the order of their decimal labels."""
+        # marks are None, a bool or a tuple of them: repr is stable text
+        marks = repr(self._marks_at(i, path))
         if not is_vertex(node):
-            return ("L", self._marks_at(i, path), self.labels[i][path])
+            label = self.labels[i][path]
+            return ("L", marks, len(label), label)
         t = self._time_at(i, path)
         return (
             "V",
             path in self.pearls[i],
-            self._marks_at(i, path),
-            None if t is None else str(t),
+            marks,
+            "" if t is None else str(t),
             stable_key(self._decor_at(i, path)),
-            tuple(self._enc(i, path + (s,)) for s in range(len(node))),
+            tuple(self._enc(i, path + (s,), child) for s, child in enumerate(node)),
         )
 
-    def _child_key(self, i, path, j):
-        child = path + (j,)
-        if not is_vertex(subtree(self.shapes[i], child)):
-            return (0, stable_key(self._marks_at(i, child)),
-                    label_key(self.labels[i][child]))
-        frag = self._fragment(i, path, j)
-        t = self._time_at(i, child)
-        return (
-            1,
-            stable_key((self._marks_at(i, child), frag, None if t is None else str(t))),
-            self._enc(i, child),
-        )
+    def _acted(self, path, order, comp_ids):
+        """The decoration at path once its children in the components
+        comp_ids take the order: new slot j holds old slot order[j]."""
+        perm = tuple(j + 1 for j in order)
+        if path not in self.pearl_dec and path not in self.below_dec:
+            (i,) = comp_ids
+            return act_numeric(self._model(i), self.upper_dec[(i, path)], perm)
+        value = self._decor_at(None, path)
+        if isinstance(value, FiberPoint):
+            return act_component(value, 0, perm)
+        for i in comp_ids:
+            value = act_component(value, i, perm)
+        return value
 
     def _apply_child_perm(self, path, order, comp_ids):
-        perm1 = tuple(j + 1 for j in order)
+        value = self._acted(path, order, comp_ids)
+        if path in self.pearl_dec:
+            self.pearl_dec[path] = value
+        elif path in self.below_dec:
+            self.below_dec[path] = value
+        else:
+            self.upper_dec[(comp_ids[0], path)] = value
 
         def move(p):
             if len(p) > len(path) and p[: len(path)] == path:
@@ -740,37 +722,21 @@ class _TimedState:
                 self.shapes[i], path, tuple(node[j] for j in order)
             )
             self._move_component(i, move)
-            if (i, path) in self.upper_dec:
-                self.upper_dec[(i, path)] = act_numeric(
-                    self._model(i), self.upper_dec[(i, path)], perm1
-                )
-        if path in self.pearl_dec or path in self.below_dec:
-            target = self.pearl_dec if path in self.pearl_dec else self.below_dec
-            value = target[path]
-            if isinstance(value, FiberPoint):
-                value = act_component(value, 0, perm1)
-            else:
-                for i in comp_ids:
-                    value = act_component(value, i, perm1)
-            target[path] = value
         if len(comp_ids) == self.k:
             self._move_joint_keys(move)
 
     def sort(self):
-        if self.flavor == "b":
-            for i in range(self.k):
-                for path in sorted(vertices(self.shapes[i]), key=len, reverse=True):
-                    if path in self.below_dec:
-                        continue
-                    self._sort_one(i, path)
-            for path in sorted(self.below_dec, key=len, reverse=True):
-                self._sort_joint(path)
-            return
+        """Order the children of every vertex, deepest first; in "b" the
+        vertices below the section order theirs jointly, last."""
+        joint = set(self.below_dec) if self.flavor == "b" else set()
         for i in range(self.k):
             if not is_vertex(self.shapes[i]):
                 continue
             for path in sorted(vertices(self.shapes[i]), key=len, reverse=True):
-                self._sort_one(i, path)
+                if path not in joint:
+                    self._sort_children(path, [i], 1 if self._pinned(i, path) else 0)
+        for path in sorted(joint, key=len, reverse=True):
+            self._sort_children(path, range(self.k))
 
     def _pinned(self, i, path) -> bool:
         if self.flavor == "ib":
@@ -779,28 +745,27 @@ class _TimedState:
             return _pearlward(self.pearls[0], path)
         return False
 
-    def _sort_one(self, i, path):
-        node = subtree(self.shapes[i], path)
-        free = list(range(len(node)))
-        if self._pinned(i, path):
-            free = free[1:]
-        if len(free) < 2:
+    def _sort_children(self, path, comp_ids, first=0):
+        """Order the children of path from slot first on by their encodings
+        in the components comp_ids.  Equal encodings are identical leafless
+        subtrees, since leaf labels are distinct; each run of them takes the
+        permutation whose acted decoration at path has the least stable
+        key."""
+        nodes = [subtree(self.shapes[i], path) for i in comp_ids]
+        n = len(nodes[0])
+        if n - first < 2:
             return
-        ranked = iter(sorted(free, key=lambda j: self._child_key(i, path, j)))
-        order = [next(ranked) if j in free else j for j in range(len(node))]
-        if order != list(range(len(node))):
-            self._apply_child_perm(path, order, [i])
-
-    def _sort_joint(self, path):
-        n = arity(self.shapes[0], path)
-        if n < 2:
-            return
-        order = sorted(
-            range(n),
-            key=lambda j: tuple(self._child_key(i, path, j) for i in range(self.k)),
-        )
+        keys = {j: tuple(self._enc(i, path + (j,), node[j]) for i, node in zip(comp_ids, nodes))
+                for j in range(first, n)}
+        runs = [list(run) for _, run in groupby(sorted(keys, key=keys.get), key=keys.get)]
+        orders = (list(range(first)) + list(chain.from_iterable(p))
+                  for p in product(*map(permutations, runs)))
+        if len(runs) == len(keys):
+            order = next(orders)
+        else:
+            order = min(orders, key=lambda o: stable_key(self._acted(path, o, comp_ids)))
         if order != list(range(n)):
-            self._apply_child_perm(path, order, list(range(self.k)))
+            self._apply_child_perm(path, order, comp_ids)
 
 
 def _pearlward(pearls, path) -> bool:

@@ -194,12 +194,6 @@ class ComponentTree:
     def n_leaves(self) -> int:
         return len(self.labels)
 
-    def leaf_of(self, label):
-        for p, s in self.labels:
-            if s == str(label):
-                return p
-        raise OperadicError("no leaf labeled %r" % label)
-
     def relabel(self, mapping: dict) -> "ComponentTree":
         new = tuple((p, mapping.get(s, s)) for p, s in self.labels)
         return ComponentTree(self.shape, self.pearls, new)

@@ -645,6 +645,9 @@ _ONE_RECT = RectConfig(2, {"a": _HALF_SQUARE})
 MALFORMED_CALLS = [
     pytest.param(lambda: RectConfig(2, {1: _HALF_SQUARE}), id="label-not-a-string"),
     pytest.param(lambda: RectConfig(2, [("a",)]), id="item-not-a-pair"),
+    pytest.param(lambda: RectConfig(2, None), id="rects-none"),
+    pytest.param(lambda: RectConfig(2, 5), id="rects-not-iterable"),
+    pytest.param(lambda: RectConfig("2", {}), id="dim-not-an-int"),
     pytest.param(lambda: RectConfig(2, {"a": _HALF_SQUARE}, "bogus"), id="unknown-regime"),
     pytest.param(lambda: RectConfig(2, {"a": _HALF_SQUARE}, ("m-overlap",)), id="m-overlap-without-m"),
     pytest.param(lambda: RectConfig(2, {"a": _HALF_SQUARE}, ("u-overlap", (("a",),))),

@@ -39,7 +39,6 @@ from operadic.freeconstr import (
     ib_generator,
     ib_point,
     is_base_value,
-    slot_fragment,
     stable_key,
 )
 from operadic.rng import Stream
@@ -161,13 +160,6 @@ class TestGenerators:
         pt = base_point(FAM, (0, PLUS))
         assert pt.arities == (0, PLUS)
         assert is_base_value(dict(pt.pearls)[()])
-
-    def test_slot_fragment_present_slots(self):
-        rng = Stream(3, ("frag",))
-        v = rand_glued(rng, (2, 1))
-        assert slot_fragment(v, 0, 0) is not None
-        assert slot_fragment(v, 0, 1) is not None
-        assert slot_fragment(v, 1, 0) is not None
 
     def test_stable_key_distinguishes(self):
         rng = Stream(4, ("key",))
