@@ -288,6 +288,18 @@ def collapse_family(components) -> RelativeFamily:
     return RelativeFamily(tuple(components), operad_model("terminal"), "collapse")
 
 
+def _agree_in_base(family: RelativeFamily, points, keep) -> bool:
+    """The fiber condition: the components other than the sentinel agree in
+    the base once every input outside keep is composed away.  A fiber point
+    keeps pk.shared(), as two finite parts of a partition family share
+    exactly those labels."""
+    present = [(i, x) for i, x in enumerate(points) if x != PLUS]
+    if len(present) < 2:
+        return True
+    images = [family.f(i, compose_away(family.components[i], x, keep)) for i, x in present]
+    return all(img == images[0] for img in images[1:])
+
+
 # ---------------------------------------------------------------------------
 # partition families with the augmented sentinel
 
@@ -434,14 +446,8 @@ class FiberPoint:
                 raise OperadicError("component %d must not be the sentinel" % i)
             if self.family.components[i].labels(x) != part:
                 raise OperadicError("component %d labels do not match its part" % i)
-        finite = [i for i, p in enumerate(self.pk.parts) if p != PLUS]
-        for pos, i in enumerate(finite):
-            for j in finite[pos + 1 :]:
-                common = set(self.pk.parts[i]) & set(self.pk.parts[j])
-                lhs = self.family.f(i, compose_away(self.family.components[i], self.points[i], common))
-                rhs = self.family.f(j, compose_away(self.family.components[j], self.points[j], common))
-                if lhs != rhs:
-                    raise OperadicError("fiber condition violation between components %d and %d" % (i, j))
+        if not _agree_in_base(self.family, self.points, self.pk.shared()):
+            raise OperadicError("fiber condition violation")
 
 
 def fiber_mu_a(p: FiberPoint, a: str, q: FiberPoint) -> FiberPoint:
@@ -488,28 +494,19 @@ def sample_fiber_point(rng: Stream, family: RelativeFamily, pk: PKFamily) -> Fib
 
 def fiber_compose_at(p: FiberPoint, pos: int, q: FiberPoint) -> FiberPoint:
     """Substitute q into ground position pos of p, renumbering to 1..n+m-1."""
+    if not isinstance(pos, int) or not 1 <= pos <= len(p.pk.ground):
+        raise OperadicError("no ground position %r" % (pos,))
     apart, back = renumbering(len(p.pk.ground), pos, len(q.pk.ground))
     z = fiber_mu_a(p, str(pos), fiber_relabel(q, apart))
     return fiber_relabel(z, back)
 
 
 def fiber_drop(p: FiberPoint, pos: int) -> FiberPoint:
-    """Compose the arity-zero point into ground position pos and renumber."""
-    label = str(pos)
-    parts = []
-    points = []
-    for i, part in enumerate(p.pk.parts):
-        if part != PLUS and label in part:
-            parts.append(tuple(a for a in part if a != label))
-            points.append(p.family.components[i].compose(
-                p.points[i], label, p.family.components[i].point0()))
-        else:
-            parts.append(part)
-            points.append(p.points[i])
-    ground = tuple(a for a in p.pk.ground if a != label)
-    out = FiberPoint(p.family, PKFamily(ground, tuple(parts)), tuple(points))
-    mapping = {str(t): str(t - 1) for t in range(pos + 1, len(p.pk.ground) + 1)}
-    return fiber_relabel(out, mapping)
+    """Compose the arity-zero fiber point into ground position pos."""
+    hit = [part != PLUS and str(pos) in part for part in p.pk.parts]
+    zero = FiberPoint(p.family, PKFamily((), tuple(() if h else PLUS for h in hit)),
+                      tuple(m.point0() if h else PLUS for m, h in zip(p.family.components, hit)))
+    return fiber_compose_at(p, pos, zero)
 
 
 def is_unit_fiber(p: FiberPoint) -> bool:
@@ -540,13 +537,10 @@ class OVecPoint:
         object.__setattr__(self, "points", tuple(self.points))
         if len(self.points) != self.family.k:
             raise OperadicError("component count mismatch")
-        images = []
         for i, x in enumerate(self.points):
-            model = self.family.components[i]
-            if MARK not in model.labels(x):
+            if MARK not in self.family.components[i].labels(x):
                 raise OperadicError("component %d is missing the marked input" % i)
-            images.append(self.family.f(i, compose_away(model, x, {MARK})))
-        if any(img != images[0] for img in images):
+        if not _agree_in_base(self.family, self.points, {MARK}):
             raise OperadicError("fiber condition violation at the marked input")
 
     @property
@@ -978,13 +972,11 @@ class GammaMorphism:
         object.__setattr__(self, "arrows", tuple(self.arrows))
         if len(self.arrows) != self.family.k:
             raise OperadicError("component count mismatch")
-        images = []
         for i, arrow in enumerate(self.arrows):
             if arrow.model != self.family.components[i]:
                 raise OperadicError("component %d uses the wrong model" % i)
-            marked = arrow.decoration(MARK)
-            images.append(self.family.f(i, compose_away(arrow.model, marked, {MARK})))
-        if any(img != images[0] for img in images):
+        marked = tuple(arrow.decoration(MARK) for arrow in self.arrows)
+        if not _agree_in_base(self.family, marked, {MARK}):
             raise OperadicError("fiber condition violation at the marked decorations")
 
     @property

@@ -31,9 +31,11 @@ with the upper vertices' times, under (0, path).
 
 The rewrite engine is the one of `freeconstr`: a free point is the "ib" or
 "b" point with every time at one (`bv_tau`), and the free normal form is the
-timed one there.  This module adds the points with times, their checks and
-actions.  Absorbing into the pearls goes through the module operations that
-`freeconstr.module_ops` finds for the pearls' carrier.
+timed one there.  The decoration checks of all four flavors live in
+`freeconstr` (`_check_decorations`); this module adds the points with times,
+the checks of their times and leaf labels, and their actions.  Absorbing into
+the pearls goes through the module operations that `freeconstr.module_ops`
+finds for the pearls' carrier.
 """
 
 from __future__ import annotations
@@ -41,30 +43,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (
-    OperadModel,
-    RelativeFamily,
-)
 from .errors import OperadicError
 from .exactgeom import rat
 from .freeconstr import (
     _TimedState,
     _act,
-    _check_fibers,
-    _check_upper,
+    _check_decorations,
     _free_state,
     _name_inputs,
     _pearlward,
-    _validate_b_decorations,
-    _validate_ib_decorations,
 )
-from .trees import (
-    KFoldTree,
-    is_vertex,
-    pearl_of,
-    validate_labeling,
-    vertices,
-)
+from .trees import KFoldTree, is_vertex, vertices
 
 _LAYOUT = {"ib": "pTree", "b": "sTree", "inter": "pTreeP", "w": "plain"}
 
@@ -195,58 +184,13 @@ def _validate_point(p: BVPoint):
             "flavor %r needs a %r tree, got %r"
             % (p.flavor, _LAYOUT[p.flavor], p.tree.variant)
         )
-    ok, clause = validate_labeling(p.tree)
-    if not ok:
-        raise OperadicError("invalid tree: %s" % clause)
+    timed = _check_decorations(p.flavor, p.family, p.tree, p.pearls_dict(), p.below_dict(),
+                               p.upper_dict())
     _check_decimal_labels(p.tree)
-    if p.flavor == "w":
-        _validate_w(p)
-    elif p.flavor == "inter":
-        _validate_inter(p)
-    else:
-        check = _validate_ib_decorations if p.flavor == "ib" else _validate_b_decorations
-        timed = check(p.family, p.tree, p.pearls_dict(), p.below_dict(), p.upper_dict())
-        if set(p.times_dict()) != timed:
-            raise OperadicError("times must cover the non-pearl vertices")
+    if set(p.times_dict()) != timed:
+        raise OperadicError("times must cover the timed vertices of flavor %r" % p.flavor)
     if p.flavor != "w":  # W-construction edge lengths are unconstrained
         _check_monotone(p)
-
-
-def _validate_w(p: BVPoint):
-    model = p.family
-    if not isinstance(model, OperadModel):
-        raise OperadicError("flavor 'w' needs an operad model")
-    if p.pearls or p.below:
-        raise OperadicError("flavor 'w' has operad decorations only")
-    shape = p.tree.components[0].shape
-    want = {(0, v) for v in vertices(shape)}
-    _check_upper([model], p.tree.components, p.upper_dict(), want, "vertices")
-    times = p.times_dict()
-    if set(times) != {v for v in vertices(shape) if v != ()}:
-        raise OperadicError("times must cover the non-root vertices")
-
-
-def _validate_inter(p: BVPoint):
-    family = p.family
-    if not isinstance(family, RelativeFamily):
-        raise OperadicError("a relative family is required")
-    if len(p.tree.components) != 1:
-        raise OperadicError("a single component is required")
-    c = p.tree.components[0]
-    marks = p.tree.marks_dict()
-    if {i for (i, _) in marks} != set(range(family.k)):
-        raise OperadicError("marks must cover every component index")
-    pearl = pearl_of(c)
-    pearls = p.pearls_dict()
-    below = p.below_dict()
-    if set(pearls) != {pearl}:
-        raise OperadicError("the pearl decoration must sit at the pearl")
-    if set(below) != {v for v in vertices(c.shape) if v != pearl}:
-        raise OperadicError("fiber decorations must cover the other vertices")
-    _check_fibers(family, c.shape, marks, {**pearls, **below})
-    times = p.times_dict()
-    if set(times) != set(below):
-        raise OperadicError("times must cover the non-pearl vertices")
 
 
 # ---------------------------------------------------------------------------

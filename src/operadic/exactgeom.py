@@ -55,7 +55,7 @@ def label_key(label: str):
     """Sort key putting numeric labels in numeric order, "*" first."""
     if label == MARK:
         return (0, 0, "")
-    if re.fullmatch(r"[0-9]+", label):
+    if label.isascii() and label.isdigit():
         # numeric order without int(), which refuses very long digit strings
         digits = label.lstrip("0")
         return (1, len(digits), digits)
@@ -275,9 +275,6 @@ class RectConfig:
             out[new] = r
         return RectConfig(self.dim, out, self.regime)
 
-    def numeric(self) -> bool:
-        return all(re.fullmatch(r"\d+", lbl) for lbl in self.labels)
-
     def to_json(self) -> dict:
         return {
             "dim": self.dim,
@@ -405,6 +402,10 @@ def perm_mapping(sigma) -> dict:
     return {str(sigma[j]): str(j + 1) for j in range(len(sigma))}
 
 
+def _positional(config: RectConfig) -> bool:
+    return config.labels == tuple(str(j) for j in range(1, config.arity + 1))
+
+
 def rect_compose(outer: RectConfig, slot, inner: RectConfig) -> RectConfig:
     """Substitute `inner` into input `slot` of `outer`.
 
@@ -415,8 +416,8 @@ def rect_compose(outer: RectConfig, slot, inner: RectConfig) -> RectConfig:
     standard way (inner block replaces position i).
     """
     if isinstance(slot, int):
-        if not (outer.numeric() and inner.numeric()):
-            raise OperadicError("positional composition needs numeric labels")
+        if not (_positional(outer) and _positional(inner)):
+            raise OperadicError("positional composition needs labels 1..n")
         if not 1 <= slot <= outer.arity:
             raise OperadicError("missing slot %d" % slot)
         apart, back = renumbering(outer.arity, slot, inner.arity)
@@ -438,11 +439,10 @@ def act_perm(config: RectConfig, sigma) -> RectConfig:
     sigma is a tuple with sigma[j-1] in 1..n; the result's slot j carries the
     rectangle formerly at slot sigma[j].
     """
-    n = config.arity
-    if config.labels != tuple(str(j) for j in range(1, n + 1)):
+    if not _positional(config):
         raise OperadicError("permutation action needs labels 1..n")
-    if sorted(sigma) != list(range(1, n + 1)):
-        raise OperadicError("not a permutation of 1..%d" % n)
+    if sorted(sigma) != list(range(1, config.arity + 1)):
+        raise OperadicError("not a permutation of 1..%d" % config.arity)
     return config.relabel(perm_mapping(sigma))
 
 

@@ -38,6 +38,7 @@ from .algebra import (
     AugmentedPoint,
     FiberPoint,
     GluedElement,
+    OperadModel,
     OVecPoint,
     ProductPoint,
     RelativeFamily,
@@ -63,7 +64,6 @@ from .trees import (
     LEAF,
     ComponentTree,
     KFoldTree,
-    above_paths,
     arity,
     below_paths,
     contraction,
@@ -265,83 +265,77 @@ def _check_fiber_marks(fiber: FiberPoint, marks: dict, v, m: int):
                 raise OperadicError("fiber pattern does not match the marks at %r" % (v,))
 
 
-def _check_fibers(family, shape, marks: dict, fibers: dict):
-    """Each vertex of fibers carries a fiber point over the family with
-    positional ground, matching the marks around the vertex."""
+def _check_decorations(flavor, family, tree: KFoldTree, pearls: dict, below: dict,
+                       upper: dict) -> set:
+    """Check that the decorations fit the tree of a point of one flavor and
+    return the keys of its timed vertices.  The four layouts:
+
+    "ib"     a generator at the pearl, positional marked product points on
+             the spine (the pearl's ancestors), operad elements elsewhere
+    "b"      generators at the pearls, positional fiber points below the
+             section, operad elements above it
+    "inter"  positional fiber points at every vertex of one tree, the pearl
+             included; only the non-pearl vertices are timed
+    "w"      an operad element of the one model at every vertex of a plain
+             tree; the timed vertices are the non-root paths
+
+    Pearls, spine and below-section vertices are joint and keyed by path;
+    operad elements are keyed by (component, path)."""
+    ok, clause = validate_labeling(tree)
+    if not ok:
+        raise OperadicError("invalid tree: %s" % clause)
+    comps, marks = tree.components, tree.marks_dict()
+    first = comps[0]
+    if flavor == "w":
+        if not isinstance(family, OperadModel):
+            raise OperadicError("flavor 'w' needs an operad model")
+        models, pearl_keys, below_keys = (family,), set(), set()
+    else:
+        if not isinstance(family, RelativeFamily):
+            raise OperadicError("a relative family is required")
+        models = family.components
+        if len({i for i, _ in marks} if flavor == "inter" else comps) != family.k:
+            raise OperadicError("component count mismatch")
+        if flavor == "b":
+            pearl_keys, below_keys = set(first.pearls), set(below_paths(first))
+        else:
+            pearl_keys = {pearl_of(first)}
+            below_keys = (set(spine_paths(first)) if flavor == "ib"
+                          else set(vertices(first.shape)) - pearl_keys)
+    upper_keys = set() if flavor == "inter" else {
+        (i, v) for i, c in enumerate(comps) for v in vertices(c.shape)
+        if v not in pearl_keys and v not in below_keys
+    }
+    for name, dec, want in (("pearl", pearls, pearl_keys), ("joint", below, below_keys),
+                            ("operad", upper, upper_keys)):
+        if set(dec) != want:
+            raise OperadicError("%s decorations do not fit the %r layout" % (name, flavor))
+    if flavor in ("ib", "b"):
+        for v, value in pearls.items():
+            want = tuple(arity(c.shape, v) if flavor == "ib" or marks[(i, v)] else PLUS
+                         for i, c in enumerate(comps))
+            if _pearl_arities(value) != want:
+                raise OperadicError("pearl decoration arity mismatch at %r" % (v,))
+    if flavor == "ib":
+        for v, theta in below.items():
+            if not isinstance(theta, OVecPoint) or theta.family != family:
+                raise OperadicError("spine decorations must be marked product points")
+            if not _positional_ovec(theta, [arity(c.shape, v) for c in comps]):
+                raise OperadicError("spine decoration labels must be positional")
+    fibers = {"b": below, "inter": {**pearls, **below}}.get(flavor, {})
     for v, fiber in fibers.items():
+        m = arity(first.shape, v)
         if not isinstance(fiber, FiberPoint) or fiber.family != family:
             raise OperadicError("decorations at %r must be fiber points" % (v,))
-        m = arity(shape, v)
         if not _positional_ground(fiber, m):
             raise OperadicError("fiber ground must be positional at %r" % (v,))
         _check_fiber_marks(fiber, marks, v, m)
-
-
-def _check_components(family, comps):
-    if not isinstance(family, RelativeFamily):
-        raise OperadicError("a relative family is required")
-    if len(comps) != family.k:
-        raise OperadicError("component count mismatch")
-
-
-def _check_upper(models, comps, upper: dict, want: set, where: str):
-    """The operad decorations cover the keys in want; component i's are
-    positional elements of models[i]."""
-    if set(upper) != want:
-        raise OperadicError("operad decorations must cover the %s" % where)
     for (i, v), x in upper.items():
         if not _positional_labels(models[i], x, arity(comps[i].shape, v)):
             raise OperadicError("operad decoration labels must be positional")
-
-
-def _validate_ib_decorations(family, tree: KFoldTree, pearls: dict, below: dict,
-                             upper: dict) -> set:
-    """Check the decorations of a pearled forest; returns the keys of its
-    non-pearl vertices."""
-    comps = tree.components
-    _check_components(family, comps)
-    pearl = pearl_of(comps[0])
-    if set(pearls) != {pearl}:
-        raise OperadicError("the pearl decoration must sit at the pearl")
-    if _pearl_arities(pearls[pearl]) != tuple(arity(c.shape, pearl) for c in comps):
-        raise OperadicError("pearl decoration arity mismatch")
-    spine = set(spine_paths(comps[0]))
-    if set(below) != spine:
-        raise OperadicError("spine decorations must cover the pearl ancestors")
-    for v, theta in below.items():
-        if not isinstance(theta, OVecPoint) or theta.family != family:
-            raise OperadicError("spine decorations must be marked product points")
-        if not _positional_ovec(theta, [arity(c.shape, v) for c in comps]):
-            raise OperadicError("spine decoration labels must be positional")
-    want = {
-        (i, v) for i, c in enumerate(comps) for v in vertices(c.shape)
-        if v != pearl and v not in spine
-    }
-    _check_upper(family.components, comps, upper, want, "off-spine vertices")
-    return spine | want
-
-
-def _validate_b_decorations(family, tree: KFoldTree, pearls: dict, below: dict,
-                            upper: dict) -> set:
-    """Check the decorations of a section forest; returns the keys of its
-    non-pearl vertices."""
-    comps = tree.components
-    _check_components(family, comps)
-    marks = tree.marks_dict()
-    if set(pearls) != set(comps[0].pearls):
-        raise OperadicError("pearl decorations must cover the pearls")
-    for v, value in pearls.items():
-        want = tuple(
-            arity(comps[i].shape, v) if marks[(i, v)] else PLUS for i in range(len(comps))
-        )
-        if _pearl_arities(value) != want:
-            raise OperadicError("pearl decoration arity mismatch at %r" % (v,))
-    if set(below) != set(below_paths(comps[0])):
-        raise OperadicError("fiber decorations must cover the below part")
-    _check_fibers(family, comps[0].shape, marks, below)
-    want = {(i, v) for i, c in enumerate(comps) for v in above_paths(c)}
-    _check_upper(family.components, comps, upper, want, "above-section vertices")
-    return set(below) | want
+    if flavor == "w":
+        return {v for v in vertices(first.shape) if v}
+    return below_keys | upper_keys
 
 
 # ---------------------------------------------------------------------------
@@ -820,23 +814,18 @@ def _fields(state: _TimedState) -> tuple:
 
 
 def _check_normal(pt):
-    ok, clause = validate_labeling(pt.tree)
-    if not ok:
-        raise OperadicError("invalid tree: %s" % clause)
-    _check_positional_labels(pt.tree)
-    belows = {} if pt.below is None else {(): pt.below}
+    """Reject a free point whose decorations do not fit its tree or which
+    normalization would change; every rewrite changes the tree or its pearls."""
+    below = {} if pt.below is None else {(): pt.below}
     if isinstance(pt, FreeIbPoint):
-        pearls = {pearl_of(pt.tree.components[0]): pt.pearl}
-        _validate_ib_decorations(pt.family, pt.tree, pearls, belows, dict(pt.upper))
+        # a forest without components reaches the tree check, not an IndexError
+        flavor, pearls = "ib", {pearl_of(c): pt.pearl for c in pt.tree.components[:1]}
     else:
-        pearls = dict(pt.pearls)
-        _validate_b_decorations(pt.family, pt.tree, pearls, belows, dict(pt.upper))
-    state = _free_state(pt)
-    if state.available():
-        raise OperadicError("point is not in normal form")
-    state.sort()
-    want = (pt.tree, tuple(sorted(pearls.items())), tuple(belows.items()), pt.upper)
-    if _fields(state) != want:
+        flavor, pearls = "b", dict(pt.pearls)
+    _check_decorations(flavor, pt.family, pt.tree, pearls, below, dict(pt.upper))
+    _check_positional_labels(pt.tree)
+    want = (pt.tree, tuple(sorted(pearls.items())), tuple(below.items()), pt.upper)
+    if _fields(_free_state(pt).run()) != want:
         raise OperadicError("point is not in normal form")
 
 

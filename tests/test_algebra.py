@@ -27,6 +27,8 @@ from operadic.algebra import (
     compose_away,
     convert_onefold,
     cube_family,
+    fiber_compose_at,
+    fiber_drop,
     fiber_mu_a,
     fiber_relabel,
     gamma_compose,
@@ -391,6 +393,32 @@ class TestFiberPoints:
         lhs = fiber_relabel(fiber_mu_a(p, "a", q), mapping)
         rhs = fiber_mu_a(fiber_relabel(p, mapping), "a", fiber_relabel(q, mapping))
         assert lhs == rhs
+
+    def test_drop_composes_the_empty_point_componentwise(self):
+        for trial in range(12):
+            rng = Stream(trial, ("drop",))
+            n = rng.split("n").randint(1, 3)
+            pk = sample_pk(rng.split("pk"), tuple(str(t + 1) for t in range(n)), 2)
+            p = sample_fiber_point(rng.split("pt"), FAM, pk)
+            pos = rng.split("pos").randint(1, n)
+            back = {str(t): str(t - 1) for t in range(pos + 1, n + 1)}
+            want = tuple(
+                PLUS if part == PLUS else m.relabel(
+                    m.compose(x, str(pos), m.point0()) if str(pos) in part else x, back)
+                for m, part, x in zip(FAM.components, pk.parts, p.points)
+            )
+            assert fiber_drop(p, pos).points == want
+
+    @pytest.mark.parametrize("call", [
+        lambda p: fiber_drop(p, 5),
+        lambda p: fiber_drop(p, 0),
+        lambda p: fiber_drop(p, "1"),
+        lambda p: fiber_compose_at(p, "1", p),
+    ], ids=["drop-5", "drop-0", "drop-str", "compose-at-str"])
+    def test_positions_outside_the_ground_are_rejected(self, call):
+        p = fiber_sample(8, PKFamily(("1", "2"), (("1", "2"), ("1",))))
+        with pytest.raises(OperadicError):
+            call(p)
 
     def test_collapse_family_points(self):
         fam = collapse_family((operad_model("sym"), operad_model("cube:1")))

@@ -728,6 +728,88 @@ class TestLeafLabels:
             self.corolla_point((label, "9"))
 
 
+# ---------------------------------------------------------------------------
+# one malformed field per flavor
+
+
+def flavor_starts():
+    """A valid point of each flavor with a time and an operad decoration or
+    a fiber ground to spoil."""
+    r = Stream(175, ("reject",))
+    x2 = positional(FAM.components[0], r.split("x2"), 2)
+    ib = free_graft_ib(ib_generator(FAM, rand_glued(r.split("ib"), (2, 1))), ("right", 0, 1, x2))
+    b = free_graft_b(b_generator(FAM, rand_glued(r.split("b"), (2, 1))), ("right", 0, 1, x2))
+    inter = intermediate_act(inter_corolla(r.split("inter"), 2),
+                             ("left", rand_theta(r.split("th"), (1, 1))))
+    w = w_point(operad_model("rect:2"), ((LEAF, LEAF), LEAF), r.split("w"), {(0,): HALF})
+    return {"ib": bv_tau(ib), "b": bv_tau(b), "inter": inter, "w": w}
+
+
+def _first_field(p):
+    return next(name for name in ("upper", "below", "pearls") if getattr(p, name))
+
+
+def _drop_key(p):
+    name = _first_field(p)
+    return replace(p, **{name: getattr(p, name)[1:]})
+
+
+def _add_key(p):
+    name = _first_field(p)
+    key, value = getattr(p, name)[0]
+    new = (key[0], key[1] + (9,)) if name == "upper" else key + (9,)
+    return replace(p, **{name: getattr(p, name) + ((new, value),)})
+
+
+def _retype(p):
+    if p.flavor == "w":
+        return replace(p, family=FAM)
+    wrong = ovec_unit(FAM) if p.flavor == "inter" else positional(FAM.components[0], Stream(0), 2)
+    key, _ = p.pearls[0]
+    return replace(p, pearls=((key, wrong),) + p.pearls[1:])
+
+
+def _unposition(p):
+    if p.upper:
+        (i, path), x = p.upper[0]
+        model = p.family if p.flavor == "w" else p.family.components[i]
+        return replace(p, upper=(((i, path), model.relabel(x, {"1": "9"})),) + p.upper[1:])
+    key, fiber = p.pearls[0]
+    return replace(p, pearls=((key, fiber_relabel(fiber, {"1": "9"})),) + p.pearls[1:])
+
+
+def _add_time(p):
+    untimed = p.pearls[0][0] if p.pearls else ()
+    return replace(p, times=p.times + ((untimed, Fraction(1)),))
+
+
+SPOILERS = {
+    "drop-decoration": _drop_key,
+    "add-decoration": _add_key,
+    "retype-carrier": _retype,
+    "non-positional": _unposition,
+    "drop-time": lambda p: replace(p, times=p.times[1:]),
+    "add-time": _add_time,
+}
+
+
+@pytest.mark.parametrize("spoil", list(SPOILERS))
+@pytest.mark.parametrize("flavor", ["ib", "b", "inter", "w"])
+def test_each_malformed_field_is_rejected(flavor, spoil):
+    p = flavor_starts()[flavor]
+    assert p.times and replace(p) == p
+    with pytest.raises(OperadicError):
+        SPOILERS[spoil](p)
+
+
+def test_inter_points_take_no_operad_decorations():
+    # every vertex of an "inter" point carries a fiber point; a stray operad
+    # decoration has no time and would reach the engine
+    p = flavor_starts()["inter"]
+    with pytest.raises(OperadicError):
+        replace(p, upper={(0, (0,)): positional(FAM.components[0], Stream(176), 2)})
+
+
 UNIT_SHAPES = (
     (((LEAF, LEAF),), LEAF),
     ((((LEAF, LEAF), LEAF),),),

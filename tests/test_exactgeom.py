@@ -25,6 +25,7 @@ from operadic.exactgeom import (
     glue_shared,
     identity_embedding,
     include_rect,
+    label_key,
     pad_rect,
     rat,
     rect_compose,
@@ -661,6 +662,9 @@ MALFORMED_CALLS = [
                  id="u-overlap-negative-bound"),
     pytest.param(lambda: act_perm(RectConfig(2, {"1": _HALF_SQUARE, "3": _HALF_SQUARE}), (2, 1)),
                  id="act-perm-labels-not-positional"),
+    pytest.param(lambda: rect_compose(RectConfig(2, {"1": _HALF_SQUARE, "5": _HALF_SQUARE}), 1,
+                                      unit_config("1", 2)),
+                 id="rect-compose-labels-not-positional"),
 ]
 
 
@@ -687,6 +691,10 @@ class TestMalformedInput:
         assert cfg.labels == ("2", long_label)
         assert regime_str(cfg.regime) == "u-overlap(2|%s;1:1=1,1:2=inf,2:2=inf)" % long_label
         assert validate_config(cfg)
+
+    def test_label_key_sorts_only_ascii_decimals_as_numbers(self):
+        labels = ("*", "2", "10", "007", "\u0663", "a", "")
+        assert sorted(reversed(labels), key=label_key) == ["*", "2", "007", "10", "", "a", "\u0663"]
 
     @FUZZ
     @given(st.one_of(
