@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 import sympy as sp
@@ -29,6 +30,7 @@ from operadic.exactgeom import (
     pad_rect,
     rat,
     rect_compose,
+    regime_kind,
     regime_parse,
     regime_str,
     semb_compose,
@@ -76,6 +78,82 @@ def oracle_overlap(r1: Rect, r2: Rect) -> bool:
         if i1.intersect(i2) is sp.EmptySet or i1.intersect(i2) == sp.EmptySet:
             return False
     return True
+
+
+def oracle_meet(rects) -> bool:
+    """Do the open boxes share a point?  Axis by axis, the largest low end
+    must lie below the smallest high end."""
+    return all(
+        max(r.offsets[j] for r in rects) < min(r.offsets[j] + r.scales[j] for r in rects)
+        for j in range(len(rects[0].offsets))
+    )
+
+
+def oracle_validate(config: RectConfig, regime) -> ValidationResult:
+    """The brute-force subset scan: every subset a regime forbids, in
+    `combinations` order over `config.rects` (over the blocks for u-overlap);
+    the first one with a common open point is the witness."""
+    for lbl, r in config.rects:
+        if not all(b >= 0 and a + b <= 1 for a, b in zip(r.scales, r.offsets)):
+            return ValidationResult(False, "containment", (lbl,))
+    kind = regime if isinstance(regime, str) else regime[0]
+    items = config.rects
+    if kind == "overlapping":
+        return ValidationResult(True)
+    if kind in ("disjoint", "m-overlap"):
+        size = 2 if kind == "disjoint" else regime[1]
+        for subset in combinations(items, size):
+            if oracle_meet([r for _, r in subset]):
+                reason = "disjointness" if kind == "disjoint" else "m-overlap"
+                return ValidationResult(False, reason, tuple(lbl for lbl, _ in subset))
+        return ValidationResult(True)
+    _, blocks, u = regime
+    if sorted((lbl for block in blocks for lbl in block), key=label_key) != list(config.labels):
+        return ValidationResult(False, "u-overlap-blocks", config.labels)
+    rects = dict(items)
+    for p in range(len(blocks)):
+        for q in range(p, len(blocks)):
+            bound = u.get((p, q), "inf")
+            if bound == "inf":
+                continue
+            for a in blocks[p]:
+                for chosen in combinations([b for b in blocks[q] if b != a], bound):
+                    if oracle_meet([rects[a]] + [rects[b] for b in chosen]):
+                        return ValidationResult(False, "u-overlap", (a,) + chosen)
+    return ValidationResult(True)
+
+
+def grid_config(rng: Stream, dim: int, labels) -> RectConfig:
+    """Boxes with corners on the eighth grid of the unit cube, so that they
+    touch, nest and repeat; now and then one sticks out of the cube."""
+    rects = {}
+    for lbl in labels:
+        r = rng.split(lbl)
+        if rects and r.randint(0, 3) == 0:
+            rects[lbl] = r.choice(list(rects.values()))
+            continue
+        scales, offsets = [], []
+        for _ in range(dim):
+            lo = r.randint(0, 7)
+            hi = r.randint(lo + 1, 9 if r.randint(0, 40) == 0 else 8)
+            scales.append(Fraction(hi - lo, 8))
+            offsets.append(Fraction(lo, 8))
+        rects[lbl] = Rect(tuple(scales), tuple(offsets))
+    return RectConfig(dim, rects)
+
+
+def grid_u_regime(rng: Stream, labels):
+    """1-3 blocks over the shuffled labels (rarely missing one), with
+    bounds in {0, 1, 2, "inf"} and some pairs left to the default."""
+    order = rng.shuffle(labels)
+    if order and rng.randint(0, 9) == 0:
+        order = order[1:]
+    n_blocks = rng.randint(1, 3)
+    cuts = sorted(rng.randint(0, len(order)) for _ in range(n_blocks - 1))
+    blocks = tuple(tuple(order[s:e]) for s, e in zip([0] + cuts, cuts + [len(order)]))
+    u = {(p, q): rng.choice((0, 1, 2, 2, "inf"))
+         for p in range(n_blocks) for q in range(p, n_blocks) if rng.randint(0, 4)}
+    return ("u-overlap", blocks, u)
 
 
 def perm_block_compose(sigma: tuple, i: int, m: int) -> tuple:
@@ -254,6 +332,26 @@ class TestRegimes:
             assert validate_config(dis, "disjoint")
             mo = sample_moverlap_config(t.split("m"), dim, ["1", "2", "3", "4", "5"], 3)
             assert validate_config(mo, ("m-overlap", 3))
+
+    def test_validate_config_matches_subset_scan(self):
+        # the whole ValidationResult, witness order included, on touching,
+        # nested and repeated grid boxes inserted in shuffled label order
+        rng = Stream(23, ("subset-scan",))
+        pool = [str(t) for t in range(1, 13)] + ["a", "b"]
+        outcomes = set()
+        for trial in range(300):
+            t = rng.split(trial)
+            labels = t.shuffle(pool)[: t.randint(0, 9)]
+            cfg = grid_config(t.split("cfg"), t.randint(1, 3), labels)
+            regimes = ["disjoint"] + [("m-overlap", m) for m in (1, 2, 3, 4, len(labels) + 1)]
+            regimes += [grid_u_regime(t.split(("u", k)), labels) for k in range(2)]
+            for regime in regimes:
+                got = validate_config(cfg, regime)
+                assert got == oracle_validate(cfg, regime), (cfg, regime)
+                outcomes.add((regime_kind(regime), got.reason))
+        for kind, reason in (("disjoint", "disjointness"), ("m-overlap", "m-overlap"),
+                             ("u-overlap", "u-overlap"), ("u-overlap", "u-overlap-blocks")):
+            assert {(kind, ""), (kind, reason), (kind, "containment")} <= outcomes
 
     def test_moverlap_witness(self):
         base = Rect((Fraction(1, 2),), (Fraction(1, 4),))
