@@ -86,9 +86,16 @@ class OperadModel:
         return "overlapping" if self.kind == "rect-inf" else "disjoint"
 
     def labels(self, x) -> tuple:
+        """The input labels of x; anything but an element of this model's
+        carrier (a configuration, a tuple or a frozenset of string labels)
+        raises OperadicError."""
         if self.geometric:
-            return x.labels
-        return tuple(sorted(x, key=label_key))
+            if isinstance(x, RectConfig):
+                return x.labels
+        elif (isinstance(x, tuple if self.kind == "sym" else frozenset)
+              and all(isinstance(a, str) for a in x)):
+            return tuple(sorted(x, key=label_key))
+        raise OperadicError("%r is no element of the operad %s" % (x, self.name))
 
     def arity(self, x) -> int:
         return len(self.labels(x))

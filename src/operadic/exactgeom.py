@@ -118,25 +118,62 @@ def Cube(scale, offsets) -> Rect:
     return Rect((rat(scale),) * len(offsets), offsets)
 
 
+def _intervals(r: Rect) -> tuple:
+    """The open image as one (lo, hi) interval per axis."""
+    return tuple(map(r.axis_interval, range(r.dim)))
+
+
+def _meet(box1, box2) -> bool:
+    """Do two open boxes, given by their per-axis intervals, share a point?"""
+    return all(l1 < h2 and l2 < h1 for (l1, h1), (l2, h2) in zip(box1, box2))
+
+
 def rects_overlap(r1: Rect, r2: Rect) -> bool:
     """Open images intersect?"""
-    return common_box((r1, r2)) is not None
+    return _meet(_intervals(r1), _intervals(r2))
 
 
 def common_box(rects) -> tuple | None:
     """Common open intersection of images, as (lo, hi) tuples, or None."""
-    rects = list(rects)
-    dim = rects[0].dim
-    lo, hi = [], []
-    for j in range(dim):
-        ivs = [r.axis_interval(j) for r in rects]
-        a = max(iv[0] for iv in ivs)
-        b = min(iv[1] for iv in ivs)
-        if a >= b:
-            return None
-        lo.append(a)
-        hi.append(b)
-    return (tuple(lo), tuple(hi))
+    axes = tuple(zip(*(_intervals(r) for r in rects)))
+    lo = tuple(max(l for l, _ in axis) for axis in axes)
+    hi = tuple(min(h for _, h in axis) for axis in axes)
+    return None if any(l >= h for l, h in zip(lo, hi)) else (lo, hi)
+
+
+def _overlap_graph(boxes) -> list:
+    """Adjacency sets of the pairwise-overlap graph over positions in
+    `boxes` (per-axis intervals): one sort on axis 0, then a sweep that
+    compares whole boxes only with those still open at the current low end."""
+    adj = [set() for _ in boxes]
+    window = []
+    for i in sorted(range(len(boxes)), key=lambda k: boxes[k][0][0]):
+        low = boxes[i][0][0]
+        window = [j for j in window if boxes[j][0][1] > low]
+        for j in window:
+            if _meet(boxes[i], boxes[j]):
+                adj[i].add(j)
+                adj[j].add(i)
+        window.append(i)
+    return adj
+
+
+def _first_clique(adj, size: int, cands) -> tuple | None:
+    """The first `size`-subset of `cands` in `combinations` order that is a
+    clique of `adj`, or None.  Depth first in candidate order, each step
+    keeping only the later candidates adjacent to every chosen vertex; a
+    frame (chosen, rest, k) tries rest[k] next."""
+    stack = [((), list(cands), 0)]
+    while stack:
+        chosen, rest, k = stack.pop()
+        if len(chosen) == size:
+            return chosen
+        if len(rest) - k < size - len(chosen):
+            continue
+        v = rest[k]
+        stack.append((chosen, rest, k + 1))
+        stack.append((chosen + (v,), [w for w in rest[k + 1:] if w in adj[v]], 0))
+    return None
 
 
 def bounding_rect(rects) -> Rect:
@@ -331,7 +368,20 @@ class ValidationResult:
 
 
 def validate_config(config: RectConfig, regime=None) -> ValidationResult:
-    """Containment plus the regime's overlap predicate; total on valid shapes."""
+    """Containment plus the regime's overlap predicate; total on valid shapes.
+
+    Open axis-parallel boxes have Helly number 2 (Danzer-Gruenbaum-Klee,
+    "Helly's theorem and its relatives"): a set of them shares an open point
+    exactly when every two of them overlap.  So each regime is decided on the
+    pairwise-overlap graph: m-overlap fails on an m-clique, "disjoint" on an
+    edge, and u-overlap when a rectangle of block p has u[p,q] pairwise
+    overlapping neighbours in block q.
+
+    The witness of a failure is the first forbidden subset in `combinations`
+    order over `config.rects`; for u-overlap it is (a,) + chosen for the
+    first (p, q, a, chosen) in loop order, with a running over blocks[p] and
+    chosen over `combinations` of blocks[q], both in block order.
+    """
     regime = config.regime if regime is None else regime
     regime_str(regime)  # raises on a malformed regime
     for lbl, r in config.rects:
@@ -340,44 +390,30 @@ def validate_config(config: RectConfig, regime=None) -> ValidationResult:
     kind = regime_kind(regime)
     if kind == "overlapping":
         return ValidationResult(True)
-    if kind == "disjoint":
-        items = config.rects
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                if rects_overlap(items[i][1], items[j][1]):
-                    return ValidationResult(False, "disjointness", (items[i][0], items[j][0]))
-        return ValidationResult(True)
-    if kind == "m-overlap":
-        m = regime[1]
-        items = config.rects
-        from itertools import combinations
-
-        for subset in combinations(items, min(m, len(items))):
-            if len(subset) < m:
-                break
-            if common_box([r for _, r in subset]) is not None:
-                return ValidationResult(False, "m-overlap", tuple(lbl for lbl, _ in subset))
-        return ValidationResult(True)
+    labels = config.labels
     if kind == "u-overlap":
         _, blocks, u = regime
-        block_labels = [lbl for block in blocks for lbl in block]
-        if sorted(block_labels, key=label_key) != sorted(config.labels, key=label_key):
-            return ValidationResult(False, "u-overlap-blocks", tuple(config.labels))
-        from itertools import combinations
-
-        for p in range(len(blocks)):
-            for q in range(p, len(blocks)):
-                bound = u.get((p, q), "inf")
-                if bound == "inf":
-                    continue
-                for a in blocks[p]:
-                    pool = [b for b in blocks[q] if not (p == q and b == a)]
-                    for chosen in combinations(pool, bound):
-                        group = [config.rect(a)] + [config.rect(b) for b in chosen]
-                        if common_box(group) is not None:
-                            return ValidationResult(False, "u-overlap", (a,) + tuple(chosen))
-        return ValidationResult(True)
-    raise OperadicError("unknown regime %r" % (regime,))
+        if sorted((lbl for block in blocks for lbl in block), key=label_key) != list(labels):
+            return ValidationResult(False, "u-overlap-blocks", labels)
+    adj = _overlap_graph([_intervals(r) for _, r in config.rects])
+    if kind != "u-overlap":
+        got = _first_clique(adj, 2 if kind == "disjoint" else regime[1], range(len(adj)))
+        if got is None:
+            return ValidationResult(True)
+        reason = "disjointness" if kind == "disjoint" else kind
+        return ValidationResult(False, reason, tuple(labels[k] for k in got))
+    pos = {lbl: k for k, lbl in enumerate(labels)}
+    for p in range(len(blocks)):
+        for q in range(p, len(blocks)):
+            bound = u.get((p, q), "inf")
+            if bound == "inf":
+                continue
+            for a in blocks[p]:
+                near = adj[pos[a]]
+                got = _first_clique(adj, bound, [pos[b] for b in blocks[q] if pos[b] in near])
+                if got is not None:
+                    return ValidationResult(False, "u-overlap", (a,) + tuple(labels[k] for k in got))
+    return ValidationResult(True)
 
 
 # ---------------------------------------------------------------------------
@@ -630,11 +666,10 @@ def epsilon_glue(f: MarkedFiberConfig) -> RectConfig:
 
 def _assert_exact_union(box: Rect, parts) -> None:
     """The fused rectangles must tile their bounding box exactly."""
+    if any(_overlap_graph([_intervals(r) for r in parts])):
+        raise OperadicError("glued rectangles overlap")
     total = Fraction(0)
-    for i, r in enumerate(parts):
-        for r2 in parts[i + 1 :]:
-            if rects_overlap(r, r2):
-                raise OperadicError("glued rectangles overlap")
+    for r in parts:
         vol = Fraction(1)
         for a in r.scales:
             vol *= a
@@ -766,10 +801,6 @@ class StandardEmbedding:
         return (tuple(vec), tuple(scale + c for c in vec))
 
 
-def _box_disjoint(b1, b2) -> bool:
-    return any(max(l1, l2) >= min(h1, h2) for l1, h1, l2, h2 in zip(b1[0], b1[1], b2[0], b2[1]))
-
-
 def _box_inside(inner, outer) -> bool:
     return all(lo >= lo2 and hi <= hi2 for lo, hi, lo2, hi2 in zip(inner[0], inner[1], outer[0], outer[1]))
 
@@ -795,10 +826,11 @@ def validate_embedding(e: StandardEmbedding) -> ValidationResult:
             if not _box_inside(box, unit):
                 return ValidationResult(False, "containment", (a,))
     cubes = [a for a in e.source if a != MARK]
+    boxes = {a: tuple(zip(*e.image_box(a))) for a in cubes}
     for i in range(len(cubes)):
         for j in range(i + 1, len(cubes)):
             a, b = cubes[i], cubes[j]
-            if amap[a] == amap[b] and not _box_disjoint(e.image_box(a), e.image_box(b)):
+            if amap[a] == amap[b] and _meet(boxes[a], boxes[b]):
                 return ValidationResult(False, "disjointness", (a, b))
     return ValidationResult(True)
 

@@ -41,6 +41,7 @@ from operadic.bv import (
     bv_tau,
     intermediate_act,
 )
+from operadic.exactgeom import cube_split
 from operadic.errors import OperadicError
 from operadic.freeconstr import (
     GluedBOps,
@@ -793,13 +794,36 @@ SPOILERS = {
 }
 
 
-@pytest.mark.parametrize("spoil", list(SPOILERS))
-@pytest.mark.parametrize("flavor", ["ib", "b", "inter", "w"])
+def _corolla_w(name, x):
+    """The "w" point of a binary corolla over the named model, decorated by x."""
+    tree = KFoldTree("plain", (ComponentTree(corolla(2)),))
+    return BVPoint("w", operad_model(name), tree, upper={(0, ()): x}, times={})
+
+
+# operad decorations outside their model's carrier
+WRONG_CARRIERS = {
+    "rect-as-string": ("rect:2", "xy"),
+    "sym-as-int": ("sym", 5),
+    "terminal-as-int": ("terminal", 3),
+    "sym-with-int-label": ("sym", ("1", 2)),
+}
+SPOILERS.update({name: lambda p, case=case: _corolla_w(*case) for name, case in WRONG_CARRIERS.items()})
+
+
+@pytest.mark.parametrize("flavor,spoil", [
+    (flavor, spoil) for spoil in SPOILERS for flavor in ("ib", "b", "inter", "w")
+    if flavor == "w" or spoil not in WRONG_CARRIERS
+])
 def test_each_malformed_field_is_rejected(flavor, spoil):
     p = flavor_starts()[flavor]
     assert p.times and replace(p) == p
     with pytest.raises(OperadicError):
         SPOILERS[spoil](p)
+
+
+def test_corolla_w_takes_each_models_carrier():
+    for name, x in (("rect:2", cube_split(2, 2)), ("sym", ("2", "1")), ("terminal", frozenset("12"))):
+        assert _corolla_w(name, x).upper == (((0, ()), x),)
 
 
 def test_inter_points_take_no_operad_decorations():

@@ -353,6 +353,27 @@ class TestRegimes:
                              ("u-overlap", "u-overlap"), ("u-overlap", "u-overlap-blocks")):
             assert {(kind, ""), (kind, reason), (kind, "containment")} <= outcomes
 
+    def test_moverlap_at_scale(self):
+        # a subset scan took over 14 s on one valid (28, 6) configuration
+        m = 6
+        for n in (28, 40):
+            labels = [str(t + 1) for t in range(n)]
+            cfg = sample_moverlap_config(Stream(24, ("scale", n)), 2, labels, m)
+            assert validate_config(cfg)
+            # shrunken copies of one rectangle on the last m - 1 labels
+            rects = dict(cfg.rects)
+            base = rects[labels[n // 3]]
+            for j in range(1, m):
+                f = Fraction(8 - j, 8)
+                rects[labels[-j]] = Rect(tuple(a * f for a in base.scales),
+                                         tuple(b + a * (1 - f) / 2 for a, b in zip(base.scales, base.offsets)))
+            res = validate_config(RectConfig(2, rects, cfg.regime))
+            assert not res and res.reason == "m-overlap" and len(set(res.witness)) == m
+            chosen = [rects[lbl] for lbl in res.witness]
+            point = [(max(r.offsets[j] for r in chosen) + min(r.offsets[j] + r.scales[j] for r in chosen)) / 2
+                     for j in range(2)]
+            assert all(r.offsets[j] < point[j] < r.offsets[j] + r.scales[j] for r in chosen for j in range(2))
+
     def test_moverlap_witness(self):
         base = Rect((Fraction(1, 2),), (Fraction(1, 4),))
         cfg = RectConfig(1, {"1": base, "2": base, "3": base})
