@@ -41,8 +41,8 @@ from operadic.bv import (
     bv_tau,
     intermediate_act,
 )
-from operadic.exactgeom import cube_split
 from operadic.errors import OperadicError
+from operadic.exactgeom import cube_split
 from operadic.freeconstr import (
     GluedBOps,
     GluedIbOps,
