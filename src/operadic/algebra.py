@@ -307,6 +307,17 @@ def _agree_in_base(family: RelativeFamily, points, keep) -> bool:
     return all(img == images[0] for img in images[1:])
 
 
+def _frozen(cls, *values):
+    """An instance of the frozen dataclass cls from its field values, in
+    field order, that are already checked and normal: __post_init__ does not
+    run.  Only results built from checked inputs by operations that keep
+    every condition of cls come through here."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values, strict=True):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 # ---------------------------------------------------------------------------
 # partition families with the augmented sentinel
 
@@ -472,7 +483,8 @@ def fiber_mu_a(p: FiberPoint, a: str, q: FiberPoint) -> FiberPoint:
             points.append(p.family.components[i].compose(p.points[i], a, q.points[i]))
         else:
             points.append(p.points[i])
-    return FiberPoint(p.family, pk, tuple(points))
+    # each f is an operad map, so the composites agree in the base
+    return _frozen(FiberPoint, p.family, pk, tuple(points))
 
 
 def fiber_relabel(p: FiberPoint, mapping: dict) -> FiberPoint:
@@ -483,7 +495,8 @@ def fiber_relabel(p: FiberPoint, mapping: dict) -> FiberPoint:
         x if x == PLUS else p.family.components[i].relabel(x, mapping)
         for i, x in enumerate(p.points)
     )
-    return FiberPoint(p.family, PKFamily(ground, parts), points)
+    # relabeling commutes with each f, so the images still agree
+    return _frozen(FiberPoint, p.family, PKFamily(ground, parts), points)
 
 
 def sample_fiber_point(rng: Stream, family: RelativeFamily, pk: PKFamily) -> FiberPoint:
@@ -598,13 +611,16 @@ def ovec_compose_at(theta: OVecPoint, i: int, pos: int, x) -> OVecPoint:
     z = model.compose(theta.points[i], str(pos), model.relabel(x, apart))
     points = list(theta.points)
     points[i] = model.relabel(z, back)
-    return OVecPoint(theta.family, tuple(points))
+    # x's inputs are composed away with the rest, so the marked images stay
+    return _frozen(OVecPoint, theta.family, tuple(points))
 
 
 def ovec_splice(parent: OVecPoint, child: OVecPoint) -> OVecPoint:
     """Substitute the child into the marked input; the child's non-marked
     slots come first in the merged numbering."""
     family = parent.family
+    if child.family != family:
+        raise OperadicError("points over different families")
     points = []
     for i in range(family.k):
         model = family.components[i]
@@ -614,11 +630,11 @@ def ovec_splice(parent: OVecPoint, child: OVecPoint) -> OVecPoint:
             for t in range(2, model.arity(parent.points[i]) + 1)
         })
         points.append(model.compose(shifted, MARK, child.points[i]))
-    return OVecPoint(family, tuple(points))
+    return _frozen(OVecPoint, family, tuple(points))
 
 
 def is_unit_ovec(theta: OVecPoint) -> bool:
-    return theta == ovec_unit(theta.family)
+    return all(x == m.unit(MARK) for m, x in zip(theta.family.components, theta.points))
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,11 @@ timed one there.  The decoration checks of all four flavors live in
 the checks of their times and leaf labels, and their actions.  Absorbing into
 the pearls goes through the module operations that `freeconstr.module_ops`
 finds for the pearls' carrier.
+
+Validation happens once, at the boundary.  `BVPoint` checks every point a
+caller builds.  `bv_act`, `intermediate_act`, `bv_normalize` and `bv_tau`
+start from checked points, check each operand as it is grafted on, and
+freeze the engine's result without a second check (`_point_of`).
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .algebra import _frozen
 from .errors import OperadicError
 from .exactgeom import rat
 from .freeconstr import (
@@ -132,13 +138,6 @@ class BVPoint:
     def times_dict(self) -> dict:
         return dict(self.times)
 
-    def time_of(self, i: int, path) -> Fraction:
-        """The time of a vertex, None at pearls."""
-        times = self.times_dict()
-        if tuple(path) in times:
-            return times[tuple(path)]
-        return times.get((i, tuple(path)))
-
     def leaf_labels(self, i: int) -> tuple:
         """Leaf labels of one component in planar order."""
         return tuple(s for _, s in self.tree.components[i].labels)
@@ -160,12 +159,12 @@ def _check_monotone(p: BVPoint):
 
     The pearls themselves sit at time zero, so their boundary constraints
     are vacuous and are not checked."""
+    times = p.times_dict()
     for i, c in enumerate(p.tree.components):
         for v in vertices(c.shape):
             if not v or v in c.pearls or v[:-1] in c.pearls:
                 continue
-            tc = p.time_of(i, v)
-            tp = p.time_of(i, v[:-1])
+            tc, tp = (times[u] if u in times else times.get((i, u)) for u in (v, v[:-1]))
             if tc is None or tp is None:
                 continue
             ok = tp >= tc if _pearlward(c.pearls, v) else tc >= tp
@@ -212,17 +211,21 @@ def _state_of(p):
 
 
 def _point_of(st: _TimedState) -> BVPoint:
+    """The timed point of a state built from checked points and operands,
+    frozen without `BVPoint`'s checks; the fields are ordered as
+    `BVPoint.__post_init__` orders them."""
     times = {**st.jtimes, **st.utimes}
     if st.flavor == "w":
         times = {path: t for (_, path), t in times.items()}
-    return BVPoint(
+    return _frozen(
+        BVPoint,
         st.flavor,
         st.family,
         KFoldTree(_LAYOUT[st.flavor], st.components(), tuple(st.marks.items())),
-        pearls=tuple(st.pearl_dec.items()),
-        below=tuple(st.below_dec.items()),
-        upper=tuple(st.upper_dec.items()),
-        times=tuple(times.items()),
+        tuple(sorted(st.pearl_dec.items())),
+        tuple(sorted(st.below_dec.items())),
+        tuple(sorted(st.upper_dec.items())),
+        tuple(sorted(times.items(), key=lambda kv: _time_sort_key(kv[0]))),
     )
 
 

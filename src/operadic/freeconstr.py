@@ -18,8 +18,10 @@ where every non-pearl vertex sits at time one: there equal-time neighbours
 always contract, nothing is absorbed into a pearl, and the snapshot drops the
 times.  Normal form: no contractible vertex-vertex edge, no eliminable unit
 decoration, base-point pearls only at the root, children sorted by their
-encodings.  Point equality is field equality; the constructors re-run
-normalization and reject anything that is not already normal.
+encodings.  Point equality is field equality.  The public constructors
+check the decorations, re-run normalization and reject anything that is not
+already normal; the grafts check their operands on entry and freeze the
+snapshot of their exhausted state without that second check.
 
 Absorbing into a pearl at time zero goes through the module operations of
 the pearls' carrier.  `module_ops` looks them up here, next to the carriers'
@@ -42,6 +44,7 @@ from .algebra import (
     OVecPoint,
     ProductPoint,
     RelativeFamily,
+    _frozen,
     act_numeric,
     block_fiber,
     compose_at,
@@ -168,9 +171,10 @@ def _relabel_component(value, i: int, mapping: dict) -> object:
             orders[i] = tuple(mapping.get(a, a) for a in orders[i])
         return FormalGenerator(value.name, tuple(orders), value.base)
     if isinstance(value, (OVecPoint, ProductPoint)):
+        # renaming inputs other than the mark keeps the marked images
         points = list(value.points)
         points[i] = value.family.components[i].relabel(points[i], mapping)
-        return type(value)(value.family, tuple(points))
+        return _frozen(type(value), value.family, tuple(points))
     if isinstance(value, FiberPoint):
         return fiber_relabel(value, mapping)
     if isinstance(value, AugmentedPoint):
@@ -333,6 +337,9 @@ def _check_decorations(flavor, family, tree: KFoldTree, pearls: dict, below: dic
     for (i, v), x in upper.items():
         if not _positional_labels(models[i], x, arity(comps[i].shape, v)):
             raise OperadicError("operad decoration labels must be positional")
+        if not models[i].validate(x):
+            raise OperadicError("operad decoration at %r is no element of %s"
+                                % ((i, v), models[i].name))
     if flavor == "w":
         return {v for v in vertices(first.shape) if v}
     return below_keys | upper_keys
@@ -380,7 +387,14 @@ class _TimedState:
 
     Children sort by their encodings, which describe whole subtrees.  Ties
     go to the order whose acted parent decoration has the least
-    `stable_key`."""
+    `stable_key`.
+
+    Validation happens once, at the boundary: a state is built from a
+    checked point, and every operand is checked as it is grafted on
+    (`_graft_right`, `_graft_fiber`, `_check_ovec_operand`, the operand
+    states of `_act`).  The rules keep every decoration, time and label
+    condition, so the snapshot of an exhausted state is a valid normal point
+    and is frozen without the points' constructor checks."""
 
     def __init__(self, flavor, family, shapes, pearls, labels, marks,
                  pearl_dec, below_dec, upper_dec, jtimes, utimes):
@@ -893,26 +907,23 @@ def has_univalent_vertex(pt) -> bool:
 # builders
 
 
-def _snapshot_ib(state: _TimedState) -> FreeIbPoint:
+def _point_fields(state: _TimedState) -> tuple:
+    """The free point fields of an exhausted state, in constructor order."""
     tree, pearls, belows, upper = _fields(state)
-    return FreeIbPoint(state.family, tree, pearls[0][1], belows[0][1] if belows else None, upper)
-
-
-def _snapshot_b(state: _TimedState) -> FreeBPoint:
-    tree, pearls, belows, upper = _fields(state)
-    return FreeBPoint(state.family, tree, pearls, belows[0][1] if belows else None, upper)
+    pearl = pearls[0][1] if state.flavor == "ib" else pearls
+    return state.family, tree, pearl, belows[0][1] if belows else None, upper
 
 
 def ib_point(family, tree, pearl, below=None, upper=(), rng=None) -> FreeIbPoint:
     """Normalize a decorated pearled forest and freeze the result."""
     state = _state_ib(family, tree, pearl, below, dict(upper)).run(rng)
-    return _snapshot_ib(state)
+    return FreeIbPoint(*_point_fields(state))
 
 
 def b_point(family, tree, pearls, below=None, upper=(), rng=None) -> FreeBPoint:
     """Normalize a decorated section forest and freeze the result."""
     state = _state_b(family, tree, dict(pearls), below, dict(upper)).run(rng)
-    return _snapshot_b(state)
+    return FreeBPoint(*_point_fields(state))
 
 
 def ib_generator(family: RelativeFamily, pearl) -> FreeIbPoint:
@@ -970,6 +981,8 @@ def _graft_right(state: _TimedState, i: int, j, x) -> _TimedState:
     m = model.arity(x)
     if not _positional_labels(model, x, m):
         raise OperadicError("operand labels must be positional")
+    if not model.validate(x):
+        raise OperadicError("the operand is no element of %s" % model.name)
     path = _graft_leaf(state, i, j, m)
     state.upper_dec[(i, path)] = x
     state.utimes[(i, path)] = ONE
@@ -1117,16 +1130,24 @@ def _act(state: _TimedState, action, operand_state) -> _TimedState:
     return _merge_b_operands(state.family, fiber, states)
 
 
+def _graft(cls, pt, action, rng):
+    """The normal form of a free point of class cls after the action, frozen
+    without the constructor's re-check: pt and the operands are checked."""
+    if not isinstance(pt, cls):
+        raise OperadicError("%r is no %s" % (type(pt).__name__, cls.__name__))
+    return _frozen(cls, *_point_fields(_act(_free_state(pt), action, _free_state).run(rng)))
+
+
 def free_graft_ib(pt: FreeIbPoint, action, rng=None) -> FreeIbPoint:
     """Apply a right corolla graft ("right", i, j, x) or a left marked
     product graft ("left", theta); returns the normal form."""
-    return _snapshot_ib(_act(_free_state(pt), action, _free_state).run(rng))
+    return _graft(FreeIbPoint, pt, action, rng)
 
 
 def free_graft_b(pt: FreeBPoint, action, rng=None) -> FreeBPoint:
     """Apply a right corolla graft ("right", i, j, x) or a ground-indexed
     left graft ("left", fiber, operands); returns the normal form."""
-    return _snapshot_b(_act(_free_state(pt), action, _free_state).run(rng))
+    return _graft(FreeBPoint, pt, action, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -1139,7 +1160,7 @@ def _shift_theta(theta: OVecPoint, arities) -> OVecPoint:
         model = theta.family.components[i]
         mapping = {a: str(int(a) + arities[i] - 1) for a in theta.sets[i]}
         points.append(model.relabel(theta.points[i], mapping))
-    return OVecPoint(theta.family, tuple(points))
+    return _frozen(OVecPoint, theta.family, tuple(points))
 
 
 class ProductIbOps:

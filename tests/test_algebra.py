@@ -1,6 +1,7 @@
 """Sequence-level algebra: brute-force oracles, then axioms on sampled data."""
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -43,8 +44,11 @@ from operadic.algebra import (
     identity_family,
     induced_infinitesimal,
     inverse_perm,
+    is_unit_ovec,
     operad_model,
+    ovec_compose_at,
     ovec_mu,
+    ovec_splice,
     ovec_unit,
     pk_enumerate,
     pk_union,
@@ -295,6 +299,8 @@ class TestPK:
 
 
 FAM = cube_family((1, 2), 3)
+# a family whose fiber condition compares label sets, over a linear order
+COLLAPSE = collapse_family((operad_model("sym"), operad_model("terminal")))
 
 
 def fiber_sample(seed, pk, family=FAM):
@@ -420,6 +426,27 @@ class TestFiberPoints:
         with pytest.raises(OperadicError):
             call(p)
 
+    @pytest.mark.parametrize("family", [FAM, COLLAPSE], ids=["cube-pad", "collapse"])
+    def test_composites_pass_the_constructor(self, family):
+        # fiber_mu_a and fiber_relabel build their results without
+        # FiberPoint's check; rebuilt through it, they come out equal
+        made = 0
+        for trial in range(20):
+            rng = Stream(trial, ("fcheck",))
+            n = rng.split("n").randint(1, 3)
+            pk = sample_pk(rng.split("pk"), tuple(str(t + 1) for t in range(n)), family.k)
+            p = sample_fiber_point(rng.split("p"), family, pk)
+            pos = rng.split("pos").randint(1, n)
+            at = tuple(i for i, part in enumerate(pk.parts) if part != PLUS and str(pos) in part)
+            m = rng.split("m").randint(0, 2)
+            qpk = sample_pk(rng.split("qpk"), tuple(str(t + 1) for t in range(m)), family.k, at)
+            q = sample_fiber_point(rng.split("q"), family, qpk)
+            reverse = {str(t + 1): str(n - t) for t in range(n)}
+            for r in (fiber_compose_at(p, pos, q), fiber_drop(p, pos), fiber_relabel(p, reverse)):
+                assert replace(r) == r
+                made += 1
+        assert made == 60
+
     def test_collapse_family_points(self):
         fam = collapse_family((operad_model("sym"), operad_model("cube:1")))
         pk = PKFamily(("a", "b"), (("a",), ("b",)))
@@ -456,6 +483,44 @@ class TestOVec:
             assert ovec_mu(e, p) == p
             assert ovec_mu(p, e) == p
             assert ovec_mu(ovec_mu(p, q), r) == ovec_mu(p, ovec_mu(q, r))
+
+    @pytest.mark.parametrize("family", [FAM, COLLAPSE], ids=["cube-pad", "collapse"])
+    def test_composites_pass_the_constructor(self, family):
+        # ovec_compose_at and ovec_splice build their results without
+        # OVecPoint's check; rebuilt through it, they come out equal
+        made = 0
+        for trial in range(20):
+            rng = Stream(trial, ("ovcheck",))
+            extras = [rng.split(("e", i)).randint(0, 2) for i in range(family.k)]
+            theta = sample_ovec(rng.split("th"), family,
+                                tuple(tuple(str(t + 2) for t in range(e)) for e in extras))
+            child = sample_ovec(rng.split("ch"), family, (("2",), ()))
+            results = [ovec_splice(theta, child)]
+            for i, e in enumerate(extras):
+                if e:
+                    r = rng.split(("x", i))
+                    x = family.components[i].sample(r, tuple(str(t + 1) for t in range(r.randint(0, 2))))
+                    results.append(ovec_compose_at(theta, i, r.randint(2, e + 1), x))
+            for res in results:
+                assert replace(res) == res
+            made += len(results)
+        assert made >= 40
+
+    def test_splice_rejects_another_family(self):
+        theta = sample_ovec(Stream(3, ("ov",)), FAM, (("2",), ()))
+        other = sample_ovec(Stream(4, ("ov",)), COLLAPSE, ((), ()))
+        with pytest.raises(OperadicError):
+            ovec_splice(theta, other)
+
+    def test_unit_test_is_equality_with_the_unit(self):
+        e = ovec_unit(FAM)
+        assert is_unit_ovec(e) and is_unit_ovec(ovec_unit(COLLAPSE))
+        verdicts = []
+        for trial in range(10):
+            theta = sample_ovec(Stream(trial, ("ovunit",)), FAM, ((), ()))
+            verdicts.append(is_unit_ovec(theta))
+            assert verdicts[-1] == (theta == e)
+        assert not all(verdicts)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,8 @@ from operadic.algebra import (
     MODEL_KINDS,
     PLUS,
     AugmentedPoint,
+    FiberPoint,
+    OVecPoint,
     PKFamily,
     ProductPoint,
     compose_at,
@@ -42,8 +44,10 @@ from operadic.bv import (
     intermediate_act,
 )
 from operadic.errors import OperadicError
-from operadic.exactgeom import cube_split
+from operadic.exactgeom import Rect, RectConfig, cube_split
 from operadic.freeconstr import (
+    FreeBPoint,
+    FreeIbPoint,
     GluedBOps,
     GluedIbOps,
     ProductIbOps,
@@ -826,6 +830,27 @@ def test_corolla_w_takes_each_models_carrier():
         assert _corolla_w(name, x).upper == (((0, ()), x),)
 
 
+class TestDecorationsAreElements:
+    def test_w_point_rejects_a_config_of_another_dimension(self):
+        with pytest.raises(OperadicError, match="no element"):
+            _corolla_w("rect:2", cube_split(2, 3))
+
+    def test_w_point_rejects_overlapping_rectangles_under_disjoint(self):
+        whole = Rect.identity(2)
+        x = RectConfig(2, {"1": whole, "2": whole}, "disjoint")
+        assert _corolla_w("rect-inf:2", x).upper == (((0, ()), x),)
+        with pytest.raises(OperadicError, match="no element"):
+            _corolla_w("rect:2", x)
+
+    def test_right_graft_rejects_a_non_element(self):
+        whole = Rect.identity(1)
+        x = RectConfig(1, {"1": whole, "2": whole}, "disjoint")
+        pt = ib_generator(FAM, rand_glued(Stream(176, ("nonelement",)), (1, 1)))
+        for graft in (free_graft_ib, lambda p, a: bv_act(bv_tau(p), a)):
+            with pytest.raises(OperadicError, match="no element"):
+                graft(pt, ("right", 0, 1, x))
+
+
 def test_inter_points_take_no_operad_decorations():
     # every vertex of an "inter" point carries a fiber point; a stray operad
     # decoration has no time and would reach the engine
@@ -1144,6 +1169,59 @@ class TestEveryRewriteOrder:
         for st in map(_state_of, formal_starts()):
             forms, _ = explore(st, [])
             assert forms == [_point_of(clone(st).run())]
+
+
+CHECKED = (FreeIbPoint, FreeBPoint, BVPoint, OVecPoint, FiberPoint)
+
+
+def assert_rechecked(value, seen: Counter):
+    """The engine builds its points without their constructors' checks;
+    rebuilt through those checks, the value and every point decorating its
+    pearls or joint vertices come out equal.  seen counts them by class."""
+    if not isinstance(value, CHECKED):
+        return
+    assert replace(value) == value
+    seen[type(value).__name__] += 1
+    if isinstance(value, FreeIbPoint):
+        decorations = [value.pearl, value.below]
+    elif isinstance(value, FreeBPoint):
+        decorations = [value.below, *(x for _, x in value.pearls)]
+    elif isinstance(value, BVPoint):
+        decorations = [x for _, x in value.pearls + value.below]
+    else:
+        decorations = []
+    for x in decorations:
+        assert_rechecked(x, seen)
+
+
+class TestEngineResultsPassTheChecks:
+    @pytest.mark.parametrize("flavor,carrier", [
+        ("ib", "glued"), ("ib", "product"), ("ib", "formal"),
+        ("b", "glued"), ("b", "formal"),
+    ])
+    def test_walks(self, flavor, carrier):
+        """free_graft_*, bv_tau, bv_act and bv_normalize at mixed times;
+        their spine and fiber decorations come from ovec_compose_at,
+        ovec_splice and fiber_compose_at."""
+        rng = Stream(204, ("rechecked", flavor, carrier))
+        seen = Counter()
+        for trial in range(6):
+            r = rng.split(trial)
+            _, points, actions = free_walk(r, flavor, carrier, 5)
+            for n, (pt, bp) in enumerate(zip(points, timed_walk(points, actions))):
+                assert_rechecked(pt, seen)
+                assert_rechecked(bp, seen)
+                assert_rechecked(bv_tau(pt), seen)
+                assert_rechecked(bv_normalize(with_times(bp, r.split(("times", n)))), seen)
+        point = "FreeIbPoint" if flavor == "ib" else "FreeBPoint"
+        joint = "OVecPoint" if flavor == "ib" else "FiberPoint"
+        assert seen[point] >= 30 and seen["BVPoint"] >= 90 and seen[joint] >= 50
+
+    def test_normal_forms_of_every_flavor(self):
+        seen = Counter()
+        for p in (*inter_starts(), *w_starts(), *formal_starts()):
+            assert_rechecked(bv_normalize(p), seen)
+        assert seen["BVPoint"] >= 200 and seen["FiberPoint"] >= 100
 
 
 # the walk helpers draw from the module's FAM; terminal elements are

@@ -553,6 +553,23 @@ class TestNormalForm:
         with pytest.raises(OperadicError):
             FreeIbPoint(FAM, tree, v, None, (((0, (0,)), unit),))
 
+    def test_constructor_rejects_non_normal_b(self):
+        rng = Stream(59, ("rejb",))
+        v = rand_glued(rng.split("v"), (1, 2))
+        tree = KFoldTree(
+            "rsTree",
+            (
+                ComponentTree((corolla(1),), frozenset({()})),
+                ComponentTree(corolla(2), frozenset({()})),
+            ),
+            (((0, ()), True), ((1, ()), True)),
+        )
+        unit = FAM.components[0].unit("1")
+        upper = (((0, (0,)), unit),)
+        assert b_point(FAM, tree, (((), v),), upper=upper) == b_generator(FAM, v)
+        with pytest.raises(OperadicError, match="normal form"):
+            FreeBPoint(FAM, tree, (((), v),), None, upper)
+
     def test_constructor_rejects_unsorted_labels(self):
         rng = Stream(56, ("rej2",))
         x = positional(FAM1.components[0], rng, 2)
