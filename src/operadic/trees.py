@@ -31,16 +31,21 @@ in every marking, and any other edge is internal in none, exactly one or all
 of them.  In section variants the trunk is internal exactly in the
 components with a leaf count (arity None is a trivial component), every other
 edge is internal in exactly one component or in all, and an edge below a
-pearl with inputs is internal in that pearl's component.
+pearl with inputs is internal in that pearl's component.  The generators are
+lazy: enumerate_trees runs them once at the vertex bound for the members and
+once one vertex over it, up to the first tree beyond the bound, for
+`truncated`.
 
 The poset of non-planar pearled trees (psi_category) is generated, not
 filtered: one recursion over set partitions of the leaf labels builds each
-isomorphism class once, as a planar representative.
+isomorphism class once, as a planar representative.  Its arrows are edge
+contractions computed on the objects' nested-tuple keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from itertools import product
 from operator import itemgetter
 
@@ -522,11 +527,14 @@ def _canonical(t: KFoldTree):
     """The orbit representative of t and its encoding."""
     built = _sort_bottom_up(t.components, _payload(t), t.variant in ("rpTree", "pTree", "pTreeP"),
                             t.variant in ("rsTree", "sTree"))
-    comps = tuple(_moved(c, shape, new) for c, (_, shape, new) in zip(t.components, built))
+    code = (t.variant, tuple(enc for enc, _, _ in built))
     moves = [new for _, _, new in built]
+    if all(old == new for move in moves for old, new in move.items()):
+        return t, code  # every child list was already sorted
+    comps = tuple(_moved(c, shape, new) for c, (_, shape, new) in zip(t.components, built))
     # the marks of every pTreeP marking sit on its single component
     marks = tuple(((j, moves[0 if t.variant == "pTreeP" else j][p]), v) for (j, p), v in t.marks)
-    return KFoldTree(t.variant, comps, marks), (t.variant, tuple(enc for enc, _, _ in built))
+    return KFoldTree(t.variant, comps, marks), code
 
 
 def canonicalize(t: KFoldTree) -> KFoldTree:
@@ -650,13 +658,16 @@ def enumerate_trees(variant, arities, max_vertices: int, k=None, no_univalent: b
     whose pearl at its top is not univalent.
     """
     arities, k = _check_request(variant, arities, max_vertices, k)
-    # Candidates are generated once, one vertex over the bound: every
-    # generator filters by <= on the vertex count, so the candidates within
-    # the bound are exactly those of a run at the bound, and any candidate
-    # beyond it shows that the bound cuts the enumeration.
-    candidates = _candidates(variant, arities, max_vertices + 1, k, no_univalent)
-    kept = [t for t in candidates if t.total_vertices <= max_vertices]
-    return Enumeration(_ordered_dedup(kept), len(kept) < len(candidates))
+    # Two passes over lazy generators.  Every generator filters by <= on the
+    # vertex count, so a run at the bound yields exactly the members, and a
+    # run one vertex over it yields a tree beyond the bound exactly when the
+    # bound cuts the enumeration.  The generators take shapes in the shape
+    # cache's recursive order, which reaches a shape of the full vertex
+    # budget within its first few entries, so when the bound cuts, the
+    # second run stops long before it would run out of candidates.
+    kept = _ordered_dedup(_candidates(variant, arities, max_vertices, k, no_univalent))
+    over = _candidates(variant, arities, max_vertices + 1, k, no_univalent)
+    return Enumeration(kept, any(t.total_vertices > max_vertices for t in over))
 
 
 def _check_request(variant, arities, max_vertices, k):
@@ -700,28 +711,29 @@ def _candidates(variant, arities, max_vertices, k, no_univalent):
     return _enumerate_intermediate(arities[0], max_vertices, k)
 
 
+def _pearled_options(variant, n, vmax, no_univalent):
+    """(pearl depth, component) for every valid one-component tree with n
+    leaves and at most vmax vertices."""
+    for shape, _ in _trees_upto(n, vmax, True):
+        for p in pearl_positions(shape):
+            c = ComponentTree(shape, frozenset({p}))
+            if no_univalent and has_null_non_pearl(c):
+                continue
+            if validate_labeling(KFoldTree(variant, (c,)))[0]:
+                yield len(p), c
+
+
 def _enumerate_pearled(variant, arities, max_vertices, no_univalent):
     k = len(arities)
-    per_comp = []
-    for n in arities:
-        options = []
-        for shape in gen_planar_trees(n, max_vertices - (k - 1)):
-            for p in pearl_positions(shape):
-                c = ComponentTree(shape, frozenset({p}))
-                if no_univalent and has_null_non_pearl(c):
-                    continue
-                ok, _ = validate_labeling(KFoldTree(variant, (c,)))
-                if ok:
-                    options.append((len(p), c))
-        per_comp.append(options)
-    out = []
-    for combo in product(*per_comp):
-        if len({d for d, _ in combo}) != 1:
-            continue
-        t = KFoldTree(variant, tuple(c for _, c in combo))
-        if t.total_vertices <= max_vertices:
-            out.append(t)
-    return out
+    first, *rest = [_pearled_options(variant, n, max_vertices - (k - 1), no_univalent) for n in arities]
+    rest = [list(options) for options in rest]  # the first component streams
+    for head in first:
+        for combo in product((head,), *rest):
+            if len({d for d, _ in combo}) != 1:
+                continue
+            t = KFoldTree(variant, tuple(c for _, c in combo))
+            if t.total_vertices <= max_vertices:
+                yield t
 
 
 def _push_down(edges, choices, k):
@@ -757,10 +769,10 @@ def _above_forests(n_leaves_max, vmax, corollas_only, allow_null):
     """Children sequences for one pearl: (children, leaves, vertices)."""
     singles = [(LEAF, 1, 0)]
     for n in range(0, n_leaves_max + 1):
-        for s in gen_planar_trees(n, vmax, allow_null=allow_null):
+        for s, sv in _trees_upto(n, vmax, allow_null):
             if corollas_only and any(is_vertex(ch) for ch in s):
                 continue
-            singles.append((s, n, len(vertices(s))))
+            singles.append((s, n, sv))
     seqs = [((), 0, 0)]
     frontier = [((), 0, 0)]
     while frontier:
@@ -776,16 +788,15 @@ def _above_forests(n_leaves_max, vmax, corollas_only, allow_null):
 
 def _enumerate_section(variant, arities, max_vertices, no_univalent):
     k = len(arities)
-    out = []
     for n_pearls in range(1, max_vertices + 1):
-        skeletons = list(gen_planar_trees(n_pearls, max_vertices, allow_null=False))
+        skeletons = list(_trees_upto(n_pearls, max_vertices, False))
         if n_pearls == 1:
-            skeletons.append(LEAF)  # the section through the root
-        for skel in skeletons:
-            if variant == "rsTree" and len(vertices(skel)) > 1:
+            skeletons.append((LEAF, 0))  # the section through the root
+        for skel, skel_vertices in skeletons:
+            if variant == "rsTree" and skel_vertices > 1:
                 continue  # a below vertex other than the root touches no pearl
             pearl_slots = leaves(skel)
-            base_vertices = (len(vertices(skel)) + len(pearl_slots)) * k
+            base_vertices = (skel_vertices + n_pearls) * k
             if base_vertices > max_vertices:
                 continue
             comp_options = [
@@ -799,8 +810,7 @@ def _enumerate_section(variant, arities, max_vertices, no_univalent):
                 # skeleton and fillings make valid components with one below
                 # part, so only the markings remain to be chosen
                 for marks in _section_marks(combo, arities):
-                    out.append(KFoldTree(variant, combo, marks))
-    return out
+                    yield KFoldTree(variant, combo, marks)
 
 
 def _component_fillings(variant, skel, pearl_slots, n_i, v_extra, no_univalent):
@@ -857,15 +867,13 @@ def _intermediate_marks(shape, pearl, k):
 
 
 def _enumerate_intermediate(n, max_vertices, k):
-    out = []
-    for shape in gen_planar_trees(n, max_vertices, allow_null=True):
+    for shape, _ in _trees_upto(n, max_vertices, True):
         for p in pearl_positions(shape):
             c = ComponentTree(shape, frozenset({p}))
             if has_null_non_pearl(c):
                 continue
             for marks in _intermediate_marks(shape, p, k):
-                out.append(KFoldTree("pTreeP", (c,), marks))
-    return out
+                yield KFoldTree("pTreeP", (c,), marks)
 
 
 # ---------------------------------------------------------------------------
@@ -965,15 +973,33 @@ def _psi_trees(labels: tuple, pearl: bool, memo: dict) -> list:
     return memo[labels, pearl]
 
 
+def _psi_contractions(key):
+    """The keys of every single inner-edge contraction of a PsiObject key.
+
+    Contracting the edge to a vertex child splices the child's children into
+    the parent's, and the merged vertex is a pearl when either end was; every
+    vertex on the way back to the root re-sorts its children.
+    """
+    _, pearl, kids = key
+    for i, kid in enumerate(kids):
+        if kid[0] != "V":
+            continue
+        others = kids[:i] + kids[i + 1 :]
+        yield "V", pearl or kid[1], tuple(sorted(others + kid[2]))
+        for sub in _psi_contractions(kid):
+            yield "V", pearl, tuple(sorted(others + (sub,)))
+
+
 def psi_category(k: int) -> dict:
     """The poset of non-planar pearled trees with k labeled leaves, k <= 4.
 
     Objects: one pearl of any arity, every other vertex of arity at least
     two; `_psi_trees` builds each class once, 2 t(k+1) of them (t counts
     Schroeder's trees, OEIS A000311).  One arrow per single inner-edge
-    contraction, composites via psi_closure.  The pearled corolla is
-    terminal; prime_morphisms drops the covering arrow from the two-vertex
-    tree to it.
+    contraction, computed on the objects' keys (`_psi_contractions`, which
+    agrees with `contract_edge`); composites via psi_closure.  The pearled
+    corolla is terminal; prime_morphisms drops the covering arrow from the
+    two-vertex tree to it.
     """
     if not isinstance(k, int) or not 0 <= k <= 4:
         raise OperadicError("leaf count must be an integer in 0..4")
@@ -983,19 +1009,10 @@ def psi_category(k: int) -> dict:
         objects[obj.key] = obj
     keys = sorted(objects)
     index = {key: i for i, key in enumerate(keys)}
-    arrows = set()
-    for key in keys:
-        c = objects[key].tree
-        for v in vertices(c.shape):
-            if v == ():
-                continue
-            target = PsiObject(contract_edge(c, v))
-            arrows.add((index[key], index[target.key]))
-    arrows = sorted(arrows)
-    terminal = index[PsiObject(ComponentTree(corolla(k), frozenset({()}))).key]
-    near_terminal = None
-    if k >= 2:
-        near_terminal = index[PsiObject(ComponentTree((corolla(k),), frozenset({()}))).key]
+    arrows = sorted({(index[key], index[target]) for key in keys for target in _psi_contractions(key)})
+    leaves_key = tuple(sorted(("L", str(i + 1)) for i in range(k)))
+    terminal = index[("V", True, leaves_key)]
+    near_terminal = index[("V", True, (("V", False, leaves_key),))] if k >= 2 else None
     prime = [a for a in arrows if a != (near_terminal, terminal)]
     sources = {s for s, _ in arrows}
     return {
@@ -1009,20 +1026,20 @@ def psi_category(k: int) -> dict:
 
 
 def psi_closure(morphisms, n_objects: int):
-    """All composable pairs: reachability through single contractions."""
-    reach = {i: set() for i in range(n_objects)}
+    """All composable pairs: reachability through single contractions.
+
+    Every contraction lowers the vertex count by one, so the arrows form a
+    DAG; each object's reach is its targets and their reaches, computed
+    once, targets first."""
+    targets = {i: set() for i in range(n_objects)}
     for s, t in morphisms:
-        reach[s].add(t)
-    changed = True
-    while changed:
-        changed = False
-        for s in reach:
-            extra = set()
-            for t in reach[s]:
-                extra |= reach[t] - reach[s]
-            if extra:
-                reach[s] |= extra
-                changed = True
+        targets[s].add(t)
+    reach: dict = {}
+    try:
+        for s in TopologicalSorter(targets).static_order():
+            reach[s] = targets.get(s, set()).union(*(reach[t] for t in targets.get(s, ())))
+    except CycleError as exc:
+        raise OperadicError("morphisms form a cycle: %r" % (exc.args[1],)) from None
     return sorted((s, t) for s in reach for t in reach[s])
 
 

@@ -420,6 +420,10 @@ class TestEnumerate:
         ("rpTree", (2,), 4, {}),
         ("rpTree", (1, 1), 4, {}),
         ("rpTree", (1,), 4, {"no_univalent": True}),
+        # finite classes: the pass one vertex over the bound finds no tree
+        # beyond it and runs to exhaustion
+        ("rpTree", (2,), 4, {"no_univalent": True}),
+        ("rpTree", (0,), 2, {"no_univalent": True}),
         ("pTree", (2,), 3, {}),
         ("pTree", (1, 1), 3, {}),
         ("rsTree", (2,), 3, {}),
@@ -712,6 +716,54 @@ def schroeder_t(n):
     return total
 
 
+PRIME = 2 ** 31 - 1
+
+
+def psi_order_complex(k):
+    """Chains x0 < x1 < ... of Psi_k without its terminal object, by length:
+    the simplices of its order complex."""
+    cat = T.psi_category(k)
+    term = cat["terminal"]
+    above = {}
+    for s, t in T.psi_closure(cat["morphisms"], len(cat["objects"])):
+        if term not in (s, t):
+            above.setdefault(s, []).append(t)
+    chains = [[(i,) for i in range(len(cat["objects"])) if i != term]]
+    while True:
+        longer = [c + (t,) for c in chains[-1] for t in above.get(c[-1], ())]
+        if not longer:
+            return chains
+        chains.append(longer)
+
+
+def boundary(chain, index):
+    """The simplicial boundary of a chain as {face index: +-1}."""
+    return {index[chain[:i] + chain[i + 1:]]: (-1) ** i for i in range(len(chain))}
+
+
+def rank_mod_p(rows):
+    """Rank over GF(PRIME) of sparse rows {column: coefficient}: each row is
+    reduced against the pivots so far and becomes a pivot if anything is
+    left."""
+    pivots = {}
+    for row in rows:
+        row = {c: v % PRIME for c, v in row.items() if v % PRIME}
+        while row:
+            col = min(row)
+            if col not in pivots:
+                inv = pow(row[col], PRIME - 2, PRIME)
+                pivots[col] = {c: v * inv % PRIME for c, v in row.items()}
+                break
+            f = row[col]
+            for c, v in pivots[col].items():
+                x = (row.get(c, 0) - f * v) % PRIME
+                if x:
+                    row[c] = x
+                else:
+                    row.pop(c, None)
+    return len(pivots)
+
+
 class TestPsi:
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_counts_match_oracle(self, k):
@@ -766,6 +818,54 @@ class TestPsi:
         closed = T.psi_closure(cat["morphisms"], len(cat["objects"]))
         assert all(s != t for s, t in closed)
         assert set(cat["morphisms"]) <= set(closed)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    def test_closure_matches_search(self, k):
+        cat = T.psi_category(k)
+        n = len(cat["objects"])
+        out = {}
+        for s, t in cat["morphisms"]:
+            out.setdefault(s, []).append(t)
+        want = set()
+        for source in range(n):
+            seen, stack = set(), list(out.get(source, ()))
+            while stack:
+                t = stack.pop()
+                if t not in seen:
+                    seen.add(t)
+                    stack.extend(out.get(t, ()))
+            want |= {(source, t) for t in seen}
+        assert T.psi_closure(cat["morphisms"], n) == sorted(want)
+
+    def test_closure_rejects_a_cycle(self):
+        with pytest.raises(OperadicError):
+            T.psi_closure([(0, 1), (1, 2), (2, 0)], 3)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    def test_key_contractions_match_planar_ones(self, k):
+        cat = T.psi_category(k)
+        keys = [obj.key for obj in cat["objects"]]
+        got = {i: set() for i in range(len(keys))}
+        for s, t in cat["morphisms"]:
+            got[s].add(keys[t])
+        for i, obj in enumerate(cat["objects"]):
+            c = obj.tree
+            assert got[i] == {T.PsiObject(T.contract_edge(c, v)).key for v in T.vertices(c.shape) if v}
+
+    # k = 0 is left out: without its terminal object Psi_0 is empty
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_order_complex_without_terminal_is_acyclic(self, k):
+        chains = psi_order_complex(k)
+        if k == 4:
+            assert [len(c) for c in chains] == [471, 2990, 5040, 2520]
+        # reduced homology: the augmentation C_0 -> C_{-1} = F has rank 1
+        ranks = [1]
+        for n in range(1, len(chains)):
+            index = {c: j for j, c in enumerate(chains[n - 1])}
+            ranks.append(rank_mod_p([boundary(c, index) for c in chains[n]]))
+        ranks.append(0)
+        betti = [len(chains[n]) - ranks[n] - ranks[n + 1] for n in range(len(chains))]
+        assert betti == [0] * len(chains)
 
     def test_bound(self):
         with pytest.raises(OperadicError):
