@@ -45,7 +45,6 @@ contractions computed on the objects' nested-tuple keys.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from graphlib import CycleError, TopologicalSorter
 from itertools import product
 from operator import itemgetter
 
@@ -1029,17 +1028,27 @@ def psi_closure(morphisms, n_objects: int):
     """All composable pairs: reachability through single contractions.
 
     Every contraction lowers the vertex count by one, so the arrows form a
-    DAG; each object's reach is its targets and their reaches, computed
-    once, targets first."""
+    DAG.  One pass takes each object once its targets are done, sinks
+    first, and joins its targets' reaches.  An arrow outside the objects or a
+    cycle raises OperadicError."""
     targets = {i: set() for i in range(n_objects)}
-    for s, t in morphisms:
+    sources = {i: [] for i in range(n_objects)}
+    for s, t in set(morphisms):
+        if s not in targets or t not in targets:
+            raise OperadicError("morphism %r outside the %d objects" % ((s, t), n_objects))
         targets[s].add(t)
-    reach: dict = {}
-    try:
-        for s in TopologicalSorter(targets).static_order():
-            reach[s] = targets.get(s, set()).union(*(reach[t] for t in targets.get(s, ())))
-    except CycleError as exc:
-        raise OperadicError("morphisms form a cycle: %r" % (exc.args[1],)) from None
+        sources[t].append(s)
+    waiting = {s: len(ts) for s, ts in targets.items()}
+    ready = [s for s, n in waiting.items() if not n]
+    reach = {}
+    for s in ready:  # grows while it is walked
+        reach[s] = targets[s].union(*(reach[t] for t in targets[s]))
+        for u in sources[s]:
+            waiting[u] -= 1
+            if not waiting[u]:
+                ready.append(u)
+    if len(reach) < n_objects:
+        raise OperadicError("morphisms form a cycle")
     return sorted((s, t) for s in reach for t in reach[s])
 
 

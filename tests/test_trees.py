@@ -420,10 +420,6 @@ class TestEnumerate:
         ("rpTree", (2,), 4, {}),
         ("rpTree", (1, 1), 4, {}),
         ("rpTree", (1,), 4, {"no_univalent": True}),
-        # finite classes: the pass one vertex over the bound finds no tree
-        # beyond it and runs to exhaustion
-        ("rpTree", (2,), 4, {"no_univalent": True}),
-        ("rpTree", (0,), 2, {"no_univalent": True}),
         ("pTree", (2,), 3, {}),
         ("pTree", (1, 1), 3, {}),
         ("rsTree", (2,), 3, {}),
@@ -435,6 +431,10 @@ class TestEnumerate:
         ("pTreeP", (2,), 2, {"k": 1}),
         ("pTreeP", (2,), 2, {"k": 2}),
         ("pTreeP", (1,), 3, {"k": 3}),
+        # finite classes: the pass one vertex over the bound finds no tree
+        # beyond it and runs to exhaustion
+        ("rpTree", (2,), 4, {"no_univalent": True}),
+        ("rpTree", (0,), 2, {"no_univalent": True}),
     ])
     def test_truncated_against_next_bound(self, variant, arities, vmax, kwargs):
         enum = T.enumerate_trees(variant, arities, vmax, **kwargs)
@@ -837,9 +837,10 @@ class TestPsi:
             want |= {(source, t) for t in seen}
         assert T.psi_closure(cat["morphisms"], n) == sorted(want)
 
-    def test_closure_rejects_a_cycle(self):
+    @pytest.mark.parametrize("morphisms", [[(0, 1), (1, 2), (2, 0)], [(0, 3)], [(3, 0)], [(0, "1")]])
+    def test_closure_rejects_bad_arrows(self, morphisms):
         with pytest.raises(OperadicError):
-            T.psi_closure([(0, 1), (1, 2), (2, 0)], 3)
+            T.psi_closure(morphisms, 3)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
     def test_key_contractions_match_planar_ones(self, k):
