@@ -56,8 +56,11 @@ from .freeconstr import (
     _act,
     _check_decorations,
     _free_state,
+    _is_path,
+    _is_upper_key,
     _name_inputs,
     _pearlward,
+    _sorted_items,
 )
 from .trees import KFoldTree, is_vertex, vertices
 
@@ -66,11 +69,6 @@ _LAYOUT = {"ib": "pTree", "b": "sTree", "inter": "pTreeP", "w": "plain"}
 
 # ---------------------------------------------------------------------------
 # keys and small helpers
-
-
-def _is_upper_key(key) -> bool:
-    """Distinguish a (component, path) time key from a joint vertex path."""
-    return len(key) == 2 and isinstance(key[0], int) and isinstance(key[1], tuple)
 
 
 def _time_sort_key(key):
@@ -109,21 +107,11 @@ class BVPoint:
     times: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "pearls", tuple(sorted(dict(self.pearls).items()))
-        )
-        object.__setattr__(
-            self, "below", tuple(sorted(dict(self.below).items()))
-        )
-        object.__setattr__(
-            self, "upper", tuple(sorted(dict(self.upper).items()))
-        )
-        coerced = {k: _as_time(v) for k, v in dict(self.times).items()}
-        object.__setattr__(
-            self,
-            "times",
-            tuple(sorted(coerced.items(), key=lambda kv: _time_sort_key(kv[0]))),
-        )
+        for name, keyed in (("pearls", _is_path), ("below", _is_path), ("upper", _is_upper_key)):
+            object.__setattr__(self, name, _sorted_items(getattr(self, name), keyed))
+        times = _sorted_items(self.times, lambda key: _is_path(key) or _is_upper_key(key),
+                              lambda kv: _time_sort_key(kv[0]))
+        object.__setattr__(self, "times", tuple((key, _as_time(t)) for key, t in times))
         _validate_point(self)
 
     def pearls_dict(self) -> dict:
@@ -178,11 +166,9 @@ def _check_monotone(p: BVPoint):
 def _validate_point(p: BVPoint):
     if p.flavor not in _LAYOUT:
         raise OperadicError("unknown flavor %r" % p.flavor)
-    if p.tree.variant != _LAYOUT[p.flavor]:
-        raise OperadicError(
-            "flavor %r needs a %r tree, got %r"
-            % (p.flavor, _LAYOUT[p.flavor], p.tree.variant)
-        )
+    variant = getattr(p.tree, "variant", None)
+    if variant != _LAYOUT[p.flavor]:
+        raise OperadicError("flavor %r needs a %r tree, got %r" % (p.flavor, _LAYOUT[p.flavor], variant))
     timed = _check_decorations(p.flavor, p.family, p.tree, p.pearls_dict(), p.below_dict(),
                                p.upper_dict())
     _check_decimal_labels(p.tree)

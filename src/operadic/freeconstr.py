@@ -285,6 +285,8 @@ def _check_decorations(flavor, family, tree: KFoldTree, pearls: dict, below: dic
 
     Pearls, spine and below-section vertices are joint and keyed by path;
     operad elements are keyed by (component, path)."""
+    if not isinstance(tree, KFoldTree):
+        raise OperadicError("expected a KFoldTree, got %r" % type(tree).__name__)
     ok, clause = validate_labeling(tree)
     if not ok:
         raise OperadicError("invalid tree: %s" % clause)
@@ -785,6 +787,25 @@ def _pearlward(pearls, path) -> bool:
 # the points
 
 
+def _is_path(key) -> bool:
+    return isinstance(key, tuple) and all(isinstance(i, int) for i in key)
+
+
+def _is_upper_key(key) -> bool:
+    """Distinguish a (component, path) key from a joint vertex path."""
+    return isinstance(key, tuple) and len(key) == 2 and isinstance(key[0], int) and _is_path(key[1])
+
+
+def _sorted_items(dec, keyed, order=None) -> tuple:
+    """The items of a decoration map, sorted, once every key passes `keyed`;
+    a malformed key would otherwise fail the sort or the engine."""
+    dec = dict(dec)
+    for key in dec:
+        if not keyed(key):
+            raise OperadicError("malformed decoration key %r" % (key,))
+    return tuple(sorted(dec.items(), key=order))
+
+
 def _time_one(flavor, family, tree, pearl_dec, below_dec, upper_dec) -> _TimedState:
     return _TimedState.of_tree(flavor, family, tree, pearl_dec, below_dec, upper_dec,
                                {v: ONE for v in below_dec}, {key: ONE for key in upper_dec})
@@ -863,8 +884,8 @@ class FreeIbPoint:
     upper: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "upper", tuple(sorted(dict(self.upper).items())))
-        if self.tree.variant != "rpTree":
+        object.__setattr__(self, "upper", _sorted_items(self.upper, _is_upper_key))
+        if getattr(self.tree, "variant", None) != "rpTree":
             raise OperadicError("expected the reduced pearled variant")
         _check_normal(self)
 
@@ -886,9 +907,9 @@ class FreeBPoint:
     upper: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "pearls", tuple(sorted(dict(self.pearls).items())))
-        object.__setattr__(self, "upper", tuple(sorted(dict(self.upper).items())))
-        if self.tree.variant != "rsTree":
+        object.__setattr__(self, "pearls", _sorted_items(self.pearls, _is_path))
+        object.__setattr__(self, "upper", _sorted_items(self.upper, _is_upper_key))
+        if getattr(self.tree, "variant", None) != "rsTree":
             raise OperadicError("expected the reduced section variant")
         _check_normal(self)
 
@@ -914,15 +935,31 @@ def _point_fields(state: _TimedState) -> tuple:
     return state.family, tree, pearl, belows[0][1] if belows else None, upper
 
 
+def _check_input(flavor, family, tree, pearls, below, upper: dict):
+    """Check builder input before the engine runs.  The rewrites reduce the
+    tree, so the decorations must fit the layout over its unreduced variant;
+    "ib" takes the one pearl's decoration for `pearls`."""
+    if isinstance(tree, KFoldTree):
+        if flavor == "ib":
+            # a forest without components reaches the tree check, not an IndexError
+            pearls = {pearl_of(c): pearls for c in tree.components[:1]}
+        tree = KFoldTree("pTree" if flavor == "ib" else "sTree", tree.components, tree.marks)
+    _check_decorations(flavor, family, tree, pearls, {} if below is None else {(): below}, upper)
+
+
 def ib_point(family, tree, pearl, below=None, upper=(), rng=None) -> FreeIbPoint:
     """Normalize a decorated pearled forest and freeze the result."""
-    state = _state_ib(family, tree, pearl, below, dict(upper)).run(rng)
+    upper = dict(upper)
+    _check_input("ib", family, tree, pearl, below, upper)
+    state = _state_ib(family, tree, pearl, below, upper).run(rng)
     return FreeIbPoint(*_point_fields(state))
 
 
 def b_point(family, tree, pearls, below=None, upper=(), rng=None) -> FreeBPoint:
     """Normalize a decorated section forest and freeze the result."""
-    state = _state_b(family, tree, dict(pearls), below, dict(upper)).run(rng)
+    pearls, upper = dict(pearls), dict(upper)
+    _check_input("b", family, tree, pearls, below, upper)
+    state = _state_b(family, tree, pearls, below, upper).run(rng)
     return FreeBPoint(*_point_fields(state))
 
 

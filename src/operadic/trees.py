@@ -34,7 +34,9 @@ edge is internal in exactly one component or in all, and an edge below a
 pearl with inputs is internal in that pearl's component.  The generators are
 lazy: enumerate_trees runs them once at the vertex bound for the members and
 once one vertex over it, up to the first tree beyond the bound, for
-`truncated`.
+`truncated`.  Every generator takes its shapes from one cached recursion
+(_trees_upto over _forests), the one place that states the bound rules, and
+none validates its candidates: each tests the one condition it filters on.
 
 The poset of non-planar pearled trees (psi_category) is generated, not
 filtered: one recursion over set partitions of the leaf labels builds each
@@ -269,17 +271,6 @@ def below_paths(c: ComponentTree) -> list:
     return out
 
 
-def above_paths(c: ComponentTree) -> list:
-    """Vertices strictly above the section."""
-    out = []
-    for v in vertices(c.shape):
-        if v in c.pearls:
-            continue
-        if any(is_ancestor(p, v) and p != v for p in c.pearls):
-            out.append(v)
-    return out
-
-
 def truncate_below(c: ComponentTree):
     """The below-section shape with pearls cut to markers."""
 
@@ -314,6 +305,12 @@ def _check_pearled(c: ComponentTree):
     if pearl_of(c) not in pearl_positions(c.shape):
         return "pearl-not-on-spine"
     return None
+
+
+def _reduced(c: ComponentTree) -> bool:
+    """Every vertex is the pearl, the pearl's parent or a child of the pearl."""
+    p = pearl_of(c)
+    return all(v == p or v == p[:-1] or v[:-1] == p for v in vertices(c.shape))
 
 
 def _check_section(c: ComponentTree):
@@ -353,15 +350,8 @@ def _validate(t: KFoldTree):
             depths.add(len(pearl_of(c)))
         if len(depths) != 1:
             return "pearl-depth-mismatch"
-        if t.variant == "rpTree":
-            for c in t.components:
-                p = pearl_of(c)
-                for v in vertices(c.shape):
-                    if v == p:
-                        continue
-                    if v[:-1] == p or (is_ancestor(v, p) and len(p) - len(v) == 1):
-                        continue
-                    return "not-reduced"
+        if t.variant == "rpTree" and not all(_reduced(c) for c in t.components):
+            return "not-reduced"
         return None
 
     if t.variant in ("rsTree", "sTree"):
@@ -647,14 +637,15 @@ def enumerate_trees(variant, arities, max_vertices: int, k=None, no_univalent: b
     "plain" variant has no enumerator.  Malformed requests raise
     OperadicError.
 
-    Markings are generated valid, pushed down from the root: every edge
-    takes the set of marking indices in which it is internal, and that set
-    lies inside its parent edge's set.  In pTreeP the pearl's edge and its
-    ancestors are internal in every marking and any other edge in none, in
-    exactly one or in all.  In section variants the trunk is internal
-    exactly for the components with a leaf count; every other edge is
-    internal in exactly one component or in all, and in each component
-    whose pearl at its top is not univalent.
+    Every generator takes its shapes from `_trees_upto`/`_forests` and none
+    validates its candidates.  Markings are generated valid, pushed down from
+    the root: every edge takes the set of marking indices in which it is
+    internal, and that set lies inside its parent edge's set.  In pTreeP the
+    pearl's edge and its ancestors are internal in every marking and any other
+    edge in none, in exactly one or in all.  In section variants the trunk is
+    internal exactly for the components with a leaf count; every other edge is
+    internal in exactly one component or in all, and in each component whose
+    pearl at its top is not univalent.
     """
     arities, k = _check_request(variant, arities, max_vertices, k)
     # Two passes over lazy generators.  Every generator filters by <= on the
@@ -712,13 +703,14 @@ def _candidates(variant, arities, max_vertices, k, no_univalent):
 
 def _pearled_options(variant, n, vmax, no_univalent):
     """(pearl depth, component) for every valid one-component tree with n
-    leaves and at most vmax vertices."""
+    leaves and at most vmax vertices: each pearl position of each shape,
+    reduced for rpTree."""
     for shape, _ in _trees_upto(n, vmax, True):
         for p in pearl_positions(shape):
             c = ComponentTree(shape, frozenset({p}))
             if no_univalent and has_null_non_pearl(c):
                 continue
-            if validate_labeling(KFoldTree(variant, (c,)))[0]:
+            if variant == "pTree" or _reduced(c):
                 yield len(p), c
 
 
@@ -764,27 +756,6 @@ def _inner_sets(k, with_empty):
     return list(dict.fromkeys(sets))
 
 
-def _above_forests(n_leaves_max, vmax, corollas_only, allow_null):
-    """Children sequences for one pearl: (children, leaves, vertices)."""
-    singles = [(LEAF, 1, 0)]
-    for n in range(0, n_leaves_max + 1):
-        for s, sv in _trees_upto(n, vmax, allow_null):
-            if corollas_only and any(is_vertex(ch) for ch in s):
-                continue
-            singles.append((s, n, sv))
-    seqs = [((), 0, 0)]
-    frontier = [((), 0, 0)]
-    while frontier:
-        new = []
-        for seq, ls, vs in frontier:
-            for s, sn, sv in singles:
-                if ls + sn <= n_leaves_max and vs + sv <= vmax:
-                    new.append((seq + (s,), ls + sn, vs + sv))
-        seqs.extend(new)
-        frontier = new
-    return seqs
-
-
 def _enumerate_section(variant, arities, max_vertices, no_univalent):
     k = len(arities)
     for n_pearls in range(1, max_vertices + 1):
@@ -827,8 +798,12 @@ def _component_fillings(variant, skel, pearl_slots, n_i, v_extra, no_univalent):
                 outs.append(ComponentTree(shape, frozenset(pearl_slots)))
             return
         slot = pearl_slots[slot_idx]
-        for kids, ls, vs in _above_forests(leaves_left, v_left, variant == "rsTree", not no_univalent):
-            fill(slot_idx + 1, replace(shape, slot, kids), leaves_left - ls, v_left - vs)
+        for ls in range(leaves_left + 1):
+            for kids, vs in _forests(ls, v_left, not no_univalent):
+                # reduced: every vertex above the pearl is one of its children
+                if variant == "rsTree" and any(is_vertex(ch) and any(map(is_vertex, ch)) for ch in kids):
+                    continue
+                fill(slot_idx + 1, replace(shape, slot, kids), leaves_left - ls, v_left - vs)
 
     fill(0, skel, n_i, v_extra)
     return outs
@@ -866,13 +841,9 @@ def _intermediate_marks(shape, pearl, k):
 
 
 def _enumerate_intermediate(n, max_vertices, k):
-    for shape, _ in _trees_upto(n, max_vertices, True):
-        for p in pearl_positions(shape):
-            c = ComponentTree(shape, frozenset({p}))
-            if has_null_non_pearl(c):
-                continue
-            for marks in _intermediate_marks(shape, p, k):
-                yield KFoldTree("pTreeP", (c,), marks)
+    for _, c in _pearled_options("pTree", n, max_vertices, True):
+        for marks in _intermediate_marks(c.shape, pearl_of(c), k):
+            yield KFoldTree("pTreeP", (c,), marks)
 
 
 # ---------------------------------------------------------------------------

@@ -788,6 +788,12 @@ def _add_time(p):
     return replace(p, times=p.times + ((untimed, Fraction(1)),))
 
 
+def _mix_keys(p, name):
+    """A key of another type beside the field's keys, which sorting would
+    compare with them."""
+    return replace(p, **{name: getattr(p, name) + (("x", Fraction(1)),)})
+
+
 SPOILERS = {
     "drop-decoration": _drop_key,
     "add-decoration": _add_key,
@@ -795,6 +801,9 @@ SPOILERS = {
     "non-positional": _unposition,
     "drop-time": lambda p: replace(p, times=p.times[1:]),
     "add-time": _add_time,
+    "tree-not-a-family": lambda p: replace(p, tree=p.tree.components[0]),
+    "mixed-decoration-keys": lambda p: _mix_keys(p, _first_field(p)),
+    "mixed-time-keys": lambda p: _mix_keys(p, "times"),
 }
 
 

@@ -602,6 +602,30 @@ class TestNormalForm:
         with pytest.raises(OperadicError):
             FreeIbPoint(FAM, pt.tree, v, ovec_unit(FAM), ())
 
+    def test_builders_and_constructors_reject_malformed_input(self):
+        # each used to escape as an IndexError, a ValueError, an
+        # AttributeError or a TypeError from sorting keys of mixed types
+        rng = Stream(60, ("malformed",))
+        v = rand_glued(rng.split("v"), (1, 2))
+        x = positional(FAM.components[0], rng.split("x"), 2)
+        ib, b = ib_generator(FAM, v), b_generator(FAM, v)
+        mixed = {"x": x, (0, (0,)): x}
+        for build in (
+            lambda: ib_point(FAM, ib.tree, v, upper={(5, (0,)): x}),
+            lambda: b_point(FAM, b.tree, b.pearls, upper={(5, (0,)): x}),
+            lambda: ib_point(FAM, ib.tree, v, upper={"x": x}),
+            lambda: b_point(FAM, b.tree, b.pearls, upper={"x": x}),
+            lambda: ib_point(FAM, ib.tree.components[0], v),
+            lambda: b_point(FAM, b.tree.components[0], b.pearls),
+            lambda: FreeIbPoint(FAM, ib.tree.components[0], v, None, ()),
+            lambda: FreeBPoint(FAM, b.tree.components[0], b.pearls, None, ()),
+            lambda: FreeIbPoint(FAM, ib.tree, v, None, mixed),
+            lambda: FreeBPoint(FAM, b.tree, b.pearls, None, mixed),
+            lambda: FreeBPoint(FAM, b.tree, {"x": v, (): v}, None, ()),
+        ):
+            with pytest.raises(OperadicError):
+                build()
+
 
 class TestRestriction:
     def test_positive_arity_walks_stay_univalent_free(self):

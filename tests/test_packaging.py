@@ -4,6 +4,7 @@ one another in one order."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -50,3 +51,24 @@ def test_modules_import_only_earlier_layers():
     for pos, name in enumerate(LAYERS):
         imported = _package_imports(PACKAGE / (name + ".py"))
         assert imported <= set(LAYERS[:pos]), (name, sorted(imported - set(LAYERS[:pos])))
+
+
+ROOT = PACKAGE.parents[1]
+
+
+def test_every_top_level_name_is_used():
+    # a def or class that nothing names outside its own definition is dead
+    seen = {}  # word -> [(file, line number)] of its whole-word occurrences
+    for d in ("src", "tests", "perfbench"):
+        for path in (ROOT / d).rglob("*.py"):
+            for n, line in enumerate(path.read_text().splitlines(), 1):
+                for word in set(re.findall(r"\w+", line)):
+                    seen.setdefault(word, []).append((path, n))
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                if all(p == path and first <= n <= node.end_lineno for p, n in seen[node.name]):
+                    unused.append("%s.%s" % (path.stem, node.name))
+    assert not unused

@@ -452,6 +452,12 @@ class TestEnumerate:
         ("pTree", (2,), 4, {}, "bea141c9f6127961"),
         ("rsTree", (1, 1), 4, {}, "dcbc9b241a11b525"),
         ("sTree", (1, 1), 4, {}, "77e2c3c2b718f727"),
+        # pinned from the enumerator that filtered through validate_labeling:
+        # the reduced rpTree clause, and the rsTree filter on forests
+        # without univalent vertices
+        ("rpTree", (2,), 4, {}, "f8c5fc49eac10421"),
+        ("rpTree", (1, 1), 4, {}, "15e331ff1e538ea8"),
+        ("rsTree", (2,), 4, {"no_univalent": True}, "a805441d0fcabd77"),
     ])
     def test_golden_order(self, variant, arities, vmax, kwargs, digest):
         enum = T.enumerate_trees(variant, arities, vmax, **kwargs)
