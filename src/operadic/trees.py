@@ -20,28 +20,38 @@ Variants of labeled families (KFoldTree):
 
 Pearls of pearled variants sit on the leftmost spine (the path from the first
 tip in planar order to the root), so their paths are all zeros.  Marks are
-stored as {(component index, edge path): internal?}.  Enumeration lists
-canonical representatives with leaves labeled "1".."n" in planar order.
+stored as {(component index, edge path): internal?}.
 
-Enumeration generates only valid markings, pushing them down from the root.
-Each edge carries the set of marking indices in which it is internal, and an
-edge's set lies inside its parent edge's set (an external output forces
-external inputs).  In pTreeP the pearl's edge and its ancestors are internal
-in every marking, and any other edge is internal in none, exactly one or all
-of them.  In section variants the trunk is internal exactly in the
-components with a leaf count (arity None is a trivial component), every other
-edge is internal in exactly one component or in all, and an edge below a
-pearl with inputs is internal in that pearl's component.  The generators are
-lazy: enumerate_trees runs them once at the vertex bound for the members and
-once one vertex over it, up to the first tree beyond the bound, for
-`truncated`.  Every generator takes its shapes from one cached recursion
-(_trees_upto over _forests), the one place that states the bound rules, and
-none validates its candidates: each tests the one condition it filters on.
+Enumeration lists one canonical representative (`canonicalize`: every child
+list sorted by encoding, bottom-up) per orbit that holds a tree with leaves
+labeled "1".."n" in planar order.  The representative itself need not keep
+that order: pTree ((1, 2), 3) with the pearl at the root is listed as
+(3, (1, 2)), because a leaf sorts before a vertex.  Each representative is
+built once, directly.  In a tree labeled in planar order, the children of a
+vertex that carry leaves hold consecutive label intervals, in slot order, and
+are told apart by them; only leafless children, with their marks, can trade
+places.  So one memoised recursion over (label interval, vertex count, parent
+edge's internal set) picks an interval composition plus a multiset of
+leafless children and sorts them by their encodings; on the spine of a
+pearled variant the spine child keeps slot 0 and takes the first interval.
+Below a section the components share their vertices and sort their children
+jointly; two joint children may trade places only when no component gives
+leaves to both, so a sequence of them is kept in its least order only.
+
+Markings are pushed down in the same recursion.  Each edge carries the set
+of marking indices in which it is internal, and an edge's set lies inside
+its parent edge's set (an external output forces external inputs).  In
+pTreeP the pearl's edge and its ancestors are internal in every marking, and
+any other edge is internal in none, exactly one or all of them.  In section
+variants the trunk is internal exactly in the components with a leaf count
+(arity None is a trivial component), every other edge is internal in exactly
+one component or in all, and an edge below a pearl with inputs is internal
+in that pearl's component.
 
 The poset of non-planar pearled trees (psi_category) is generated, not
 filtered: one recursion over set partitions of the leaf labels builds each
-isomorphism class once, as a planar representative.  Its arrows are edge
-contractions computed on the objects' nested-tuple keys.
+isomorphism class once, as its canonical representative.  Its arrows are
+edge contractions computed on the objects' nested-tuple keys.
 """
 
 from __future__ import annotations
@@ -591,8 +601,14 @@ def _forests(n_leaves, vmax, allow_null):
     return got
 
 
+def _is_count(v) -> bool:
+    return type(v) is int and v >= 0
+
+
 def gen_planar_trees(n_leaves: int, vmax: int, allow_null: bool = True) -> list:
     """All planar shapes with the given leaf count and at most vmax vertices."""
+    if not (_is_count(n_leaves) and _is_count(vmax)):
+        raise OperadicError("leaf count and vertex bound must be non-negative integers")
     counts = dict(_trees_upto(n_leaves, vmax, allow_null))
     return sorted(counts, key=lambda s: (counts[s], repr(s)))
 
@@ -637,27 +653,16 @@ def enumerate_trees(variant, arities, max_vertices: int, k=None, no_univalent: b
     "plain" variant has no enumerator.  Malformed requests raise
     OperadicError.
 
-    Every generator takes its shapes from `_trees_upto`/`_forests` and none
-    validates its candidates.  Markings are generated valid, pushed down from
-    the root: every edge takes the set of marking indices in which it is
-    internal, and that set lies inside its parent edge's set.  In pTreeP the
-    pearl's edge and its ancestors are internal in every marking and any other
-    edge in none, in exactly one or in all.  In section variants the trunk is
-    internal exactly for the components with a leaf count; every other edge is
-    internal in exactly one component or in all, and in each component whose
-    pearl at its top is not univalent.
+    `_Orbits` builds each representative once, already canonical, together
+    with its encoding (see the module docstring), so the entries are only
+    sorted.  The same recursion, asked for a first tree only, decides
+    truncated: whether a tree of max_vertices + 1 vertices exists.
     """
     arities, k = _check_request(variant, arities, max_vertices, k)
-    # Two passes over lazy generators.  Every generator filters by <= on the
-    # vertex count, so a run at the bound yields exactly the members, and a
-    # run one vertex over it yields a tree beyond the bound exactly when the
-    # bound cuts the enumeration.  The generators take shapes in the shape
-    # cache's recursive order, which reaches a shape of the full vertex
-    # budget within its first few entries, so when the bound cuts, the
-    # second run stops long before it would run out of candidates.
-    kept = _ordered_dedup(_candidates(variant, arities, max_vertices, k, no_univalent))
-    over = _candidates(variant, arities, max_vertices + 1, k, no_univalent)
-    return Enumeration(kept, any(t.total_vertices > max_vertices for t in over))
+    orbits = _Orbits(variant, arities, k, no_univalent)
+    found = sorted((v, encs, shapes) for v in range(1, max_vertices + 1) for encs, shapes in orbits.trees(v))
+    over = next(orbits.trees(max_vertices + 1, 1), None)
+    return Enumeration(tuple(orbits.freeze(encs, shapes) for _, encs, shapes in found), over is not None)
 
 
 def _check_request(variant, arities, max_vertices, k):
@@ -665,87 +670,22 @@ def _check_request(variant, arities, max_vertices, k):
         raise OperadicError("unknown variant %r" % variant)
     if variant == "plain":
         raise OperadicError("no enumerator for plain trees")
-    if not isinstance(max_vertices, int) or max_vertices < 1:
+    if not _is_count(max_vertices) or max_vertices < 1:
         raise OperadicError("vertex bound must be a positive integer")
+    if not isinstance(arities, (tuple, list)) or not arities:
+        raise OperadicError("arities must be a non-empty tuple of leaf counts")
     arities = tuple(arities)
-    if not arities:
-        raise OperadicError("at least one arity is required")
     trivial_ok = variant in ("rsTree", "sTree")
     for n in arities:
-        if n is None and trivial_ok:
-            continue
-        if not isinstance(n, int) or n < 0:
+        if not (_is_count(n) or n is None and trivial_ok):
             raise OperadicError("bad arity %r for %s" % (n, variant))
     if variant == "pTreeP":
         if len(arities) != 1:
             raise OperadicError("pTreeP takes exactly one arity")
         k = 2 if k is None else k
-        if not isinstance(k, int) or k < 1:
+        if not _is_count(k) or k < 1:
             raise OperadicError("pTreeP needs at least one marking")
     return arities, k
-
-
-def _ordered_dedup(trees):
-    dedup = {}
-    for t in trees:
-        c, code = _canonical(t)
-        dedup[(t.total_vertices, code)] = c
-    return tuple(dedup[key] for key in sorted(dedup))
-
-
-def _candidates(variant, arities, max_vertices, k, no_univalent):
-    if variant in ("rpTree", "pTree"):
-        return _enumerate_pearled(variant, arities, max_vertices, no_univalent)
-    if variant in ("rsTree", "sTree"):
-        return _enumerate_section(variant, arities, max_vertices, no_univalent)
-    return _enumerate_intermediate(arities[0], max_vertices, k)
-
-
-def _pearled_options(variant, n, vmax, no_univalent):
-    """(pearl depth, component) for every valid one-component tree with n
-    leaves and at most vmax vertices: each pearl position of each shape,
-    reduced for rpTree."""
-    for shape, _ in _trees_upto(n, vmax, True):
-        for p in pearl_positions(shape):
-            c = ComponentTree(shape, frozenset({p}))
-            if no_univalent and has_null_non_pearl(c):
-                continue
-            if variant == "pTree" or _reduced(c):
-                yield len(p), c
-
-
-def _enumerate_pearled(variant, arities, max_vertices, no_univalent):
-    k = len(arities)
-    first, *rest = [_pearled_options(variant, n, max_vertices - (k - 1), no_univalent) for n in arities]
-    rest = [list(options) for options in rest]  # the first component streams
-    for head in first:
-        for combo in product((head,), *rest):
-            if len({d for d, _ in combo}) != 1:
-                continue
-            t = KFoldTree(variant, tuple(c for _, c in combo))
-            if t.total_vertices <= max_vertices:
-                yield t
-
-
-def _push_down(edges, choices, k):
-    """Markings from internal sets assigned edge by edge, parents first.
-
-    edges must list every edge after its parent edge; choices(edge, parent
-    set) gives the sets the edge may take (the parent set is None for the
-    trunk).  Yields {(marking index, edge): internal?}.
-    """
-    sets = {}
-
-    def assign(j):
-        if j == len(edges):
-            yield {(i, e): i in s for e, s in sets.items() for i in range(k)}
-            return
-        e = edges[j]
-        for s in choices(e, sets[e[:-1]] if e else None):
-            sets[e] = s
-            yield from assign(j + 1)
-
-    return assign(0)
 
 
 def _inner_sets(k, with_empty):
@@ -756,94 +696,293 @@ def _inner_sets(k, with_empty):
     return list(dict.fromkeys(sets))
 
 
-def _enumerate_section(variant, arities, max_vertices, no_univalent):
-    k = len(arities)
-    for n_pearls in range(1, max_vertices + 1):
-        skeletons = list(_trees_upto(n_pearls, max_vertices, False))
-        if n_pearls == 1:
-            skeletons.append((LEAF, 0))  # the section through the root
-        for skel, skel_vertices in skeletons:
-            if variant == "rsTree" and skel_vertices > 1:
-                continue  # a below vertex other than the root touches no pearl
-            pearl_slots = leaves(skel)
-            base_vertices = (skel_vertices + n_pearls) * k
-            if base_vertices > max_vertices:
-                continue
-            comp_options = [
-                _component_fillings(variant, skel, pearl_slots, arities[i],
-                                    max_vertices - base_vertices, no_univalent)
-                for i in range(k)
-            ]
-            for combo in product(*comp_options):
-                if sum(c.n_vertices for c in combo) > max_vertices:
-                    continue
-                # skeleton and fillings make valid components with one below
-                # part, so only the markings remain to be chosen
-                for marks in _section_marks(combo, arities):
-                    yield KFoldTree(variant, combo, marks)
+def _memo(method):
+    """Per-instance memo of a method returning a list."""
+    def wrapped(self, *args):
+        key = (method, args)
+        got = self.memo.get(key)
+        if got is None:
+            got = self.memo[key] = method(self, *args)
+        return got
+    return wrapped
 
 
-def _component_fillings(variant, skel, pearl_slots, n_i, v_extra, no_univalent):
-    """All ways to hang above-section parts on the pearls of one component."""
-    if n_i is None:
-        shape = skel
-        for slot in pearl_slots:
-            shape = replace(shape, slot, ())
-        return [ComponentTree(shape, frozenset(pearl_slots))]
-    outs = []
+def _compositions(total, parts):
+    """Tuples of `parts` positive integers summing to total."""
+    return [c for c in product(range(1, total + 1), repeat=parts) if sum(c) == total]
 
-    def fill(slot_idx, shape, leaves_left, v_left):
-        if slot_idx == len(pearl_slots):
-            if leaves_left == 0:
-                outs.append(ComponentTree(shape, frozenset(pearl_slots)))
+
+def _multisets(options, total):
+    """Every multiset of items (encoding, shape, vertex count) from options,
+    exactly total vertices, each once, as a tuple in options order."""
+    out = []
+
+    def grow(i, left, acc):
+        if not left:
+            out.append(acc)
+        for j in range(i, len(options)):
+            if options[j][2] <= left:
+                grow(j, left - options[j][2], acc + (options[j],))
+
+    grow(0, total, ())
+    return out
+
+
+_TALL = float("inf")  # no height limit
+
+
+class _Orbits:
+    """The canonical representatives of one enumeration request, each built
+    once, by exact vertex count, in the recursion the module docstring
+    describes.
+
+    An item is (encoding, shape, vertex count) of a subtree whose leaves
+    carry the labels a+1..b; below a section, a joint item holds one
+    encoding and one shape per component and sorts by the tuple of the
+    encodings.  Lists are memoised per request.  With limit=1 every list
+    keeps its first item and no sequence order is enforced: the recursion
+    then only decides whether a tree exists.
+    """
+
+    def __init__(self, variant, arities, k, no_univalent):
+        self.variant, self.arities, self.k, self.memo = variant, arities, k, {}
+        self.null_ok = not no_univalent and variant != "pTreeP"
+        reduced = variant in ("rpTree", "rsTree")
+        self.pearl_h = 1 if reduced else _TALL  # height of a pearl's children
+        self.side_h = 0 if reduced else _TALL  # of a spine vertex's other children
+        self.below_ok = variant != "rsTree"  # below vertices under the root
+        self.top = None
+        self.sets = {None: [None]}
+        self.payload = {None: (-1,)}
+        if variant == "pTreeP":
+            inner = _inner_sets(k, with_empty=True)
+            self.top = frozenset(range(k))
+            self.sets = {s: [t for t in inner if t <= s] for s in inner}
+            self.payload = {s: tuple(int(i in s) for i in range(k)) for s in inner}
+
+    def trees(self, total, limit=None):
+        """(encodings, shapes) per tree with exactly total vertices."""
+        if self.variant in ("rsTree", "sTree"):
+            trunk = frozenset(i for i, n in enumerate(self.arities) if n is not None)
+            if not trunk:
+                return iter(())
+            spans = tuple(None if n is None else (0, n) for n in self.arities)
+            roots = self.pearl(spans, total, trunk, limit) + self.joint_vertex(spans, total, trunk, limit)
+            return ((encs, shapes) for encs, shapes, _ in roots)
+        return self.pearled(total, limit)
+
+    def pearled(self, total, limit):
+        """One spine per component, all with the pearl at one depth; a
+        reduced pearl is the root or one of its children."""
+        depths = range(2) if self.variant == "rpTree" else range(total)
+        for d in depths:
+            for counts in _compositions(total, len(self.arities)):
+                lists = [self.spine(d, n, c, limit) for n, c in zip(self.arities, counts)]
+                for combo in product(*lists):
+                    yield tuple(e for e, _, _ in combo), tuple(s for _, s, _ in combo)
+
+    # -- one component
+
+    @_memo
+    def child(self, a, b, v, pset, h, limit):
+        """A child edge under an edge of internal set pset: labels a+1..b,
+        exactly v vertices, height at most h."""
+        out = []
+        for s in self.sets[pset]:
+            if v == 0:
+                if b - a == 1:
+                    out.append((("L", self.payload[s], str(b)), LEAF, 0))
+            elif h > 0:
+                out += self.vertex(a, b, v, self.payload[s], s, h - 1, False, limit)
+        return out[:limit]
+
+    @_memo
+    def vertex(self, a, b, v, mark, s, h, pearl, limit):
+        """A vertex with payload mark over labels a+1..b, exactly v vertices;
+        its children sit under internal set s, at most h high."""
+        out = []
+        for kids in self.forest(a, b, v - 1, s, h, limit):
+            if kids or pearl or self.null_ok:
+                kids = sorted(kids, key=itemgetter(0))
+                out.append((("V", pearl, mark, tuple([e for e, _, _ in kids])),
+                            tuple([sh for _, sh, _ in kids]), v))
+                if len(out) == limit:
+                    break
+        return out
+
+    def forest(self, a, b, v, s, h, limit):
+        """Children tuples: leafless ones, then those carrying a+1..b."""
+        for nv in range(v + 1):
+            for nulls in self.nulls(nv, s, h, limit):
+                yield from self.carriers(a, b, v - nv, s, h, limit, nulls)
+
+    @_memo
+    def nulls(self, v, s, h, limit):
+        if not v:
+            return [()]
+        if not self.null_ok or h < 1:
+            return []  # a leafless subtree ends in a univalent vertex
+        return _multisets([item for cv in range(1, v + 1) for item in self.child(0, 0, cv, s, h, limit)],
+                          v)[:limit]
+
+    def carriers(self, a, b, v, s, h, limit, done):
+        if a == b:
+            if not v:
+                yield done
             return
-        slot = pearl_slots[slot_idx]
-        for ls in range(leaves_left + 1):
-            for kids, vs in _forests(ls, v_left, not no_univalent):
-                # reduced: every vertex above the pearl is one of its children
-                if variant == "rsTree" and any(is_vertex(ch) and any(map(is_vertex, ch)) for ch in kids):
-                    continue
-                fill(slot_idx + 1, replace(shape, slot, kids), leaves_left - ls, v_left - vs)
+        for c in range(a + 1, b + 1):
+            for cv in range(v + 1):
+                for item in self.child(a, c, cv, s, h, limit):
+                    yield from self.carriers(c, b, v - cv, s, h, limit, done + (item,))
 
-    fill(0, skel, n_i, v_extra)
-    return outs
+    @_memo
+    def spine(self, d, b, v, limit):
+        """A spine vertex d above the pearl, labels 1..b, exactly v vertices:
+        the spine child keeps slot 0 and takes the first labels."""
+        mark, top = self.payload[self.top], self.top
+        if not d:
+            return self.vertex(0, b, v, mark, top, self.pearl_h, True, limit)
+        out = []
+        for c in range(b + 1):
+            for sv in range(d, v):
+                for first in self.spine(d - 1, c, sv, limit):
+                    for rest in self.forest(c, b, v - 1 - sv, top, self.side_h, limit):
+                        kids = (first,) + tuple(sorted(rest, key=itemgetter(0)))
+                        out.append((("V", False, mark, tuple([e for e, _, _ in kids])),
+                                    tuple([sh for _, sh, _ in kids]), v))
+                        if len(out) == limit:
+                            return out
+        return out
+
+    # -- below the section: joint items (encodings, shapes, vertex count)
+
+    @_memo
+    def joint_child(self, spans, v, pset, limit):
+        out = []
+        for s in _inner_sets(len(spans), with_empty=False):
+            if s <= pset:
+                out += self.pearl(spans, v, s, limit)
+                if self.below_ok:
+                    out += self.joint_vertex(spans, v, s, limit)
+        return out[:limit]
+
+    @_memo
+    def pearl(self, spans, v, s, limit):
+        """A pearl in every component, exactly v vertices together, internal
+        in the components of s; an external pearl is univalent."""
+
+        def fillings(i, c):
+            mark = (int(i in s),)
+            if i in s:
+                return self.vertex(*spans[i], c, mark, None, self.pearl_h, True, limit)
+            return [(("V", True, mark, ()), (), 1)] if c == 1 and spans[i] in (None, (0, 0)) else []
+
+        out = []
+        for counts in _compositions(v, len(spans)):
+            for combo in product(*(fillings(i, c) for i, c in enumerate(counts))):
+                out.append((tuple(e for e, _, _ in combo), tuple(sh for _, sh, _ in combo), v))
+                if len(out) == limit:
+                    return out
+        return out
+
+    @_memo
+    def joint_vertex(self, spans, v, s, limit):
+        """A below vertex in every component, internal in the components of
+        s, with at least one joint child."""
+        k = len(spans)
+        marks = [(int(i in s),) for i in range(k)]
+        out = []
+        for kids in self.joint_forest(spans, v - k, s, limit):
+            if kids:
+                kids = sorted(kids, key=itemgetter(0))
+                encs = tuple(("V", False, marks[i], tuple([kid[0][i] for kid in kids])) for i in range(k))
+                out.append((encs, tuple(tuple([kid[1][i] for kid in kids]) for i in range(k)), v))
+                if len(out) == limit:
+                    break
+        return out
+
+    def joint_forest(self, spans, v, s, limit):
+        empty = tuple(span and (0, 0) for span in spans)
+        starts = tuple(span and span[0] for span in spans)
+        ends = tuple(span and span[1] for span in spans)
+        for nv in range(v + 1):
+            options = [item for cv in range(len(spans), nv + 1) for item in self.joint_child(empty, cv, s, limit)]
+            for nulls in _multisets(options, nv)[:limit]:
+                for seq in self.joint_carriers(starts, ends, v - nv, s, limit, ()):
+                    yield nulls + tuple(item for item, _ in seq)
+
+    def joint_carriers(self, pos, ends, v, s, limit, done):
+        """Sequences of (joint child, components it gives leaves to) that
+        carry the labels pos..ends in order, in least order unless limit."""
+        if pos == ends:
+            if not v:
+                yield done
+            return
+        for lens in product(*(range(e - p + 1) if p is not None else (None,) for p, e in zip(pos, ends))):
+            leafy = {i for i, n in enumerate(lens) if n}
+            if not leafy:
+                continue
+            spans = tuple(None if n is None else (p, p + n) if n else (0, 0) for p, n in zip(pos, lens))
+            nxt = tuple(None if n is None else p + n for p, n in zip(pos, lens))
+            for cv in range(len(spans), v + 1):
+                for item in self.joint_child(spans, cv, s, limit):
+                    if limit is None and not _least(done, item, leafy):
+                        continue
+                    yield from self.joint_carriers(nxt, ends, v - cv, s, limit, done + ((item, leafy),))
+
+    # -- output
+
+    def freeze(self, encs, shapes):
+        """The KFoldTree of one representative: labels, pearls and marks
+        read off its encodings, frozen without re-validation."""
+        comps, marks = [], []
+        for i, (enc, shape) in enumerate(zip(encs, shapes)):
+            labels, pearls, edges, n = self.parts(enc)
+            comps.append(_frozen(ComponentTree, shape, frozenset(pearls), tuple(labels), n))
+            if self.variant == "pTreeP":
+                marks += [((j, path), bool(bits[j])) for j in range(self.k) for path, bits in edges]
+            elif self.variant in ("rsTree", "sTree"):
+                marks += [((i, path), bool(mk[0])) for path, mk in edges if mk[0] >= 0]
+        return _frozen(KFoldTree, self.variant, tuple(comps), tuple(marks))
+
+    def parts(self, e):
+        """(leaf labels, pearls, (edge, payload) pairs, vertex count) of an
+        encoding, in preorder, by paths from its root.  Encodings live in
+        the memo, so their ids key these parts."""
+        got = self.memo.get(id(e))
+        if got is None:
+            if e[0] == "L":
+                got = [((), e[2])], [], [((), e[1])], 0
+            else:
+                labels, pearls, edges, n = [], [()] if e[1] else [], [((), e[2])], 1
+                for j, ce in enumerate(e[3]):
+                    cl, cp, ced, cn = self.parts(ce)
+                    labels += [((j,) + p, s) for p, s in cl]
+                    pearls += [(j,) + p for p in cp]
+                    edges += [((j,) + p, x) for p, x in ced]
+                    n += cn
+                got = labels, pearls, edges, n
+            self.memo[id(e)] = got
+        return got
 
 
-def _section_marks(components, arities):
-    """Every valid marking of section components that share their below
-    part, each once, by the rules in the module docstring."""
-    k = len(components)
-    trunk = frozenset(i for i, n in enumerate(arities) if n is not None)
-    if not trunk:
-        return
-    inner = _inner_sets(k, with_empty=False)
-
-    def choices(e, parent):
-        if not e:
-            return [trunk]
-        need = {i for i, c in enumerate(components) if e in c.pearls and arity(c.shape, e)}
-        return [s for s in inner if s <= parent and need <= s]
-
-    yield from _push_down(section_edge_paths(components[0]), choices, k)
+def _least(done, item, leafy):
+    """True when item may follow the sequence done: it is not less than any
+    joint child it could swap back past."""
+    for prev, prev_leafy in reversed(done):
+        if prev_leafy & leafy:
+            return True
+        if item[0] < prev[0]:
+            return False
+    return True
 
 
-def _intermediate_marks(shape, pearl, k):
-    """Every valid pTreeP marking of one pearled shape, each once."""
-    every = frozenset(range(k))
-    inner = _inner_sets(k, with_empty=True)
-
-    def choices(e, parent):
-        if is_ancestor(e, pearl):
-            return [every]
-        return [s for s in inner if s <= parent]
-
-    return _push_down(sorted(vertices(shape) + leaves(shape)), choices, k)
-
-
-def _enumerate_intermediate(n, max_vertices, k):
-    for _, c in _pearled_options("pTree", n, max_vertices, True):
-        for marks in _intermediate_marks(c.shape, pearl_of(c), k):
-            yield KFoldTree("pTreeP", (c,), marks)
+def _frozen(cls, *values):
+    """An instance of the frozen dataclass cls from field values that are
+    already checked and normal; __post_init__ does not run."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values, strict=True))
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -916,16 +1055,19 @@ def _set_partitions(items: tuple):
 
 
 def _psi_trees(labels: tuple, pearl: bool, memo: dict) -> list:
-    """(shape, pearl path, leaf labels), once per non-planar tree on the leaf
-    set `labels` with one pearl if `pearl` (else none, path None) and every
-    other vertex of arity >= 2.  One label without the pearl is also a leaf.
+    """(key, shape, pearl path, leaf labels, vertex count), once per
+    non-planar tree on the leaf set `labels` with one pearl if `pearl` (else
+    none, path None) and every other vertex of arity >= 2.  One label without
+    the pearl is also a leaf.  The shape is the canonical representative
+    that PsiObject would build, and key its encoding.
 
     A root splits `labels` into blocks, one child each.  The pearl is the
     root itself, of any arity, or sits in the child of one block, the empty
-    block standing for a leafless extra child.
+    block standing for a leafless extra child.  The children are sorted by
+    their keys.
     """
     if (labels, pearl) not in memo:
-        out = [(LEAF, None, (((), labels[0]),))] if len(labels) == 1 and not pearl else []
+        out = [(("L", labels[0]), LEAF, None, (((), labels[0]),), 0)] if len(labels) == 1 and not pearl else []
         for blocks in _set_partitions(labels):
             # carrier: the block whose child holds the pearl, None for none
             for carrier in [None, *range(len(blocks) + 1)] if pearl else [None]:
@@ -934,11 +1076,14 @@ def _psi_trees(labels: tuple, pearl: bool, memo: dict) -> list:
                 if len(kids) < 2 and not at_root:
                     continue
                 for combo in product(*(_psi_trees(b, i == carrier, memo) for i, b in enumerate(kids))):
+                    combo = sorted(combo, key=itemgetter(0))
                     path = () if at_root else None
-                    if carrier is not None:
-                        path = (carrier,) + combo[carrier][1]
-                    leaf_labels = tuple(((i,) + q, a) for i, (_, _, labs) in enumerate(combo) for q, a in labs)
-                    out.append((tuple(shape for shape, _, _ in combo), path, leaf_labels))
+                    for i, (_, _, p, _, _) in enumerate(combo):
+                        if p is not None:
+                            path = (i,) + p
+                    leaf_labels = tuple(((i,) + q, a) for i, kid in enumerate(combo) for q, a in kid[3])
+                    out.append((("V", at_root, tuple(kid[0] for kid in combo)), tuple(kid[1] for kid in combo),
+                                path, leaf_labels, 1 + sum(kid[4] for kid in combo)))
         memo[labels, pearl] = out
     return memo[labels, pearl]
 
@@ -971,12 +1116,10 @@ def psi_category(k: int) -> dict:
     corolla is terminal; prime_morphisms drops the covering arrow from the
     two-vertex tree to it.
     """
-    if not isinstance(k, int) or not 0 <= k <= 4:
+    if not _is_count(k) or k > 4:
         raise OperadicError("leaf count must be an integer in 0..4")
-    objects: dict = {}
-    for shape, p, labels in _psi_trees(tuple(str(i + 1) for i in range(k)), True, {}):
-        obj = PsiObject(ComponentTree(shape, frozenset({p}), labels))
-        objects[obj.key] = obj
+    objects = {key: _frozen(PsiObject, _frozen(ComponentTree, shape, frozenset({p}), labels, n), key)
+               for key, shape, p, labels, n in _psi_trees(tuple(str(i + 1) for i in range(k)), True, {})}
     keys = sorted(objects)
     index = {key: i for i, key in enumerate(keys)}
     arrows = sorted({(index[key], index[target]) for key in keys for target in _psi_contractions(key)})

@@ -410,10 +410,36 @@ class TestEnumerate:
         ("pTreeP", (2,), 3, {"k": -1}),
         ("rpTree", (-1,), 3, {}),
         ("plain", (2,), 3, {}),
+        ("pTree", 2, 2, {}),
+        ("pTree", None, 2, {}),
+        # bools are not counts
+        ("pTree", (1,), True, {}),
+        ("pTree", (True,), 3, {}),
+        ("sTree", (1, False), 3, {}),
+        ("pTreeP", (2,), 3, {"k": True}),
     ])
     def test_malformed_request(self, variant, arities, vmax, kwargs):
         with pytest.raises(OperadicError):
             T.enumerate_trees(variant, arities, vmax, **kwargs)
+
+    @pytest.mark.parametrize("n_leaves, vmax", [("a", 3), (2, "3"), (-1, 3), (True, 3), (2, True), (2, 2.0)])
+    def test_malformed_shape_request(self, n_leaves, vmax):
+        with pytest.raises(OperadicError):
+            T.gen_planar_trees(n_leaves, vmax)
+
+    @pytest.mark.parametrize("variant, arities, vmax, kwargs, oracle", [
+        # three-label intervals, arity 0 and trivial components
+        ("pTree", (3,), 4, {}, lambda: oracle_pearled("pTree", (3,), 4)),
+        ("rpTree", (3,), 4, {}, lambda: oracle_pearled("rpTree", (3,), 4)),
+        ("pTree", (0, 1), 4, {}, lambda: oracle_pearled("pTree", (0, 1), 4)),
+        ("sTree", (3,), 4, {}, lambda: oracle_section("sTree", (3,), 4)),
+        ("sTree", (1, None), 4, {}, lambda: oracle_section("sTree", (1, None), 4)),
+        ("sTree", (0, 1), 4, {}, lambda: oracle_section("sTree", (0, 1), 4)),
+        ("pTreeP", (2,), 3, {"k": 1}, lambda: oracle_intermediate(2, 3, 1)),
+        ("pTreeP", (0,), 3, {"k": 2}, lambda: oracle_intermediate(0, 3, 2)),
+    ])
+    def test_brute_force_oracle(self, variant, arities, vmax, kwargs, oracle):
+        check_enumeration(T.enumerate_trees(variant, arities, vmax, **kwargs), oracle())
 
     @pytest.mark.parametrize("variant, arities, vmax, kwargs", [
         ("rpTree", (0,), 1, {}),
@@ -458,6 +484,15 @@ class TestEnumerate:
         ("rpTree", (2,), 4, {}, "f8c5fc49eac10421"),
         ("rpTree", (1, 1), 4, {}, "15e331ff1e538ea8"),
         ("rsTree", (2,), 4, {"no_univalent": True}, "a805441d0fcabd77"),
+        # pinned from the enumerator that canonicalized planar candidates:
+        # representatives whose labels do not run in planar order
+        ("pTree", (3,), 4, {}, "32a22567aa889d81"),
+        ("sTree", (3,), 4, {}, "38dc9fc056ea2085"),
+        ("pTreeP", (2,), 3, {"k": 1}, "8c3873873c034467"),
+        # below-section children that give leaves to different components,
+        # so that their order is a choice (also pinned from that enumerator)
+        ("sTree", (1, 1), 6, {}, "a266a118d03a7c40"),
+        ("rsTree", (1, 1), 6, {}, "bdc135bf2d4d266e"),
     ])
     def test_golden_order(self, variant, arities, vmax, kwargs, digest):
         enum = T.enumerate_trees(variant, arities, vmax, **kwargs)
@@ -479,7 +514,7 @@ class TestEnumerate:
 
 
 # ---------------------------------------------------------------------------
-# marking generators against every bit pattern
+# enumerated markings against every bit pattern
 
 
 def brute_marks(variant, components, edges, k, arities=None):
@@ -492,13 +527,23 @@ def brute_marks(variant, components, edges, k, arities=None):
     return out
 
 
-def as_sets(marks_iter):
-    got = [frozenset(m.items()) for m in marks_iter]
-    assert len(got) == len(set(got))
-    return set(got)
-
-
 class TestMarkings:
+    """The markings the enumerator pushes down, read back per shape: the
+    orbit members of exactly the given components carry every valid marking
+    of them and nothing else."""
+
+    @staticmethod
+    def enumerated_marks(variant, components, arities, **kwargs):
+        bound = sum(c.n_vertices for c in components)
+        enum = T.enumerate_trees(variant, arities, bound, **kwargs)
+        assert len({T.encode(t) for t in enum.trees}) == len(enum)
+        got = set()
+        for t in enum.trees:
+            if [c.n_vertices for c in t.components] != [c.n_vertices for c in components]:
+                continue
+            got |= {frozenset(m.marks) for m in orbit_members(t) if m.components == tuple(components)}
+        return got
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("shape", [
         (LEAF,),
@@ -511,7 +556,7 @@ class TestMarkings:
         edges = T.vertices(shape) + T.leaves(shape)
         for p in T.pearl_positions(shape):
             c = ComponentTree(shape, frozenset({p}))
-            got = as_sets(T._intermediate_marks(shape, p, k))
+            got = self.enumerated_marks("pTreeP", (c,), (c.n_leaves,), k=k)
             assert got == brute_marks("pTreeP", (c,), edges, k), p
 
     def section_families(self):
@@ -522,6 +567,9 @@ class TestMarkings:
         null_root = ComponentTree((), frozenset({()}))
         deep = ComponentTree((((LEAF,), ()),), frozenset({(0, 0), (0, 1)}))
         deep_bare = ComponentTree((((), ()),), frozenset({(0, 0), (0, 1)}))
+        # pearls with leaves in different components, free to trade places
+        left = ComponentTree(((LEAF,), ()), frozenset({(0,), (1,)}))
+        right = ComponentTree(((), (LEAF,)), frozenset({(0,), (1,)}))
         return [
             ((one,), (3,)),
             ((one, two), (3, 1)),
@@ -534,12 +582,16 @@ class TestMarkings:
             ((root, null_root, root), (1, 0, 1)),
             ((deep, deep_bare), (1, None)),
             ((deep, deep_bare, deep), (1, 0, 1)),
+            ((left, right), (1, 1)),
+            ((right, left), (1, 1)),
         ]
 
     def test_section(self):
         for components, arities in self.section_families():
+            # only pearls are univalent, so the smaller class holds them
+            assert not any(T.has_null_non_pearl(c) for c in components)
             edges = T.section_edge_paths(components[0])
-            got = as_sets(T._section_marks(components, arities))
+            got = self.enumerated_marks("sTree", components, arities, no_univalent=True)
             want = brute_marks("sTree", components, edges, len(components), arities)
             assert got == want, arities
 
@@ -631,43 +683,146 @@ class TestCanonical:
         assert moved
 
 
-def scramble(t, rng):
-    """A random member of t's orbit: the children of every vertex permuted,
-    except the spine slot of pearled variants, and the children of each
-    below-section vertex permuted alike in all components; pearls, labels
-    and marks move along."""
-    section = t.variant in ("rsTree", "sTree")
-    below = set(T.below_paths(t.components[0])) if section else set()
-    shared = {}
+def permuted(t, order_at):
+    """t with the children of vertex `path` of component i put in the order
+    order_at(i, path, n); pearls, labels and marks move along."""
 
-    def order_at(c, path, n):
-        if path in below:
-            if path not in shared:
-                shared[path] = rng.shuffle(range(n))
-            return shared[path]
-        if not section and any(T.is_ancestor(path, p) and path != p for p in c.pearls):
-            return [0] + rng.shuffle(range(1, n))
-        return rng.shuffle(range(n))
-
-    def walk(c, node, path):
+    def walk(i, node, path):
         if not T.is_vertex(node):
             return LEAF, {path: ()}
         kids, moves = [], {path: ()}
-        for q, j in enumerate(order_at(c, path, len(node))):
-            sub, mv = walk(c, node[j], path + (j,))
+        for q, j in enumerate(order_at(i, path, len(node))):
+            sub, mv = walk(i, node[j], path + (j,))
             kids.append(sub)
             moves.update({old: (q,) + new for old, new in mv.items()})
         return tuple(kids), moves
 
     comps, moves = [], []
-    for c in t.components:
-        shape, mv = walk(c, c.shape, ())
+    for i, c in enumerate(t.components):
+        shape, mv = walk(i, c.shape, ())
         comps.append(ComponentTree(shape, frozenset(mv[p] for p in c.pearls),
                                    tuple(sorted((mv[p], s) for p, s in c.labels))))
         moves.append(mv)
     owner = (lambda j: 0) if t.variant == "pTreeP" else (lambda j: j)
     marks = {(j, moves[owner(j)][p]): v for (j, p), v in t.marks}
     return KFoldTree(t.variant, tuple(comps), tuple(marks.items()))
+
+
+def orbit_moves(t):
+    """(key, first movable slot) per orbit move of t: the children of every
+    vertex permute, except the spine slot of pearled variants, and the
+    children of each below-section vertex permute alike in all components
+    (key (None, path))."""
+    section = t.variant in ("rsTree", "sTree")
+    below = set(T.below_paths(t.components[0])) if section else set()
+
+    def move(i, path):
+        if path in below:
+            return (None, path), 0
+        c = t.components[i]
+        spine = not section and any(T.is_ancestor(path, p) and path != p for p in c.pearls)
+        return (i, path), 1 if spine else 0
+
+    return move
+
+
+def scramble(t, rng):
+    """A random member of t's orbit."""
+    move = orbit_moves(t)
+    shared = {}
+
+    def order_at(i, path, n):
+        key, first = move(i, path)
+        if key not in shared:
+            shared[key] = list(range(first)) + rng.shuffle(range(first, n))
+        return shared[key]
+
+    return permuted(t, order_at)
+
+
+def orbit_members(t):
+    """Every member of t's orbit, each once."""
+    move = orbit_moves(t)
+    slots = {}
+    for i, c in enumerate(t.components):
+        for v in T.vertices(c.shape):
+            slots[move(i, v)] = T.arity(c.shape, v)
+    keys = list(slots)
+    orders = [[tuple(range(first)) + rest for rest in itertools.permutations(range(first, slots[key, first]))]
+              for key, first in keys]
+    members = {}
+    for choice in itertools.product(*orders):
+        chosen = {key: order for (key, _), order in zip(keys, choice)}
+        m = permuted(t, lambda i, path, n: chosen[move(i, path)[0]])
+        members[repr(m)] = m
+    return list(members.values())
+
+
+# every tree_enum request of the benchmark, then one or two of each other kind
+BUILT_DIRECTLY = [
+    ("pTreeP", (2,), 3, {"k": 2}),
+    ("pTreeP", (1,), 3, {"k": 3}),
+    ("sTree", (2,), 4, {}),
+    ("pTree", (2,), 4, {}),
+    ("rsTree", (1, 1), 4, {}),
+    ("sTree", (1, 1), 4, {}),
+    ("rpTree", (2,), 4, {}),
+    ("rpTree", (1, 1), 4, {"no_univalent": True}),
+    ("pTree", (1, 2), 4, {}),
+    ("rsTree", (2,), 4, {"no_univalent": True}),
+    ("sTree", (1, None), 4, {}),
+    ("sTree", (0, 1), 4, {}),
+    ("pTreeP", (0,), 3, {"k": 1}),
+]
+
+
+def typed(x):
+    """x with the type of every part spelled out and sets in sorted order,
+    so that True and 1 or a list and a tuple no longer compare equal."""
+    if isinstance(x, (tuple, list)):
+        return type(x).__name__, tuple(typed(y) for y in x)
+    if isinstance(x, frozenset):
+        return "frozenset", tuple(sorted(typed(y) for y in x))
+    return type(x).__name__, x
+
+
+def component_fields(c):
+    return typed((c.shape, c.pearls, c.labels, c.n_vertices))
+
+
+class TestBuiltDirectly:
+    """Enumerated trees and Psi objects are frozen without the checked
+    constructors; rebuilt through them, they come out the same."""
+
+    @pytest.mark.parametrize("variant, arities, vmax, kwargs", BUILT_DIRECTLY)
+    def test_enumerated_trees_rebuild_equal(self, variant, arities, vmax, kwargs):
+        for t in T.enumerate_trees(variant, arities, vmax, **kwargs).trees:
+            comps = tuple(ComponentTree(c.shape, c.pearls, c.labels) for c in t.components)
+            again = KFoldTree(t.variant, comps, t.marks)
+            assert again == t
+            assert [component_fields(c) for c in comps] == [component_fields(c) for c in t.components]
+            assert typed((again.variant, again.marks)) == typed((t.variant, t.marks))
+            assert T.validate_labeling(t) == (True, None)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    def test_psi_objects_rebuild_equal(self, k):
+        for obj in T.psi_category(k)["objects"]:
+            c = obj.tree
+            again = T.PsiObject(ComponentTree(c.shape, c.pearls, c.labels))
+            assert again == obj and again.key == obj.key
+            assert component_fields(again.tree) == component_fields(c)
+
+    def test_no_bottom_up_sort(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("_sort_bottom_up called")
+
+        monkeypatch.setattr(T, "_sort_bottom_up", refuse)
+        for variant, arities, vmax, kwargs in BUILT_DIRECTLY:
+            assert len(T.enumerate_trees(variant, arities, vmax, **kwargs))
+        for k in range(5):
+            assert T.psi_category(k)["objects"]
+        with pytest.raises(AssertionError):
+            T.canonicalize(T.enumerate_trees("pTree", (1,), 2).trees[0])
 
 
 # ---------------------------------------------------------------------------
@@ -790,7 +945,11 @@ class TestPsi:
 
     def test_each_class_built_once_at_five_leaves(self):
         built = T._psi_trees(tuple(str(i + 1) for i in range(5)), True, {})
-        keys = {T.PsiObject(ComponentTree(shape, frozenset({p}), labels)).key for shape, p, labels in built}
+        keys = set()
+        for key, shape, p, labels, n in built:
+            obj = T.PsiObject(ComponentTree(shape, frozenset({p}), labels))
+            assert (obj.key, obj.tree.shape, obj.tree.n_vertices) == (key, shape, n)
+            keys.add(key)
         assert len(built) == len(keys) == 2 * schroeder_t(6)
 
     def test_terminal_object(self):
@@ -878,7 +1037,7 @@ class TestPsi:
         with pytest.raises(OperadicError):
             T.psi_category(5)
 
-    @pytest.mark.parametrize("k", [2.5, "3", None])
+    @pytest.mark.parametrize("k", [2.5, "3", None, True, False])
     def test_non_integer_leaf_count(self, k):
         with pytest.raises(OperadicError):
             T.psi_category(k)
