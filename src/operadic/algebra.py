@@ -44,6 +44,7 @@ from .sampling import (
     sample_marked_fiber,
     sample_overlapping_config,
 )
+from .trees import _frozen
 
 PLUS = "+"
 
@@ -305,17 +306,6 @@ def _agree_in_base(family: RelativeFamily, points, keep) -> bool:
         return True
     images = [family.f(i, compose_away(family.components[i], x, keep)) for i, x in present]
     return all(img == images[0] for img in images[1:])
-
-
-def _frozen(cls, *values):
-    """An instance of the frozen dataclass cls from its field values, in
-    field order, that are already checked and normal: __post_init__ does not
-    run.  Only results built from checked inputs by operations that keep
-    every condition of cls come through here."""
-    obj = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, values, strict=True):
-        object.__setattr__(obj, name, value)
-    return obj
 
 
 # ---------------------------------------------------------------------------

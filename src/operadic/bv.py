@@ -48,7 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import _frozen
 from .errors import OperadicError
 from .exactgeom import rat
 from .freeconstr import (
@@ -62,7 +61,7 @@ from .freeconstr import (
     _pearlward,
     _sorted_items,
 )
-from .trees import KFoldTree, is_vertex, vertices
+from .trees import KFoldTree, _frozen, is_vertex, vertices
 
 _LAYOUT = {"ib": "pTree", "b": "sTree", "inter": "pTreeP", "w": "plain"}
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import OperadicError
+from .trees import _is_count
 
 MARK = "*"
 
@@ -193,10 +194,6 @@ REGIMES = ("overlapping", "disjoint", "m-overlap", "u-overlap")
 
 def regime_kind(regime) -> str:
     return regime if isinstance(regime, str) else regime[0]
-
-
-def _is_count(v) -> bool:
-    return type(v) is int and v >= 0
 
 
 def regime_str(regime) -> str:

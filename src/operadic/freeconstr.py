@@ -44,7 +44,6 @@ from .algebra import (
     OVecPoint,
     ProductPoint,
     RelativeFamily,
-    _frozen,
     act_numeric,
     block_fiber,
     compose_at,
@@ -67,6 +66,7 @@ from .trees import (
     LEAF,
     ComponentTree,
     KFoldTree,
+    _frozen,
     arity,
     below_paths,
     contraction,
@@ -981,11 +981,10 @@ def b_generator(family: RelativeFamily, pearl) -> FreeBPoint:
     return FreeBPoint(family, KFoldTree("rsTree", comps, marks), (((), pearl),), None, ())
 
 
-def base_point(family: RelativeFamily, pattern, template=None) -> FreeBPoint:
+def base_point(family: RelativeFamily, pattern) -> FreeBPoint:
     """The designated point at an arity pattern drawn from {0, +}."""
-    if template is None:
-        template = base_generator(tuple(pattern))
-    return b_generator(family, base_like(template, family, tuple(pattern)))
+    pattern = tuple(pattern)
+    return b_generator(family, base_like(base_generator(pattern), family, pattern))
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,21 @@ class _LeafType:
 LEAF = _LeafType()
 
 
+def _is_count(v) -> bool:
+    return type(v) is int and v >= 0
+
+
+def _frozen(cls, *values):
+    """An instance of the frozen dataclass cls from its field values, in
+    field order, that are already checked and normal: __post_init__ does not
+    run.  Only results built from checked inputs by operations that keep
+    every condition of cls come through here."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values, strict=True):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 # ---------------------------------------------------------------------------
 # shape primitives
 
@@ -91,7 +106,7 @@ def is_vertex(node) -> bool:
 def subtree(tree, path):
     node = tree
     for i in path:
-        if not is_vertex(node) or i >= len(node):
+        if not (is_vertex(node) and type(i) is int and 0 <= i < len(node)):
             raise OperadicError("path %r not in tree" % (path,))
         node = node[i]
     return node
@@ -161,14 +176,15 @@ def is_ancestor(p, q) -> bool:
     return len(p) <= len(q) and q[: len(p)] == p
 
 
-def spine_depth(tree) -> int:
-    """Length of the maximal all-zeros descent (to the first tip)."""
-    depth = 0
-    node = tree
-    while is_vertex(node) and node:
-        node = node[0]
-        depth += 1
-    return depth
+def pearl_positions(shape) -> list:
+    """Valid pearl paths: all-zeros descents ending at a vertex."""
+    out, node, path = [], shape, ()
+    while is_vertex(node):
+        out.append(path)
+        if not node:
+            break
+        node, path = node[0], path + (0,)
+    return out
 
 
 def corolla(n: int):
@@ -232,6 +248,9 @@ class KFoldTree:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise OperadicError("unknown variant %r" % self.variant)
+        if not (isinstance(self.components, (tuple, list))
+                and all(isinstance(c, ComponentTree) for c in self.components)):
+            raise OperadicError("components must be a sequence of ComponentTree")
         object.__setattr__(self, "components", tuple(self.components))
         items = tuple(sorted(((int(i), tuple(p)), bool(v)) for (i, p), v in dict(self.marks).items()))
         object.__setattr__(self, "marks", items)
@@ -339,6 +358,8 @@ def _check_section(c: ComponentTree):
 
 def validate_labeling(t: KFoldTree):
     """(ok, clause): clause names the first violated condition, if any."""
+    if not isinstance(t, KFoldTree):
+        return False, "not-a-tree"
     try:
         clause = _validate(t)
     except OperadicError as exc:
@@ -547,6 +568,8 @@ def canonicalize(t: KFoldTree) -> KFoldTree:
 
 def encode(t: KFoldTree):
     """Structural encoding; equal encodings mean equal trees."""
+    if not isinstance(t, KFoldTree):
+        raise OperadicError("not a KFoldTree: %r" % (t,))
     payload = _payload(t)
 
     def enc(c, i, labels, node, path):
@@ -556,72 +579,6 @@ def encode(t: KFoldTree):
             tuple(enc(c, i, labels, ch, path + (j,)) for j, ch in enumerate(node)),)
 
     return (t.variant, tuple(enc(c, i, dict(c.labels), c.shape, ()) for i, c in enumerate(t.components)))
-
-
-# ---------------------------------------------------------------------------
-# planar shape generation
-
-_shape_cache: dict = {}
-
-
-def _trees_upto(n_leaves, vmax, allow_null):
-    """(shape, n_vertices) pairs: exactly n_leaves leaves, <= vmax vertices."""
-    if vmax < 1:
-        return []
-    key = ("t", n_leaves, vmax, allow_null)
-    got = _shape_cache.get(key)
-    if got is None:
-        got = []
-        for kids, kv in _forests(n_leaves, vmax - 1, allow_null):
-            if kids == () and not (n_leaves == 0 and allow_null):
-                continue
-            got.append((kids, kv + 1))
-        _shape_cache[key] = got
-    return got
-
-
-def _forests(n_leaves, vmax, allow_null):
-    """(children tuple, total vertices) with n_leaves leaves, <= vmax vertices."""
-    if vmax < 0:
-        return []
-    key = ("f", n_leaves, vmax, allow_null)
-    got = _shape_cache.get(key)
-    if got is None:
-        got = []
-        if n_leaves == 0:
-            got.append(((), 0))
-        if n_leaves >= 1:
-            for rest, rv in _forests(n_leaves - 1, vmax, allow_null):
-                got.append(((LEAF,) + rest, rv))
-        for fn in range(0, n_leaves + 1):
-            for tr, tv in _trees_upto(fn, vmax, allow_null):
-                for rest, rv in _forests(n_leaves - fn, vmax - tv, allow_null):
-                    got.append(((tr,) + rest, tv + rv))
-        _shape_cache[key] = got
-    return got
-
-
-def _is_count(v) -> bool:
-    return type(v) is int and v >= 0
-
-
-def gen_planar_trees(n_leaves: int, vmax: int, allow_null: bool = True) -> list:
-    """All planar shapes with the given leaf count and at most vmax vertices."""
-    if not (_is_count(n_leaves) and _is_count(vmax)):
-        raise OperadicError("leaf count and vertex bound must be non-negative integers")
-    counts = dict(_trees_upto(n_leaves, vmax, allow_null))
-    return sorted(counts, key=lambda s: (counts[s], repr(s)))
-
-
-def pearl_positions(shape) -> list:
-    """Valid pearl paths: all-zeros descents ending at a vertex."""
-    out, node, path = [], shape, ()
-    while is_vertex(node):
-        out.append(path)
-        if not node:
-            break
-        node, path = node[0], path + (0,)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -977,14 +934,6 @@ def _least(done, item, leafy):
     return True
 
 
-def _frozen(cls, *values):
-    """An instance of the frozen dataclass cls from field values that are
-    already checked and normal; __post_init__ does not run."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls.__dataclass_fields__, values, strict=True))
-    return obj
-
-
 # ---------------------------------------------------------------------------
 # edge contraction
 
@@ -1012,8 +961,8 @@ def contraction(shape, path):
 def contract_edge(c: ComponentTree, path) -> ComponentTree:
     """Merge the vertex at `path` into its parent.  A pearl endpoint makes
     the merged vertex a pearl."""
-    if not path:
-        raise OperadicError("cannot contract the trunk")
+    if not path or type(path) is not tuple:
+        raise OperadicError("cannot contract %r: the trunk or not a path" % (path,))
     if not is_vertex(subtree(c.shape, path)):
         raise OperadicError("cannot contract a leaf edge")
     new_shape, move = contraction(c.shape, path)
@@ -1037,6 +986,8 @@ class PsiObject:
     key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.tree, ComponentTree):
+            raise OperadicError("not a ComponentTree: %r" % (self.tree,))
         ((key, shape, moves),) = _sort_bottom_up((self.tree,), lambda i, path: (), False, False)
         object.__setattr__(self, "tree", _moved(self.tree, shape, moves))
         object.__setattr__(self, "key", key)
@@ -1143,15 +1094,21 @@ def psi_closure(morphisms, n_objects: int):
 
     Every contraction lowers the vertex count by one, so the arrows form a
     DAG.  One pass takes each object once its targets are done, sinks
-    first, and joins its targets' reaches.  An arrow outside the objects or a
-    cycle raises OperadicError."""
+    first, and joins its targets' reaches.  A count that is not a
+    non-negative integer, an arrow that is not a pair of objects or a cycle
+    raises OperadicError."""
+    if not _is_count(n_objects):
+        raise OperadicError("object count must be a non-negative integer")
     targets = {i: set() for i in range(n_objects)}
     sources = {i: [] for i in range(n_objects)}
-    for s, t in set(morphisms):
-        if s not in targets or t not in targets:
-            raise OperadicError("morphism %r outside the %d objects" % ((s, t), n_objects))
-        targets[s].add(t)
-        sources[t].append(s)
+    for arrow in morphisms:
+        if not (isinstance(arrow, tuple) and len(arrow) == 2
+                and all(_is_count(i) and i < n_objects for i in arrow)):
+            raise OperadicError("morphism %r is not a pair of the %d objects" % (arrow, n_objects))
+        s, t = arrow
+        if t not in targets[s]:
+            targets[s].add(t)
+            sources[t].append(s)
     waiting = {s: len(ts) for s, ts in targets.items()}
     ready = [s for s, n in waiting.items() if not n]
     reach = {}
@@ -1172,6 +1129,8 @@ def psi_closure(morphisms, n_objects: int):
 
 def emit_dot(t: KFoldTree, times: dict | None = None) -> str:
     """Graphviz rendering: pearls as double circles, external edges dashed."""
+    if not isinstance(t, KFoldTree):
+        raise OperadicError("not a KFoldTree: %r" % (t,))
     times = times or {}
     lines = ["digraph tree {", "  rankdir=BT;"]
     marks = t.marks_dict()

@@ -56,7 +56,7 @@ from operadic.freeconstr import (
     act_component,
     b_generator,
     base_generator,
-    base_point,
+    base_like,
     evaluate_b,
     evaluate_ib,
     formal_generator,
@@ -606,7 +606,7 @@ class TestCarrierWithoutOps:
         for order in range(3):
             assert bv_normalize(half, rng=Stream(order, ("augorder",))) == half
         # a base-point operand drops out of the fiber
-        base = base_point(FAM, (0, PLUS), template=aug)
+        base = b_generator(FAM, base_like(aug, FAM, (0, PLUS)))
         assert dict(base.pearls)[()] == AugmentedPoint(FAM, (FAM.base.point0(), PLUS))
         assert is_base_value(dict(base.pearls)[()])
         assert free_graft_b(pt, ("left", fib, (pt, base))) == free_graft_b(

@@ -29,6 +29,7 @@ from operadic.freeconstr import (
     b_generator,
     b_point,
     base_generator,
+    base_like,
     base_point,
     evaluate_b,
     evaluate_ib,
@@ -448,7 +449,7 @@ class TestBaseContraction:
             out = free_graft_b(operands[0], ("left", fib, operands))
             want_pat = tuple(PLUS if p == PLUS else 0 for p in pk.parts)
             template = dict(operands[0].pearls)[()]
-            assert out == base_point(FAM, want_pat, template)
+            assert out == b_generator(FAM, base_like(template, FAM, want_pat))
             assert evaluate_b(out, GluedBOps(FAM)) == GluedBOps(FAM).left(
                 fib, [evaluate_b(op, GluedBOps(FAM)) for op in operands]
             )

@@ -72,3 +72,25 @@ def test_every_top_level_name_is_used():
                 if all(p == path and first <= n <= node.end_lineno for p, n in seen[node.name]):
                     unused.append("%s.%s" % (path.stem, node.name))
     assert not unused
+
+
+def _top_level_names(path: Path) -> set:
+    """Names a module defines at its top level: functions, classes and
+    assigned names."""
+    out = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return out
+
+
+def test_each_name_defined_once():
+    # a helper two modules need lives in the earlier layer and is imported
+    owners = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name in _top_level_names(path):
+            owners.setdefault(name, []).append(path.stem)
+    assert {name: where for name, where in owners.items() if len(where) > 1} == {}

@@ -151,15 +151,7 @@ class TestShapes:
     def test_tips_and_spine(self):
         s = (((),), LEAF)
         assert T.tips(s) == [(0, 0), (1,)]
-        assert T.spine_depth(s) == 2
         assert T.pearl_positions(s) == [(), (0,), (0, 0)]
-
-    def test_generator_matches_oracle(self):
-        for n, v in [(0, 3), (1, 3), (2, 4), (3, 4)]:
-            for allow in (True, False):
-                got = set(T.gen_planar_trees(n, v, allow_null=allow))
-                want = oracle_shapes(n, v, allow_null=allow)
-                assert got == want, (n, v, allow)
 
     def test_contract_edge(self):
         c = ComponentTree(((LEAF, LEAF), LEAF), frozenset({(0,)}))
@@ -171,7 +163,7 @@ class TestShapes:
     def test_contraction_moves_every_other_path(self):
         for n in range(5):
             for allow in (True, False):
-                for shape in T.gen_planar_trees(n, 4, allow_null=allow):
+                for shape in oracle_shapes(n, 4, allow_null=allow):
                     paths = T.vertices(shape) + T.leaves(shape)
                     for v in T.vertices(shape)[1:]:
                         new, move = T.contraction(shape, v)
@@ -189,6 +181,44 @@ class TestShapes:
         c = ComponentTree((LEAF,), frozenset({()}))
         with pytest.raises(OperadicError):
             T.contract_edge(c, ())
+
+    @pytest.mark.parametrize("path", [[0], 0, None])
+    def test_contract_takes_tuple_paths(self, path):
+        c = ComponentTree(((LEAF,),), frozenset({()}))
+        with pytest.raises(OperadicError):
+            T.contract_edge(c, path)
+
+    # each entry of a path is an in-range int: (-1,) must not index from the end
+    @pytest.mark.parametrize("path", [(-1,), (1,), (0, 2), (0, -1), ("a",), (0.0,), (True,), (0, None)])
+    def test_path_entries_checked(self, path):
+        shape = ((LEAF, LEAF),)
+        c = ComponentTree(shape, frozenset({()}))
+        for call in (T.subtree, T.arity):
+            with pytest.raises(OperadicError):
+                call(shape, path)
+        with pytest.raises(OperadicError):
+            T.contract_edge(c, path)
+
+
+class TestNotATree:
+    @pytest.mark.parametrize("call", [T.canonicalize, T.encode, T.emit_dot, T.PsiObject],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("value", ["x", None, ComponentTree((LEAF,), frozenset({()}))], ids=repr)
+    def test_rejected(self, call, value):
+        if call is T.PsiObject and isinstance(value, ComponentTree):
+            value = KFoldTree("pTree", (value,))
+        with pytest.raises(OperadicError):
+            call(value)
+
+    @pytest.mark.parametrize("value", ["x", None, (), ComponentTree((LEAF,), frozenset({()}))], ids=repr)
+    def test_validate_labeling_says_why(self, value):
+        assert T.validate_labeling(value) == (False, "not-a-tree")
+
+    @pytest.mark.parametrize("components", [("x",), "x", 5, None, (ComponentTree((LEAF,), frozenset({()})), ())],
+                             ids=repr)
+    def test_components_must_be_component_trees(self, components):
+        with pytest.raises(OperadicError):
+            KFoldTree("pTree", components)
 
 
 # ---------------------------------------------------------------------------
@@ -421,11 +451,6 @@ class TestEnumerate:
     def test_malformed_request(self, variant, arities, vmax, kwargs):
         with pytest.raises(OperadicError):
             T.enumerate_trees(variant, arities, vmax, **kwargs)
-
-    @pytest.mark.parametrize("n_leaves, vmax", [("a", 3), (2, "3"), (-1, 3), (True, 3), (2, True), (2, 2.0)])
-    def test_malformed_shape_request(self, n_leaves, vmax):
-        with pytest.raises(OperadicError):
-            T.gen_planar_trees(n_leaves, vmax)
 
     @pytest.mark.parametrize("variant, arities, vmax, kwargs, oracle", [
         # three-label intervals, arity 0 and trivial components
@@ -880,21 +905,67 @@ def schroeder_t(n):
 PRIME = 2 ** 31 - 1
 
 
+def psi_without_terminal(k):
+    """Psi_k without its terminal object as a strict order: object -> the set
+    of objects it contracts to."""
+    cat = T.psi_category(k)
+    term = cat["terminal"]
+    above = {i: set() for i in range(len(cat["objects"])) if i != term}
+    for s, t in T.psi_closure(cat["morphisms"], len(cat["objects"])):
+        if term not in (s, t):
+            above[s].add(t)
+    return above
+
+
 def psi_order_complex(k):
     """Chains x0 < x1 < ... of Psi_k without its terminal object, by length:
     the simplices of its order complex."""
-    cat = T.psi_category(k)
-    term = cat["terminal"]
-    above = {}
-    for s, t in T.psi_closure(cat["morphisms"], len(cat["objects"])):
-        if term not in (s, t):
-            above.setdefault(s, []).append(t)
-    chains = [[(i,) for i in range(len(cat["objects"])) if i != term]]
+    above = psi_without_terminal(k)
+    chains = [[(i,) for i in above]]
     while True:
-        longer = [c + (t,) for c in chains[-1] for t in above.get(c[-1], ())]
+        longer = [c + (t,) for c in chains[-1] for t in sorted(above[c[-1]])]
         if not longer:
             return chains
         chains.append(longer)
+
+
+def below_of(above):
+    """The converse of a strict order given as element -> elements above it."""
+    below = {x: set() for x in above}
+    for x, ys in above.items():
+        for y in ys:
+            below[y].add(x)
+    return below
+
+
+def dismantle(above):
+    """What is left after removing beat points while there are any: a point
+    whose elements strictly above (or below) have a least (or greatest) one.
+    Removing one keeps the homotopy type (Stong 1966), and the points left
+    form the core, which is unique up to isomorphism."""
+    up = {x: set(ys) for x, ys in above.items()}
+    down = below_of(up)
+    while True:
+        # the least element m of up[x] has up[m] == up[x] - {m}: count them
+        beat = next((x for x in sorted(up) for rel in (up, down)
+                     if any(len(rel[m]) == len(rel[x]) - 1 for m in rel[x])), None)
+        if beat is None:
+            return set(up)
+        for y in up.pop(beat):
+            down[y].discard(beat)
+        for y in down.pop(beat):
+            up[y].discard(beat)
+
+
+def mobius_bottom_top(above):
+    """mu(0, 1) of the order with a least element 0 and a greatest element 1
+    adjoined: the reduced Euler characteristic of its order complex
+    (P. Hall's theorem)."""
+    below = below_of(above)
+    mu = {}
+    for x in sorted(below, key=lambda x: len(below[x])):  # a linear extension
+        mu[x] = -1 - sum(mu[y] for y in below[x])
+    return -1 - sum(mu.values())
 
 
 def boundary(chain, index):
@@ -1002,10 +1073,16 @@ class TestPsi:
             want |= {(source, t) for t in seen}
         assert T.psi_closure(cat["morphisms"], n) == sorted(want)
 
-    @pytest.mark.parametrize("morphisms", [[(0, 1), (1, 2), (2, 0)], [(0, 3)], [(3, 0)], [(0, "1")]])
+    @pytest.mark.parametrize("morphisms", [[(0, 1), (1, 2), (2, 0)], [(0, 3)], [(3, 0)], [(0, "1")],
+                                           (0, 1), [(0,)], [(0, 1, 2)], [None], [(-1, 0)], [(True, 0)]])
     def test_closure_rejects_bad_arrows(self, morphisms):
         with pytest.raises(OperadicError):
             T.psi_closure(morphisms, 3)
+
+    @pytest.mark.parametrize("n_objects", ["x", 2.0, True, -1, None])
+    def test_closure_rejects_bad_counts(self, n_objects):
+        with pytest.raises(OperadicError):
+            T.psi_closure([(0, 1)], n_objects)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
     def test_key_contractions_match_planar_ones(self, k):
@@ -1032,6 +1109,23 @@ class TestPsi:
         ranks.append(0)
         betti = [len(chains[n]) - ranks[n] - ranks[n + 1] for n in range(len(chains))]
         assert betti == [0] * len(chains)
+
+    # independent certificates of the same contractibility, cheap enough to
+    # reach larger k than the homology above
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_without_terminal_dismantles_to_a_point(self, k):
+        above = psi_without_terminal(k)
+        assert len(dismantle(above)) == 1
+        assert mobius_bottom_top(above) == 0
+
+    def test_certificates_see_a_circle(self):
+        # four points a, b < c, d: the order complex is a circle
+        circle = {0: {2, 3}, 1: {2, 3}, 2: set(), 3: set()}
+        assert len(dismantle(circle)) == 4
+        assert mobius_bottom_top(circle) == -1
+        chain = {0: {1, 2}, 1: {2}, 2: set()}
+        assert len(dismantle(chain)) == 1
+        assert mobius_bottom_top(chain) == 0
 
     def test_bound(self):
         with pytest.raises(OperadicError):
