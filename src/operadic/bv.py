@@ -26,8 +26,14 @@ does not depend on the rewrite order.  The engine has seven rules:
 `contract-zero` and `drop-unit-w` for "w", whose times are edge lengths.
 `contract-zero` is `contract` under the W condition t == 0, and
 `drop-unit-w` is `drop-unit` with the merged edge keeping the longer
-length.  A "w" point keys its times by vertex path; the engine keeps them
-with the upper vertices' times, under (0, path).
+length.
+
+A point keys its pearls and the vertices below by path, its upper vertices
+by (component, path) and each time as its vertex; a "w" point keys its
+times by vertex path.  The engine keys all of them by vertex key (i, path),
+i None for a joint vertex: a "w" vertex is an upper vertex of component 0,
+so its time sits under (0, path).  `_TimedState.of_tree` converts a point's
+keys on the way in and `_point_of` on the way out.
 
 The rewrite engine is the one of `freeconstr`: a free point is the "ib" or
 "b" point with every time at one (`bv_tau`), and the free normal form is the
@@ -54,6 +60,7 @@ from .freeconstr import (
     _TimedState,
     _act,
     _check_decorations,
+    _decorations,
     _free_state,
     _is_path,
     _is_upper_key,
@@ -185,31 +192,22 @@ def _state_of(p):
     """The engine state of a timed point."""
     if not isinstance(p, BVPoint):
         raise OperadicError("%r is no timed point" % type(p).__name__)
-    jtimes = {}
-    utimes = {}
-    for key, t in p.times:
-        if p.flavor == "w":  # the engine keys a W time by its vertex
-            key = (0, key)
-        (utimes if _is_upper_key(key) else jtimes)[key] = t
     return _TimedState.of_tree(p.flavor, p.family, p.tree, p.pearls_dict(), p.below_dict(),
-                               p.upper_dict(), jtimes, utimes)
+                               p.upper_dict(), p.times_dict())
 
 
 def _point_of(st: _TimedState) -> BVPoint:
     """The timed point of a state built from checked points and operands,
     frozen without `BVPoint`'s checks; the fields are ordered as
     `BVPoint.__post_init__` orders them."""
-    times = {**st.jtimes, **st.utimes}
-    if st.flavor == "w":
-        times = {path: t for (_, path), t in times.items()}
+    times = {(path if i is None or st.flavor == "w" else (i, path)): t
+             for (i, path), t in st.times.items()}
     return _frozen(
         BVPoint,
         st.flavor,
         st.family,
         KFoldTree(_LAYOUT[st.flavor], st.components(), tuple(st.marks.items())),
-        tuple(sorted(st.pearl_dec.items())),
-        tuple(sorted(st.below_dec.items())),
-        tuple(sorted(st.upper_dec.items())),
+        *_decorations(st),
         tuple(sorted(times.items(), key=lambda kv: _time_sort_key(kv[0]))),
     )
 
@@ -223,8 +221,7 @@ def bv_eta(p: BVPoint, rng=None):
     """Send every time to zero and contract fully; the result is the value
     of the underlying composition, with inputs named by the leaf labels."""
     st = _state_of(p)
-    st.jtimes = {key: Fraction(0) for key in st.jtimes}
-    st.utimes = {key: Fraction(0) for key in st.utimes}
+    st.times = dict.fromkeys(st.times, Fraction(0))
     st.run(rng)
     if p.flavor == "w":
         model = p.family
@@ -234,10 +231,10 @@ def bv_eta(p: BVPoint, rng=None):
         if vertices(shape) != [()]:
             raise OperadicError("the collapse left more than one vertex")
         mapping = {str(s + 1): st.labels[0][(s,)] for s in range(len(shape))}
-        return model.relabel(st.upper_dec[(0, ())], mapping)
-    if st.below_dec or st.upper_dec or set(st.pearl_dec) != {()}:
+        return model.relabel(st.dec[(0, ())], mapping)
+    if set(st.dec) != {(None, ())} or st.pearls != {()}:
         raise OperadicError("the collapse left non-pearl vertices")
-    return _name_inputs(st.pearl_dec[()], st.shapes, st.labels)
+    return _name_inputs(st.dec[(None, ())], st.shapes, st.labels)
 
 
 def bv_normalize(p: BVPoint, rng=None) -> BVPoint:

@@ -23,6 +23,13 @@ check the decorations, re-run normalization and reject anything that is not
 already normal; the grafts check their operands on entry and freeze the
 snapshot of their exhausted state without that second check.
 
+The engine keys its state as its rules do, by vertex key (i, path): i is the
+component of an upper vertex and None for a joint one, a pearl or a vertex
+below.  One dict holds the decorations, one the times and one set the pearl
+paths; a point's fields are converted to it and back once, at the boundary.
+One table holds the seven rules, each with its flavors, its test at a vertex
+key and its handler; listing and applying rewrites both read it.
+
 Absorbing into a pearl at time zero goes through the module operations of
 the pearls' carrier.  `module_ops` looks them up here, next to the carriers'
 operations it returns (`ProductIbOps`, `GluedIbOps`, `GluedBOps` and the
@@ -360,9 +367,16 @@ class _TimedState:
     plain tree over one operad (the timed points of `bv`).  Free points are
     the "ib" and "b" states with every time at one.
 
-    A rule takes a vertex key (i, path): i is the component of an upper
-    vertex and None for a joint one, a pearl or a vertex below.  A pearl
-    sits at time zero.  The seven rules:
+    One key space: a vertex key (i, path) names a vertex, i being the
+    component of an upper vertex and None for a joint one, a pearl or a
+    vertex below.  `dec` maps every vertex key to its decoration and `times`
+    every timed one to its time; `pearls` holds the paths of the joint keys
+    that are pearls.  A pearl sits at time zero and has no entry in `times`.
+    A "w" vertex is an upper vertex of component 0, its time the length of
+    the edge below it; `bv` keys a "w" time by the path alone.
+
+    `RULES` holds the seven rules, each with the flavors it serves, its test
+    at a vertex key and its handler:
 
     contract         a vertex and its parent at equal times become one
                      vertex; when either is a pearl, the merged vertex is
@@ -379,9 +393,9 @@ class _TimedState:
     drop-unit-w      drop-unit for "w", the merged edge keeping the longer
                      length
 
-    A "w" time is the length of the edge below its vertex and is kept, like
-    an upper vertex's time, in `utimes` under the key (0, path); `bv` keys it
-    by the path alone.
+    `available()` lists the rewrites scan by scan (`SCANS`): a scan walks
+    the upper or the joint keys in sorted order and tests its rules, in
+    turn, at each key.  `apply()` runs a rule's handler on a vertex key.
 
     Composing with a pearl goes through `module_ops(flavor, family,
     template)` of the pearls' carrier, looked up when first needed and kept
@@ -398,115 +412,80 @@ class _TimedState:
     condition, so the snapshot of an exhausted state is a valid normal point
     and is frozen without the points' constructor checks."""
 
-    def __init__(self, flavor, family, shapes, pearls, labels, marks,
-                 pearl_dec, below_dec, upper_dec, jtimes, utimes):
+    def __init__(self, flavor, family, shapes, labels, marks, pearls, dec, times):
         self.flavor = flavor
         self.family = family
         self.shapes = list(shapes)
-        self.pearls = [set(p) for p in pearls]
         self.labels = [dict(l) for l in labels]
         self.marks = dict(marks)
-        self.pearl_dec = dict(pearl_dec)
-        self.below_dec = dict(below_dec)
-        self.upper_dec = dict(upper_dec)
-        self.jtimes = dict(jtimes)
-        self.utimes = dict(utimes)
+        self.pearls = set(pearls)
+        self.dec = dict(dec)
+        self.times = dict(times)
         self.ops = None
         # the carrier of the pearls; it survives the drop of every pearl, so
         # that a pearl rebuilt at the root keeps the encoding
-        self.base_template = next(iter(self.pearl_dec.values()), None)
+        self.base_template = next(
+            (x for (i, p), x in self.dec.items() if i is None and p in self.pearls), None)
 
     @classmethod
-    def of_tree(cls, flavor, family, tree: KFoldTree, pearl_dec, below_dec, upper_dec,
-                jtimes, utimes) -> "_TimedState":
-        """The state of a decorated tree family with the given times."""
+    def of_tree(cls, flavor, family, tree: KFoldTree, pearls, below, upper,
+                times) -> "_TimedState":
+        """The state of a decorated tree family with the given times, all
+        keyed as the points key them: a joint vertex by its path, an upper
+        vertex by (component, path) and a "w" time by its path."""
         comps = tree.components
-        return cls(flavor, family, [c.shape for c in comps], [c.pearls for c in comps],
-                   [dict(c.labels) for c in comps], tree.marks_dict(),
-                   pearl_dec, below_dec, upper_dec, jtimes, utimes)
+        joint = {(None, p): x for p, x in chain(pearls.items(), below.items())}
+        # the joint times are those of the vertices below
+        times = {((0, key) if flavor == "w" else (None, key) if key in below else key): t
+                 for key, t in times.items()}
+        return cls(flavor, family, [c.shape for c in comps], [dict(c.labels) for c in comps],
+                   tree.marks_dict(), pearls, {**joint, **upper}, times)
 
     @property
     def k(self) -> int:
         return len(self.shapes)
 
     def components(self) -> tuple:
-        comps = []
-        for i in range(self.k):
-            shape = self.shapes[i]
-            lab = tuple((p, self.labels[i][p]) for p in leaves(shape))
-            comps.append(ComponentTree(shape, frozenset(self.pearls[i]), lab))
-        return tuple(comps)
+        pearls = frozenset(self.pearls)
+        return tuple(
+            ComponentTree(shape, pearls, tuple((p, self.labels[i][p]) for p in leaves(shape)))
+            for i, shape in enumerate(self.shapes)
+        )
 
     def _ops(self):
         if self.ops is None:
             self.ops = module_ops(self.flavor, self.family, self.base_template)
         return self.ops
 
+    def _key(self, i, path):
+        """The key of the vertex at path in component i."""
+        return (None, path) if (None, path) in self.dec else (i, path)
+
     def _clock(self, i, path):
-        """The time of the vertex at path; a pearl sits at time zero."""
-        return 0 if path in self.pearl_dec else self._time_at(i, path)
+        """The time of the vertex at path in component i; a pearl sits at
+        time zero."""
+        if path in self.pearls:
+            return 0
+        return self.times.get((None, path), self.times.get((i, path)))
 
     # -- rewrite enumeration ----------------------------------------------
 
     def available(self) -> list:
-        if self.flavor == "w":
-            return self._available_w()
+        keys = {"upper": [], "joint": []}
+        for key in self.dec:
+            keys["joint" if key[0] is None else "upper"].append(key)
         out = []
-        for (i, q) in sorted(self.upper_dec):
-            if self.utimes[(i, q)] == self._clock(i, q[:-1]):
-                out.append(("contract", (i, q)))
-            if (arity(self.shapes[i], q) == 1
-                    and self.upper_dec[(i, q)] == self.family.components[i].unit("1")):
-                out.append(("drop-unit", (i, q)))
-        is_unit = is_unit_ovec if self.flavor == "ib" else is_unit_fiber
-        for q in sorted(self.below_dec):
-            t = self.jtimes[q]
-            width = arity(self.shapes[0], q)
-            if width == 1 and is_unit(self.below_dec[q]):
-                out.append(("drop-unit", (None, q)))
-            if q and t == self._clock(None, q[:-1]):
-                out.append(("contract", (None, q)))
-            if t != 0:
-                continue
-            if self.flavor != "b":
-                if q + (0,) in self.pearl_dec:
-                    out.append(("contract", (None, q + (0,))))
-            elif width and all(q + (s,) in self.pearl_dec for s in range(width)):
-                out.append(("absorb-star", (None, q)))
-        if self.flavor == "b":
-            for q in sorted(self.pearl_dec):
-                if q and is_base_value(self.pearl_dec[q]):
-                    out.append(("drop-base-pearl", (None, q)))
-            if () in self.below_dec and arity(self.shapes[0], ()) == 0:
-                out.append(("pearlize", (None, ())))
-        return out
-
-    def _available_w(self) -> list:
-        out = []
-        shape = self.shapes[0]
-        if not is_vertex(shape):
-            return out
-        for key in sorted(self.utimes):
-            if self.utimes[key] == 0:
-                out.append(("contract-zero", key))
-        for q in vertices(shape):
-            if arity(shape, q) == 1 and self.upper_dec[(0, q)] == self.family.unit("1"):
-                out.append(("drop-unit-w", (0, q)))
+        for scan, names in self.SCANS:
+            tests = [(name, self.RULES[name][1]) for name in names
+                     if self.flavor in self.RULES[name][0]]
+            out += [(name, key) for key in sorted(keys[scan]) for name, test in tests
+                    if test(self, *key)]
         return out
 
     def apply(self, rule, arg):
-        handler = {
-            "contract": self._contract,
-            "drop-unit": self._drop_unit,
-            "absorb-star": self._absorb_star,
-            "drop-base-pearl": self._drop_base_pearl,
-            "pearlize": self._pearlize,
-            "contract-zero": self._contract,
-            "drop-unit-w": self._drop_unit_w,
-        }.get(rule)
-        if handler is None:
+        if rule not in self.RULES:
             raise OperadicError("unknown rewrite %r" % (rule,))
-        handler(*arg)
+        self.RULES[rule][2](self, *arg)
 
     def run(self, rng=None) -> "_TimedState":
         while True:
@@ -518,93 +497,104 @@ class _TimedState:
         self.sort()
         return self
 
+    # -- the tests at a vertex key -------------------------------------------
+
+    def _contracts(self, i, path):
+        return bool(path) and not (self.flavor == "b" and path in self.pearls) and (
+            self._clock(i, path) == self._clock(i, path[:-1]))
+
+    def _is_unit_vertex(self, i, path):
+        if path in self.pearls or arity(self.shapes[0 if i is None else i], path) != 1:
+            return False
+        x = self.dec[(i, path)]
+        if i is not None:
+            return x == self._model(i).unit("1")
+        return (is_unit_ovec if self.flavor == "ib" else is_unit_fiber)(x)
+
+    def _absorbs(self, i, path):
+        if self.times.get((i, path)) != 0:
+            return False
+        width = arity(self.shapes[0], path)
+        return width > 0 and all(path + (s,) in self.pearls for s in range(width))
+
+    def _is_base_pearl(self, i, path):
+        return bool(path) and path in self.pearls and is_base_value(self.dec[(i, path)])
+
+    def _is_bare_root(self, _, path):
+        return not path and path not in self.pearls and arity(self.shapes[0], path) == 0
+
+    def _at_time_zero(self, i, path):
+        return self.times.get((i, path)) == 0
+
     # -- path bookkeeping ---------------------------------------------------
 
-    def _move_component(self, i, move, drops=frozenset()):
-        self.pearls[i] = {move(p) for p in self.pearls[i] if p not in drops}
-        self.labels[i] = {move(p): s for p, s in self.labels[i].items()}
+    def _move(self, moves: dict, drops=frozenset()):
+        """Move the paths of each component i in moves by moves[i], dropping
+        the vertices at drops.  When every component moves, so do the joint
+        keys, by the last component's move: no joint vertex lies right of a
+        spliced joint vertex whose arity differs between the components (a
+        pearl sits at slot zero, and absorb-star splices its pearls last
+        first).  "inter" marks are keyed by marking index over its single
+        tree."""
+        joint = moves[self.k - 1] if len(moves) == self.k else None
 
-        def rekey(keyed, whole=False):
-            return {((j, move(p)) if whole or j == i else (j, p)): v
-                    for (j, p), v in keyed.items()
-                    if not ((whole or j == i) and p in drops)}
+        def rekey(keyed):
+            out = {}
+            for (i, p), v in keyed.items():
+                move = joint if i is None else moves.get(0 if self.flavor == "inter" else i)
+                if move is None:
+                    out[(i, p)] = v
+                elif p not in drops:
+                    out[(i, move(p))] = v
+            return out
 
-        self.upper_dec = rekey(self.upper_dec)
-        self.utimes = rekey(self.utimes)
-        if self.flavor in ("b", "inter"):
-            # "inter" marks are keyed by marking index over its single tree
-            self.marks = rekey(self.marks, whole=self.flavor == "inter")
-
-    def _move_joint_keys(self, move, drops=frozenset()):
-        self.pearl_dec = {move(p): v for p, v in self.pearl_dec.items() if p not in drops}
-        self.below_dec = {move(p): v for p, v in self.below_dec.items() if p not in drops}
-        self.jtimes = {move(p): v for p, v in self.jtimes.items() if p not in drops}
-
-    def _contract_into_parent(self, i, path):
-        """Splice the children of the vertex at path into its parent slot;
-        returns the move applied to that component's paths."""
-        self.shapes[i], move = contraction(self.shapes[i], path)
-        self._move_component(i, move, drops={path})
-        return move
+        self.dec, self.times, self.marks = rekey(self.dec), rekey(self.times), rekey(self.marks)
+        for i, move in moves.items():
+            self.labels[i] = {move(p): s for p, s in self.labels[i].items()}
+        if joint is not None:
+            self.pearls = {joint(p) for p in self.pearls if p not in drops}
 
     # -- the rewrites --------------------------------------------------------
 
     def _pop(self, i, path):
         """Remove the decoration and time of the vertex (i, path) and return
         the decoration."""
-        if i is not None:
-            self.utimes.pop((i, path), None)
-            return self.upper_dec.pop((i, path))
-        self.jtimes.pop(path, None)
-        return (self.pearl_dec if path in self.pearl_dec else self.below_dec).pop(path)
+        self.times.pop((i, path), None)
+        return self.dec.pop((i, path))
 
     def _splice_out(self, i, path):
         """Remove the vertex at path, its children taking its slot in the
         parent, and return its decoration.  i names the component of an upper
         vertex and is None for a joint one, which goes in every component."""
         x = self._pop(i, path)
-        if i is not None:
-            self._contract_into_parent(i, path)
-            return x
-        for j in range(self.k):
-            move = self._contract_into_parent(j, path)
-        # no joint vertex lies right of a spliced joint vertex whose arity
-        # differs between the components (a pearl sits at slot zero, and
-        # absorb-star splices its pearls last first), so any component's
-        # move serves the joint keys
-        self._move_joint_keys(move, drops={path})
+        moves = {}
+        for j in range(self.k) if i is None else (i,):
+            self.shapes[j], moves[j] = contraction(self.shapes[j], path)
+        self._move(moves, drops={path})
         return x
 
     def _contract(self, i, path):
         """Compose the vertex at path into its parent, the two sitting at equal
         times; when either end is a pearl, the merged vertex is the pearl."""
         par, slot = path[:-1], path[-1]
-        pearl_child = path in self.pearl_dec
+        pearl_child = path in self.pearls
         x = self._splice_out(i, path)
-        if i is not None:
-            if par in self.pearl_dec:
-                self.pearl_dec[par] = self._ops().right(self.pearl_dec[par], i, slot + 1, x)
-            elif par in self.below_dec:
-                self.below_dec[par] = ovec_compose_at(self.below_dec[par], i, slot + 1, x)
-            else:
-                self.upper_dec[(i, par)] = compose_at(
-                    self._model(i), self.upper_dec[(i, par)], slot + 1, x
-                )
-            return
-        target = self.pearl_dec if par in self.pearl_dec else self.below_dec
-        parent = target.pop(par)
-        if self.flavor != "ib":
+        key = self._key(i, par)
+        parent = self.dec[key]
+        if i is None and self.flavor != "ib":
             value = fiber_compose_at(parent, slot + 1, x)
-        elif pearl_child:
-            value = self._ops().left(parent, x)
+        elif i is None:
+            value = self._ops().left(parent, x) if pearl_child else ovec_splice(parent, x)
+        elif par in self.pearls:
+            value = self._ops().right(parent, i, slot + 1, x)
+        elif key[0] is None:
+            value = ovec_compose_at(parent, i, slot + 1, x)
         else:
-            value = ovec_splice(parent, x)
+            value = compose_at(self._model(i), parent, slot + 1, x)
         if pearl_child:
-            self.jtimes.pop(par)
-            target = self.pearl_dec
-            for pearls in self.pearls:
-                pearls.add(par)
-        target[par] = value
+            self.times.pop(key)
+            self.pearls.add(par)
+        self.dec[key] = value
 
     def _drop_unit(self, i, path):
         """Remove a unit vertex of arity one; at the root its child becomes
@@ -614,61 +604,62 @@ class _TimedState:
             return
         self._pop(i, path)
         self.marks = {(j, p): v for (j, p), v in self.marks.items() if p != ()}
-
-        def move(p):
-            return p[1:]
-
         for j in range(self.k):
             self.shapes[j] = subtree(self.shapes[j], (0,))
-            self._move_component(j, move)
-        self._move_joint_keys(move)
+        self._move(dict.fromkeys(range(self.k), lambda p: p[1:]))
 
     def _absorb_star(self, _, path):
         fiber = self._pop(None, path)
         width = arity(self.shapes[0], path)
         operands = [self._splice_out(None, path + (s,)) for s in reversed(range(width))]
-        for pearls in self.pearls:
-            pearls.add(path)
-        self.pearl_dec[path] = self._ops().left(fiber, operands[::-1])
+        self.pearls.add(path)
+        self.dec[(None, path)] = self._ops().left(fiber, operands[::-1])
 
     def _drop_base_pearl(self, _, path):
         self.base_template = self._splice_out(None, path)
-        par, slot = path[:-1], path[-1]
-        self.below_dec[par] = fiber_drop(self.below_dec[par], slot + 1)
+        par = (None, path[:-1])
+        self.dec[par] = fiber_drop(self.dec[par], path[-1] + 1)
 
     def _pearlize(self, _, path):
         # the surviving datum of a zero-width root is its arity pattern; the
         # time has nothing left to weight and is discarded
         fiber = self._pop(None, path)
         pattern = tuple(PLUS if part == PLUS else 0 for part in fiber.pk.parts)
-        for i in range(self.k):
-            self.pearls[i].add(path)
-        self.pearl_dec[path] = base_like(self.base_template, self.family, pattern)
+        self.pearls.add(path)
+        self.dec[(None, path)] = base_like(self.base_template, self.family, pattern)
 
     def _drop_unit_w(self, i, path):
-        t_out = self.utimes.get((i, path))
-        t_in = self.utimes.pop((i, path + (0,)), None)
+        t_out = self.times.get((i, path))
+        t_in = self.times.pop((i, path + (0,)), None)
         self._drop_unit(i, path)
         if t_out is not None and t_in is not None:
             # both edges are inner, so the merged edge keeps the longer one
-            self.utimes[(i, path)] = max(t_out, t_in)
+            self.times[(i, path)] = max(t_out, t_in)
+
+    # rule: (flavors it serves, test at a vertex key, handler)
+    RULES = {
+        "contract": (("ib", "b", "inter"), _contracts, _contract),
+        "drop-unit": (("ib", "b", "inter"), _is_unit_vertex, _drop_unit),
+        "absorb-star": (("b",), _absorbs, _absorb_star),
+        "drop-base-pearl": (("b",), _is_base_pearl, _drop_base_pearl),
+        "pearlize": (("b",), _is_bare_root, _pearlize),
+        "contract-zero": (("w",), _at_time_zero, _contract),
+        "drop-unit-w": (("w",), _is_unit_vertex, _drop_unit_w),
+    }
+    # the scans of available(), in order, each with the keys it walks and
+    # the rules it tests at each key.  The order is part of the results: a
+    # seeded run picks its rewrites from the list.
+    SCANS = (
+        ("upper", ("contract", "drop-unit", "contract-zero")),
+        ("upper", ("drop-unit-w",)),
+        ("joint", ("drop-unit", "contract", "absorb-star")),
+        ("joint", ("drop-base-pearl", "pearlize")),
+    )
 
     # -- canonical child order ----------------------------------------------
 
     def _model(self, i):
         return self.family if self.flavor == "w" else self.family.components[i]
-
-    def _decor_at(self, i, path):
-        if path in self.pearl_dec:
-            return self.pearl_dec[path]
-        if path in self.below_dec:
-            return self.below_dec[path]
-        return self.upper_dec.get((i, path))
-
-    def _time_at(self, i, path):
-        if path in self.jtimes:
-            return self.jtimes[path]
-        return self.utimes.get((i, path))
 
     def _marks_at(self, i, path):
         if self.flavor == "b":
@@ -688,13 +679,14 @@ class _TimedState:
         if not is_vertex(node):
             label = self.labels[i][path]
             return ("L", marks, len(label), label)
-        t = self._time_at(i, path)
+        key = self._key(i, path)
+        t = self.times.get(key)
         return (
             "V",
-            path in self.pearls[i],
+            path in self.pearls,
             marks,
             "" if t is None else str(t),
-            stable_key(self._decor_at(i, path)),
+            stable_key(self.dec[key]),
             tuple(self._enc(i, path + (s,), child) for s, child in enumerate(node)),
         )
 
@@ -702,10 +694,10 @@ class _TimedState:
         """The decoration at path once its children in the components
         comp_ids take the order: new slot j holds old slot order[j]."""
         perm = tuple(j + 1 for j in order)
-        if path not in self.pearl_dec and path not in self.below_dec:
-            (i,) = comp_ids
-            return act_numeric(self._model(i), self.upper_dec[(i, path)], perm)
-        value = self._decor_at(None, path)
+        key = self._key(comp_ids[0], path)
+        value = self.dec[key]
+        if key[0] is not None:
+            return act_numeric(self._model(key[0]), value, perm)
         if isinstance(value, FiberPoint):
             return act_component(value, 0, perm)
         for i in comp_ids:
@@ -713,13 +705,7 @@ class _TimedState:
         return value
 
     def _apply_child_perm(self, path, order, comp_ids):
-        value = self._acted(path, order, comp_ids)
-        if path in self.pearl_dec:
-            self.pearl_dec[path] = value
-        elif path in self.below_dec:
-            self.below_dec[path] = value
-        else:
-            self.upper_dec[(comp_ids[0], path)] = value
+        self.dec[self._key(comp_ids[0], path)] = self._acted(path, order, comp_ids)
 
         def move(p):
             if len(p) > len(path) and p[: len(path)] == path:
@@ -731,14 +717,12 @@ class _TimedState:
             self.shapes[i] = replace(
                 self.shapes[i], path, tuple(node[j] for j in order)
             )
-            self._move_component(i, move)
-        if len(comp_ids) == self.k:
-            self._move_joint_keys(move)
+        self._move(dict.fromkeys(comp_ids, move))
 
     def sort(self):
         """Order the children of every vertex, deepest first; in "b" the
         vertices below the section order theirs jointly, last."""
-        joint = set(self.below_dec) if self.flavor == "b" else set()
+        joint = {p for i, p in self.dec if i is None} - self.pearls if self.flavor == "b" else set()
         for i in range(self.k):
             if not is_vertex(self.shapes[i]):
                 continue
@@ -750,9 +734,9 @@ class _TimedState:
 
     def _pinned(self, i, path) -> bool:
         if self.flavor == "ib":
-            return path in self.below_dec
+            return (None, path) in self.dec and path not in self.pearls
         if self.flavor == "inter":
-            return _pearlward(self.pearls[0], path)
+            return _pearlward(self.pearls, path)
         return False
 
     def _sort_children(self, path, comp_ids, first=0):
@@ -806,26 +790,24 @@ def _sorted_items(dec, keyed, order=None) -> tuple:
     return tuple(sorted(dec.items(), key=order))
 
 
-def _time_one(flavor, family, tree, pearl_dec, below_dec, upper_dec) -> _TimedState:
-    return _TimedState.of_tree(flavor, family, tree, pearl_dec, below_dec, upper_dec,
-                               {v: ONE for v in below_dec}, {key: ONE for key in upper_dec})
+def _time_one(flavor, family, tree, pearls, below, upper) -> _TimedState:
+    return _TimedState.of_tree(flavor, family, tree, pearls, below, upper,
+                               dict.fromkeys(chain(below, upper), ONE))
 
 
 def _state_ib(family, tree, pearl, below, upper) -> _TimedState:
     pearl_path = pearl_of(tree.components[0])
-    below_dec = {}
-    if below is not None:
-        if len(pearl_path) == 0:
-            raise OperadicError("a spine decoration needs the pearl below the root")
-        below_dec[()] = below
-    elif len(pearl_path) != 0:
+    if below is not None and not pearl_path:
+        raise OperadicError("a spine decoration needs the pearl below the root")
+    if below is None and pearl_path:
         raise OperadicError("a pearl below the root needs a spine decoration")
-    return _time_one("ib", family, tree, {pearl_path: pearl}, below_dec, dict(upper))
+    return _time_one("ib", family, tree, {pearl_path: pearl},
+                     {} if below is None else {(): below}, dict(upper))
 
 
 def _state_b(family, tree, pearls, below, upper) -> _TimedState:
-    below_dec = {} if below is None else {(): below}
-    return _time_one("b", family, tree, dict(pearls), below_dec, dict(upper))
+    return _time_one("b", family, tree, dict(pearls), {} if below is None else {(): below},
+                     dict(upper))
 
 
 def _free_state(pt):
@@ -837,15 +819,21 @@ def _free_state(pt):
     raise OperadicError("%r is no free point" % type(pt).__name__)
 
 
+def _decorations(state: _TimedState) -> tuple:
+    """The decorations of a state as the points keep them: sorted items of
+    the pearls and of the vertices below, keyed by path, and of the upper
+    vertices, keyed by (component, path)."""
+    joint = sorted((p, x) for (i, p), x in state.dec.items() if i is None)
+    return (tuple(kv for kv in joint if kv[0] in state.pearls),
+            tuple(kv for kv in joint if kv[0] not in state.pearls),
+            tuple(sorted(kv for kv in state.dec.items() if kv[0][0] is not None)))
+
+
 def _fields(state: _TimedState) -> tuple:
     """The free snapshot of a state: the times are all one and are dropped."""
     variant = "rpTree" if state.flavor == "ib" else "rsTree"
-    return (
-        KFoldTree(variant, state.components(), tuple(state.marks.items())),
-        tuple(sorted(state.pearl_dec.items())),
-        tuple(sorted(state.below_dec.items())),
-        tuple(sorted(state.upper_dec.items())),
-    )
+    return (KFoldTree(variant, state.components(), tuple(state.marks.items())),
+            *_decorations(state))
 
 
 def _check_normal(pt):
@@ -1020,8 +1008,8 @@ def _graft_right(state: _TimedState, i: int, j, x) -> _TimedState:
     if not model.validate(x):
         raise OperadicError("the operand is no element of %s" % model.name)
     path = _graft_leaf(state, i, j, m)
-    state.upper_dec[(i, path)] = x
-    state.utimes[(i, path)] = ONE
+    state.dec[(i, path)] = x
+    state.times[(i, path)] = ONE
     return state
 
 
@@ -1047,8 +1035,8 @@ def _graft_fiber(state: _TimedState, j, fiber) -> _TimedState:
     path = _graft_leaf(state, 0, j, len(fiber.pk.ground))
     if any(state.marks[(u, path)] == (part == PLUS) for u, part in enumerate(fiber.pk.parts)):
         raise OperadicError("sentinel pattern does not match the marking of leaf %r" % (j,))
-    state.below_dec[path] = fiber
-    state.jtimes[path] = ONE
+    state.dec[(None, path)] = fiber
+    state.times[(None, path)] = ONE
     _mark_inputs(state, path, fiber)
     return state
 
@@ -1057,19 +1045,14 @@ def _new_root(state: _TimedState, extras, decoration) -> _TimedState:
     """Put a new root with the given decoration at time one below the forest;
     its first input carries the old tree, and component i gets extras[i] more
     inputs, new leaves labeled after its old ones."""
-
-    def move(p):
-        return (0,) + p
-
+    state._move(dict.fromkeys(range(state.k), lambda p: (0,) + p))
     for i, extra in enumerate(extras):
         top = max((int(s) for s in state.labels[i].values()), default=0)
         state.shapes[i] = (state.shapes[i],) + (LEAF,) * extra
-        state._move_component(i, move)
         for t in range(extra):
             state.labels[i][(t + 1,)] = str(top + t + 1)
-    state._move_joint_keys(move)
-    state.below_dec[()] = decoration
-    state.jtimes[()] = ONE
+    state.dec[(None, ())] = decoration
+    state.times[(None, ())] = ONE
     return state
 
 
@@ -1109,10 +1092,8 @@ def _merge_b_operands(family, fiber, operands) -> _TimedState:
     k = family.k
     shapes = [[] for _ in range(k)]
     labels = [dict() for _ in range(k)]
-    pearls = [set() for _ in range(k)]
     marks = {(i, ()): part != PLUS for i, part in enumerate(fiber.pk.parts)}
-    pearl_dec, below_dec, upper_dec = {}, {(): fiber}, {}
-    jtimes, utimes = {(): ONE}, {}
+    pearls, dec, times = set(), {(None, ()): fiber}, {(None, ()): ONE}
     for l, op in enumerate(operands):
         for i, part in enumerate(fiber.pk.parts):
             if (part != PLUS and str(l + 1) in part) != op.marks[(i, ())]:
@@ -1124,15 +1105,10 @@ def _merge_b_operands(family, fiber, operands) -> _TimedState:
             shapes[i].append(op.shapes[i])
             for p, s in op.labels[i].items():
                 labels[i][(l,) + p] = str(int(s) + offset)
-            pearls[i] |= {(l,) + p for p in op.pearls[i]}
-        marks.update({(i, (l,) + p): v for (i, p), v in op.marks.items()})
-        pearl_dec.update({(l,) + p: v for p, v in op.pearl_dec.items()})
-        below_dec.update({(l,) + p: v for p, v in op.below_dec.items()})
-        jtimes.update({(l,) + p: t for p, t in op.jtimes.items()})
-        upper_dec.update({(i, (l,) + p): v for (i, p), v in op.upper_dec.items()})
-        utimes.update({(i, (l,) + p): t for (i, p), t in op.utimes.items()})
-    return _TimedState("b", family, [tuple(s) for s in shapes], pearls, labels, marks,
-                       pearl_dec, below_dec, upper_dec, jtimes, utimes)
+        pearls |= {(l,) + p for p in op.pearls}
+        for keyed, theirs in ((marks, op.marks), (dec, op.dec), (times, op.times)):
+            keyed.update({(i, (l,) + p): v for (i, p), v in theirs.items()})
+    return _TimedState("b", family, [tuple(s) for s in shapes], labels, marks, pearls, dec, times)
 
 
 def _act(state: _TimedState, action, operand_state) -> _TimedState:

@@ -1095,10 +1095,12 @@ def psi_closure(morphisms, n_objects: int):
     Every contraction lowers the vertex count by one, so the arrows form a
     DAG.  One pass takes each object once its targets are done, sinks
     first, and joins its targets' reaches.  A count that is not a
-    non-negative integer, an arrow that is not a pair of objects or a cycle
-    raises OperadicError."""
+    non-negative integer, morphisms that are not a list or tuple of pairs of
+    objects, or a cycle raises OperadicError."""
     if not _is_count(n_objects):
         raise OperadicError("object count must be a non-negative integer")
+    if not isinstance(morphisms, (list, tuple)):
+        raise OperadicError("morphisms must be a list or tuple, got %r" % (morphisms,))
     targets = {i: set() for i in range(n_objects)}
     sources = {i: [] for i in range(n_objects)}
     for arrow in morphisms:
@@ -1128,10 +1130,14 @@ def psi_closure(morphisms, n_objects: int):
 
 
 def emit_dot(t: KFoldTree, times: dict | None = None) -> str:
-    """Graphviz rendering: pearls as double circles, external edges dashed."""
+    """Graphviz rendering: pearls as double circles, external edges dashed.
+    times maps vertex keys (i, path) to the labels shown, i None for a joint
+    vertex, as the rewrite engine keys its times."""
     if not isinstance(t, KFoldTree):
         raise OperadicError("not a KFoldTree: %r" % (t,))
-    times = times or {}
+    times = {} if times is None else times
+    if not isinstance(times, dict):
+        raise OperadicError("times must be a dict of vertex keys, got %r" % (times,))
     lines = ["digraph tree {", "  rankdir=BT;"]
     marks = t.marks_dict()
     mark_is = sorted({i for (i, _) in marks})

@@ -4,6 +4,7 @@ the plain-tree flavor and the time-scaling homotopy."""
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -72,6 +73,7 @@ from operadic.trees import (
     ComponentTree,
     KFoldTree,
     corolla,
+    emit_dot,
     is_vertex,
     pearl_of,
     subtree,
@@ -520,8 +522,8 @@ class TestIntermediate:
         def counting(state, rule, arg):
             i, path = arg
             if rule == "contract" and i is None:
-                fired["into-pearl"] += path[:-1] in state.pearl_dec
-                fired["pearl-up"] += path in state.pearl_dec
+                fired["into-pearl"] += path[:-1] in state.pearls
+                fired["pearl-up"] += path in state.pearls
             return apply(state, rule, arg)
 
         monkeypatch.setattr(_TimedState, "apply", counting)
@@ -1029,20 +1031,22 @@ RULES = {"contract", "drop-unit", "absorb-star", "drop-base-pearl", "pearlize",
 
 
 def clone(st):
-    out = _TimedState(st.flavor, st.family, st.shapes, st.pearls, st.labels, st.marks,
-                      st.pearl_dec, st.below_dec, st.upper_dec, st.jtimes, st.utimes)
+    out = _TimedState(st.flavor, st.family, st.shapes, st.labels, st.marks, st.pearls,
+                      st.dec, st.times)
     out.base_template, out.ops = st.base_template, st.ops
     return out
 
 
 def state_key(st):
     # decorations go through stable_key: the repr of a frozenset follows its
-    # hash order, and equal states must meet under every PYTHONHASHSEED
-    decs = [sorted((key, stable_key(x)) for key, x in d.items())
-            for d in (st.pearl_dec, st.below_dec, st.upper_dec)]
-    return repr((st.shapes, [sorted(p) for p in st.pearls],
-                 [sorted(l.items()) for l in st.labels], sorted(st.marks.items()),
-                 decs, sorted(st.jtimes.items()), sorted(st.utimes.items())))
+    # hash order, and equal states must meet under every PYTHONHASHSEED; a
+    # joint key's None does not order against a component, so keys sort by
+    # their repr
+    def items(keyed, text):
+        return sorted((repr(key), text(x)) for key, x in keyed.items())
+
+    return repr((st.shapes, sorted(st.pearls), [sorted(l.items()) for l in st.labels],
+                 sorted(st.marks.items()), items(st.dec, stable_key), items(st.times, str)))
 
 
 def explore(start, trace):
@@ -1178,6 +1182,39 @@ class TestEveryRewriteOrder:
         for st in map(_state_of, formal_starts()):
             forms, _ = explore(st, [])
             assert forms == [_point_of(clone(st).run())]
+
+
+def dot_labels(dot) -> dict:
+    """The label of each vertex node of an emit_dot rendering, by node id."""
+    return dict(re.findall(r'"(c\d+_\w+)" \[shape=(?:double)?circle,label="([^"]*)"\]', dot))
+
+
+class TestDotOfEngineTimes:
+    def check_labels(self, p):
+        """Every vertex the engine times shows its time, in each component
+        for a joint one; no other vertex shows one."""
+        st = _state_of(p)
+        labels = dot_labels(emit_dot(KFoldTree(p.tree.variant, st.components(), p.tree.marks),
+                                     times=st.times))
+        want = dict.fromkeys(labels, "")
+        for (i, path), t in st.times.items():
+            for j in range(st.k) if i is None else (i,):
+                want["c%d_%s" % (j, "_".join(map(str, path)) or "r")] = "t=%s" % t
+        assert labels == want
+        return st.times
+
+    def test_ib_point(self):
+        p = next(p for p in walk_starts()
+                 if p.flavor == "ib" and p.below and p.upper and len(p.tree.components) > 1)
+        times = self.check_labels(p)
+        assert {i is None for i, _ in times} == {True, False}
+
+    def test_w_point(self):
+        shape = W_SHAPES[2]
+        r = Stream(205, ("dotw",))
+        times = {v: Fraction(r.split(("t", v)).randint(0, 2), 2) for v in vertices(shape) if v}
+        got = self.check_labels(w_point(operad_model("sym"), shape, r, times))
+        assert got == {(0, v): t for v, t in times.items()}
 
 
 CHECKED = (FreeIbPoint, FreeBPoint, BVPoint, OVecPoint, FiberPoint)

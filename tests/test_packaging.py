@@ -56,8 +56,22 @@ def test_modules_import_only_earlier_layers():
 ROOT = PACKAGE.parents[1]
 
 
+def _definitions(tree):
+    """The top-level defs and classes of a module and the methods of its
+    classes, dunders left out, as (qualified name, node)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not (
+                        member.name.startswith("__") and member.name.endswith("__")):
+                    yield "%s.%s" % (node.name, member.name), member
+
+
 def test_every_top_level_name_is_used():
-    # a def or class that nothing names outside its own definition is dead
+    # a def, class or method that nothing names outside its own definition
+    # is dead
     seen = {}  # word -> [(file, line number)] of its whole-word occurrences
     for d in ("src", "tests", "perfbench"):
         for path in (ROOT / d).rglob("*.py"):
@@ -66,11 +80,24 @@ def test_every_top_level_name_is_used():
                     seen.setdefault(word, []).append((path, n))
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-                if all(p == path and first <= n <= node.end_lineno for p, n in seen[node.name]):
-                    unused.append("%s.%s" % (path.stem, node.name))
+        for qualified, node in _definitions(ast.parse(path.read_text())):
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            if all(p == path and first <= n <= node.end_lineno for p, n in seen[node.name]):
+                unused.append("%s.%s" % (path.stem, qualified))
+    assert not unused
+
+
+def test_every_imported_package_name_is_used():
+    # a name imported from the package and never read in the module is a
+    # leftover
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                unused += ["%s: %s" % (path.stem, a.asname or a.name) for a in node.names
+                           if (a.asname or a.name) not in read]
     assert not unused
 
 

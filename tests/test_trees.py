@@ -1074,7 +1074,8 @@ class TestPsi:
         assert T.psi_closure(cat["morphisms"], n) == sorted(want)
 
     @pytest.mark.parametrize("morphisms", [[(0, 1), (1, 2), (2, 0)], [(0, 3)], [(3, 0)], [(0, "1")],
-                                           (0, 1), [(0,)], [(0, 1, 2)], [None], [(-1, 0)], [(True, 0)]])
+                                           (0, 1), [(0,)], [(0, 1, 2)], [None], [(-1, 0)], [(True, 0)],
+                                           5])
     def test_closure_rejects_bad_arrows(self, morphisms):
         with pytest.raises(OperadicError):
             T.psi_closure(morphisms, 3)
@@ -1157,3 +1158,9 @@ class TestDot:
         t = KFoldTree("pTree", (c,))
         dot = T.emit_dot(t, times={(None, ()): "1/2"})
         assert "t=1/2" in dot
+
+    @pytest.mark.parametrize("times", [5, "t", [((None, ()), "1/2")]], ids=repr)
+    def test_times_must_be_a_dict(self, times):
+        t = KFoldTree("pTree", (ComponentTree((LEAF,), frozenset({()})),))
+        with pytest.raises(OperadicError):
+            T.emit_dot(t, times=times)
