@@ -74,7 +74,7 @@ class OperadModel:
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
-            raise OperadicError("unknown model kind %r" % self.kind)
+            raise OperadicError("unknown model kind %r" % (self.kind,))
         if self.kind in ("rect", "cube", "rect-inf") and self.dim < 1:
             raise OperadicError("geometric models need a positive dimension")
 
@@ -121,14 +121,14 @@ class OperadModel:
             return rect_compose(x, a, y)
         if self.kind == "sym":
             if a not in x:
-                raise OperadicError("missing slot %r" % a)
+                raise OperadicError("missing slot %r" % (a,))
             rest = set(x) - {a}
             if rest & set(y):
                 raise OperadicError("label collision in composition")
             pos = x.index(a)
             return x[:pos] + tuple(y) + x[pos + 1 :]
         if a not in x:
-            raise OperadicError("missing slot %r" % a)
+            raise OperadicError("missing slot %r" % (a,))
         rest = x - {a}
         if rest & set(y):
             raise OperadicError("label collision in composition")
@@ -175,7 +175,7 @@ def operad_model(name: str) -> OperadModel:
         kind, _, dim = name.partition(":")
         if kind in ("rect", "cube", "rect-inf") and dim.isdigit():
             return OperadModel(name, kind, int(dim))
-    raise OperadicError("unknown operad model %r" % name)
+    raise OperadicError("unknown operad model %r" % (name,))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +264,7 @@ class RelativeFamily:
             if self.base.kind != "terminal":
                 raise OperadicError("collapse family needs the one-point base")
         else:
-            raise OperadicError("unknown family kind %r" % self.kind)
+            raise OperadicError("unknown family kind %r" % (self.kind,))
 
     @property
     def k(self) -> int:
@@ -391,7 +391,7 @@ def pk_enumerate(ground, k: int) -> list:
 def pk_union(s1: PKFamily, a: str, s2: PKFamily) -> PKFamily:
     """Substitute the second family into ground element a of the first."""
     if a not in s1.ground:
-        raise OperadicError("missing ground label %r" % a)
+        raise OperadicError("missing ground label %r" % (a,))
     if s1.k != s2.k:
         raise OperadicError("component count mismatch")
     rest = set(s1.ground) - {a}
@@ -401,11 +401,11 @@ def pk_union(s1: PKFamily, a: str, s2: PKFamily) -> PKFamily:
     for p1, p2 in zip(s1.parts, s2.parts):
         if p1 != PLUS and a in p1:
             if p2 == PLUS:
-                raise OperadicError("second family must be present where %r occurs" % a)
+                raise OperadicError("second family must be present where %r occurs" % (a,))
             parts.append(tuple(x for x in p1 if x != a) + p2)
         else:
             if p2 != PLUS:
-                raise OperadicError("second family must be absent where %r is absent" % a)
+                raise OperadicError("second family must be absent where %r is absent" % (a,))
             parts.append(p1)
     return PKFamily(tuple(rest | set(s2.ground)), tuple(parts))
 
@@ -465,7 +465,7 @@ def fiber_mu_a(p: FiberPoint, a: str, q: FiberPoint) -> FiberPoint:
     for i, part in enumerate(p.pk.parts):
         absent = part == PLUS or a not in part
         if absent != (q.pk.parts[i] == PLUS):
-            raise OperadicError("sentinel pattern does not match the occurrences of %r" % a)
+            raise OperadicError("sentinel pattern does not match the occurrences of %r" % (a,))
     pk = pk_union(p.pk, a, q.pk)
     points = []
     for i, part in enumerate(p.pk.parts):
@@ -499,7 +499,7 @@ def sample_fiber_point(rng: Stream, family: RelativeFamily, pk: PKFamily) -> Fib
             for i, part in enumerate(pk.parts)
         )
         return FiberPoint(family, pk, points)
-    raise OperadicError("no fiber sampler for family kind %r" % family.kind)
+    raise OperadicError("no fiber sampler for family kind %r" % (family.kind,))
 
 
 def fiber_compose_at(p: FiberPoint, pos: int, q: FiberPoint) -> FiberPoint:
@@ -591,7 +591,7 @@ def sample_ovec(rng: Stream, family: RelativeFamily, sets) -> OVecPoint:
         return OVecPoint(family, tuple(
             family.components[i].sample(rng.split(i), s + (MARK,)) for i, s in enumerate(sets)
         ))
-    raise OperadicError("no marked-point sampler for family kind %r" % family.kind)
+    raise OperadicError("no marked-point sampler for family kind %r" % (family.kind,))
 
 
 def ovec_compose_at(theta: OVecPoint, i: int, pos: int, x) -> OVecPoint:
@@ -703,7 +703,7 @@ def aug_mu_s(fiber: FiberPoint, operands: dict) -> AugmentedPoint:
     pk = fiber.pk
     for a in pk.ground:
         if a not in operands:
-            raise OperadicError("missing operand for ground label %r" % a)
+            raise OperadicError("missing operand for ground label %r" % (a,))
         for i, part in enumerate(pk.parts):
             present = part != PLUS and a in part
             if present == (operands[a].points[i] == PLUS):
@@ -798,7 +798,7 @@ def glued_mu_s(fiber: FiberPoint, operands: dict) -> GluedElement:
     sets = [PLUS if p == PLUS else () for p in pk.parts]
     for a in pk.ground:
         if a not in operands:
-            raise OperadicError("missing operand for ground label %r" % a)
+            raise OperadicError("missing operand for ground label %r" % (a,))
         y = operands[a]
         for i, part in enumerate(pk.parts):
             present = part != PLUS and a in part
@@ -920,7 +920,7 @@ class GammaComponent:
         for b, x in dmap.items():
             fiber = tuple(sorted((a for a in source if amap[a] == b), key=label_key))
             if self.model.labels(x) != fiber:
-                raise OperadicError("decoration at %r is not indexed by its preimage" % b)
+                raise OperadicError("decoration at %r is not indexed by its preimage" % (b,))
 
     def fiber(self, b: str) -> tuple:
         amap = dict(self.alpha)
@@ -1027,7 +1027,7 @@ def sample_gamma(rng: Stream, family: RelativeFamily, source_sets, target_sets) 
     """Random decorated pointed maps; marked decorations are drawn jointly so
     the fiber condition holds."""
     if family.kind != "cube-pad":
-        raise OperadicError("no morphism sampler for family kind %r" % family.kind)
+        raise OperadicError("no morphism sampler for family kind %r" % (family.kind,))
     source_sets = tuple(tuple(s) for s in source_sets)
     target_sets = tuple(tuple(t) for t in target_sets)
     alphas = []
@@ -1175,4 +1175,4 @@ def convert_onefold(model: OperadModel, direction: str, x, y, i: int):
     if direction == "from-indexed":
         z = compose_at(model, act_numeric(model, x, swap), i, y)
         return act_numeric(model, z, inverse_perm(rho))
-    raise OperadicError("unknown direction %r" % direction)
+    raise OperadicError("unknown direction %r" % (direction,))

@@ -86,7 +86,7 @@ def _time_sort_key(key):
 def _as_time(value) -> Fraction:
     t = rat(value)
     if t < 0 or t > 1:
-        raise OperadicError("time %s out of range" % t)
+        raise OperadicError("time %s out of range" % (t,))
     return t
 
 
@@ -171,7 +171,7 @@ def _check_monotone(p: BVPoint):
 
 def _validate_point(p: BVPoint):
     if p.flavor not in _LAYOUT:
-        raise OperadicError("unknown flavor %r" % p.flavor)
+        raise OperadicError("unknown flavor %r" % (p.flavor,))
     variant = getattr(p.tree, "variant", None)
     if variant != _LAYOUT[p.flavor]:
         raise OperadicError("flavor %r needs a %r tree, got %r" % (p.flavor, _LAYOUT[p.flavor], variant))
@@ -179,7 +179,7 @@ def _validate_point(p: BVPoint):
                                p.upper_dict())
     _check_decimal_labels(p.tree)
     if set(p.times_dict()) != timed:
-        raise OperadicError("times must cover the timed vertices of flavor %r" % p.flavor)
+        raise OperadicError("times must cover the timed vertices of flavor %r" % (p.flavor,))
     if p.flavor != "w":  # W-construction edge lengths are unconstrained
         _check_monotone(p)
 
@@ -191,7 +191,7 @@ def _validate_point(p: BVPoint):
 def _state_of(p):
     """The engine state of a timed point."""
     if not isinstance(p, BVPoint):
-        raise OperadicError("%r is no timed point" % type(p).__name__)
+        raise OperadicError("%r is no timed point" % (type(p).__name__,))
     return _TimedState.of_tree(p.flavor, p.family, p.tree, p.pearls_dict(), p.below_dict(),
                                p.upper_dict(), p.times_dict())
 

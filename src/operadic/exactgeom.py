@@ -240,13 +240,13 @@ def regime_parse(text: str):
             bound = (re.fullmatch(r"([0-9]{1,9}):([0-9]{1,9})=(inf|[0-9]{1,9})", item)
                      or re.fullmatch(r"([1-9])([1-9])=(inf|[0-9]{1,9})", item))
             if not bound:
-                raise OperadicError("malformed u-overlap bound %r" % item)
+                raise OperadicError("malformed u-overlap bound %r" % (item,))
             p, q = int(bound.group(1)) - 1, int(bound.group(2)) - 1
             if not 0 <= p <= q < len(blocks):
-                raise OperadicError("u-overlap bound %r names no pair of blocks" % item)
+                raise OperadicError("u-overlap bound %r names no pair of blocks" % (item,))
             u[(p, q)] = "inf" if bound.group(3) == "inf" else int(bound.group(3))
         return ("u-overlap", blocks, u)
-    raise OperadicError("unknown regime %r" % text)
+    raise OperadicError("unknown regime %r" % (text,))
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +275,7 @@ class RectConfig:
             if not isinstance(label, str) or not label:
                 raise OperadicError("labels must be non-empty strings")
             if label in seen:
-                raise OperadicError("duplicate label %r" % label)
+                raise OperadicError("duplicate label %r" % (label,))
             seen.add(label)
             if not isinstance(r, Rect) or r.dim != self.dim:
                 raise OperadicError("%r is no rectangle of dim %d" % (r, self.dim))
@@ -294,7 +294,7 @@ class RectConfig:
         for lbl, r in self.rects:
             if lbl == label:
                 return r
-        raise OperadicError("missing slot %r" % label)
+        raise OperadicError("missing slot %r" % (label,))
 
     def has(self, label: str) -> bool:
         return any(lbl == label for lbl, _ in self.rects)
@@ -305,7 +305,7 @@ class RectConfig:
         for lbl, r in self.rects:
             new = mapping.get(lbl, lbl)
             if new in out:
-                raise OperadicError("label collision under relabeling: %r" % new)
+                raise OperadicError("label collision under relabeling: %r" % (new,))
             out[new] = r
         return RectConfig(self.dim, out, self.regime)
 
@@ -326,7 +326,7 @@ class RectConfig:
             try:
                 data = json.loads(data)
             except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
-                raise OperadicError("configuration is not JSON: %s" % exc) from None
+                raise OperadicError("configuration is not JSON: %s" % (exc,)) from None
         if not isinstance(data, dict) or "dim" not in data or not isinstance(data.get("rects"), dict):
             raise OperadicError('a configuration needs "dim" and a "rects" object')
         dim = rat(data["dim"])
@@ -336,7 +336,7 @@ class RectConfig:
         for lbl, spec in data["rects"].items():
             if not (isinstance(spec, dict) and isinstance(spec.get("a"), list)
                     and isinstance(spec.get("b"), list)):
-                raise OperadicError('rectangle %r needs lists "a" and "b"' % lbl)
+                raise OperadicError('rectangle %r needs lists "a" and "b"' % (lbl,))
             rects[lbl] = Rect(tuple(rat(a) for a in spec["a"]), tuple(rat(b) for b in spec["b"]))
         return RectConfig(int(dim), rects, regime_parse(data.get("regime", "overlapping")))
 
@@ -461,7 +461,7 @@ def rect_compose(outer: RectConfig, slot, inner: RectConfig) -> RectConfig:
     out = {lbl: r for lbl, r in outer.rects if lbl != slot}
     for lbl, r in inner.rects:
         if lbl in out:
-            raise OperadicError("label collision %r in composition" % lbl)
+            raise OperadicError("label collision %r in composition" % (lbl,))
         out[lbl] = socket.compose(r)
     return RectConfig(outer.dim, out, outer.regime)
 
@@ -500,7 +500,7 @@ def pad_rect(r: Rect, dim2: int, mode: str) -> Rect:
         a = r.scales[0]
         c = (1 - a) / 2
         return Rect(r.scales + (a,) * extra, r.offsets + (c,) * extra)
-    raise OperadicError("unknown padding mode %r" % mode)
+    raise OperadicError("unknown padding mode %r" % (mode,))
 
 
 def include_rect(config: RectConfig, dim2: int, mode: str) -> RectConfig:
@@ -627,7 +627,7 @@ def glue_shared(dims: tuple, ambient: int, configs: tuple) -> RectConfig:
         if c == l and l > 1:
             pads = [fiber_pad(configs[i].rect(lbl), ambient) for i in present]
             if any(p != pads[0] for p in pads):
-                raise OperadicError("fiber condition violation at shared label %r" % lbl)
+                raise OperadicError("fiber condition violation at shared label %r" % (lbl,))
     slabs = cube_split(l, ambient)
     groups = {}
     for pos, i in enumerate(present):

@@ -20,13 +20,15 @@ times.  Normal form: no contractible vertex-vertex edge, no eliminable unit
 decoration, base-point pearls only at the root, children sorted by their
 encodings.  Point equality is field equality.  The public constructors
 check the decorations, re-run normalization and reject anything that is not
-already normal; the grafts check their operands on entry and freeze the
-snapshot of their exhausted state without that second check.
+already normal.  The builders (`ib_point`, `b_point`) and the grafts check
+their input on entry, run the engine once and freeze the snapshot of its
+exhausted state without that second check.
 
 The engine keys its state as its rules do, by vertex key (i, path): i is the
 component of an upper vertex and None for a joint one, a pearl or a vertex
 below.  One dict holds the decorations, one the times and one set the pearl
-paths; a point's fields are converted to it and back once, at the boundary.
+paths.  A free point's fields are converted to it by `_fields_state` and
+back by `_point_fields`, once each, at the boundary.
 One table holds the seven rules, each with its flavors, its test at a vertex
 key and its handler; listing and applying rewrites both read it.
 
@@ -139,19 +141,19 @@ def base_generator(pattern) -> FormalGenerator:
 def stable_key(value) -> str:
     """Deterministic injective text for sort keys; frozensets are ordered."""
     if isinstance(value, frozenset):
-        return "{%s}" % ",".join(sorted((str(x) for x in value), key=label_key))
+        return "{%s}" % (",".join(sorted((str(x) for x in value), key=label_key)),)
     if isinstance(value, tuple):
-        return "(%s)" % ",".join(stable_key(x) for x in value)
+        return "(%s)" % (",".join(stable_key(x) for x in value),)
     if isinstance(value, OVecPoint):
-        return "OVec[%s]" % stable_key(value.points)
+        return "OVec[%s]" % (stable_key(value.points),)
     if isinstance(value, ProductPoint):
-        return "Prod[%s]" % stable_key(value.points)
+        return "Prod[%s]" % (stable_key(value.points),)
     if isinstance(value, FiberPoint):
-        return "Fiber[%s]" % stable_key((value.pk.ground, value.pk.parts, value.points))
+        return "Fiber[%s]" % (stable_key((value.pk.ground, value.pk.parts, value.points)),)
     if isinstance(value, GluedElement):
-        return "Glued[%s]" % stable_key((value.sets, value.config))
+        return "Glued[%s]" % (stable_key((value.sets, value.config)),)
     if isinstance(value, AugmentedPoint):
-        return "Aug[%s]" % stable_key(value.points)
+        return "Aug[%s]" % (stable_key(value.points),)
     if isinstance(value, FormalGenerator):
         return "Gen[%s;%s;%d]" % (value.name, stable_key(value.orders), value.base)
     if isinstance(value, (FreeIbPoint, FreeBPoint)):
@@ -192,13 +194,11 @@ def _relabel_component(value, i: int, mapping: dict) -> object:
     if isinstance(value, GluedElement):
         return glued_relabel(value, i, mapping)
     if isinstance(value, (FreeIbPoint, FreeBPoint)):
-        comps = list(value.tree.components)
+        flavor, (family, tree, *rest) = _free_fields(value)
+        comps = list(tree.components)
         comps[i] = comps[i].relabel(mapping)
-        tree = KFoldTree(value.tree.variant, tuple(comps), value.tree.marks)
-        if isinstance(value, FreeIbPoint):
-            return ib_point(value.family, tree, value.pearl, value.below, value.upper)
-        return b_point(value.family, tree, value.pearls, value.below, value.upper)
-    raise OperadicError("no component action for %r" % type(value).__name__)
+        return _build(flavor, (family, KFoldTree(tree.variant, tuple(comps), tree.marks), *rest))
+    raise OperadicError("no component action for %r" % (type(value).__name__,))
 
 
 def is_base_value(value) -> bool:
@@ -222,27 +222,22 @@ def base_like(template, family: RelativeFamily, pattern) -> object:
     if isinstance(template, AugmentedPoint):
         points = tuple(PLUS if n == PLUS else family.base.point0() for n in pattern)
         return AugmentedPoint(family, points)
-    raise OperadicError("no base point for %r" % type(template).__name__)
+    raise OperadicError("no base point for %r" % (type(template).__name__,))
 
 
 def decoration_arities(value) -> tuple:
+    """The arity pattern of a pearl decoration, PLUS for an absent component."""
     if isinstance(value, (FormalGenerator, OVecPoint)):
         return value.arity_vector
+    if isinstance(value, FiberPoint):
+        return value.pk.arity_vector
+    if isinstance(value, (FreeIbPoint, FreeBPoint)):
+        return value.arities
     if isinstance(value, ProductPoint):
         return tuple(len(s) for s in value.sets)
     if isinstance(value, (GluedElement, AugmentedPoint)):
         return tuple(PLUS if s == PLUS else len(s) for s in value.sets)
-    raise OperadicError("unsupported pearl decoration %r" % type(value).__name__)
-
-
-def _pearl_arities(value) -> tuple:
-    """Arity pattern of a pearl decoration; timed points may also carry free
-    points and fiber points there."""
-    if isinstance(value, (FreeIbPoint, FreeBPoint)):
-        return value.arities
-    if isinstance(value, FiberPoint):
-        return tuple(PLUS if p == PLUS else len(p) for p in value.pk.parts)
-    return decoration_arities(value)
+    raise OperadicError("unsupported pearl decoration %r" % (type(value).__name__,))
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +288,10 @@ def _check_decorations(flavor, family, tree: KFoldTree, pearls: dict, below: dic
     Pearls, spine and below-section vertices are joint and keyed by path;
     operad elements are keyed by (component, path)."""
     if not isinstance(tree, KFoldTree):
-        raise OperadicError("expected a KFoldTree, got %r" % type(tree).__name__)
+        raise OperadicError("expected a KFoldTree, got %r" % (type(tree).__name__,))
     ok, clause = validate_labeling(tree)
     if not ok:
-        raise OperadicError("invalid tree: %s" % clause)
+        raise OperadicError("invalid tree: %s" % (clause,))
     comps, marks = tree.components, tree.marks_dict()
     first = comps[0]
     if flavor == "w":
@@ -327,7 +322,7 @@ def _check_decorations(flavor, family, tree: KFoldTree, pearls: dict, below: dic
         for v, value in pearls.items():
             want = tuple(arity(c.shape, v) if flavor == "ib" or marks[(i, v)] else PLUS
                          for i, c in enumerate(comps))
-            if _pearl_arities(value) != want:
+            if decoration_arities(value) != want:
                 raise OperadicError("pearl decoration arity mismatch at %r" % (v,))
     if flavor == "ib":
         for v, theta in below.items():
@@ -406,11 +401,13 @@ class _TimedState:
     `stable_key`.
 
     Validation happens once, at the boundary: a state is built from a
-    checked point, and every operand is checked as it is grafted on
-    (`_graft_right`, `_graft_fiber`, `_check_ovec_operand`, the operand
-    states of `_act`).  The rules keep every decoration, time and label
-    condition, so the snapshot of an exhausted state is a valid normal point
-    and is frozen without the points' constructor checks."""
+    checked point or from builder input checked over its unreduced variant,
+    and every operand is checked as it is grafted on (`_graft_right`,
+    `_graft_fiber`, `_check_ovec_operand`, the operand states of `_act`).
+    The rules keep every decoration, time and label condition, so the
+    snapshot of an exhausted state is a valid normal point, and the
+    builders, the grafts and `bv` freeze it without the points' constructor
+    checks."""
 
     def __init__(self, flavor, family, shapes, labels, marks, pearls, dec, times):
         self.flavor = flavor
@@ -790,33 +787,35 @@ def _sorted_items(dec, keyed, order=None) -> tuple:
     return tuple(sorted(dec.items(), key=order))
 
 
-def _time_one(flavor, family, tree, pearls, below, upper) -> _TimedState:
+def _free_fields(pt) -> tuple:
+    """The flavor of a free point and its fields, in constructor order."""
+    if isinstance(pt, FreeIbPoint):
+        return "ib", (pt.family, pt.tree, pt.pearl, pt.below, pt.upper)
+    if isinstance(pt, FreeBPoint):
+        return "b", (pt.family, pt.tree, pt.pearls, pt.below, pt.upper)
+    raise OperadicError("%r is no free point" % (type(pt).__name__,))
+
+
+def _fields_state(flavor, fields, check=False) -> _TimedState:
+    """The fields of a free point as an engine state at time one.  The pearls
+    and the vertex below them are joint and keyed by path; "ib" takes its one
+    pearl's decoration for the pearl field.  With check, the decorations must
+    fit the tree's layout and the leaf labels must be positional."""
+    family, tree, pearls, below, upper = fields
+    if flavor == "ib":
+        # a forest without components reaches the tree check, not an IndexError
+        pearls = {pearl_of(c): pearls for c in getattr(tree, "components", ())[:1]}
+    pearls, below, upper = dict(pearls), {} if below is None else {(): below}, dict(upper)
+    if check:
+        _check_decorations(flavor, family, tree, pearls, below, upper)
+        _check_positional_labels(tree)
     return _TimedState.of_tree(flavor, family, tree, pearls, below, upper,
                                dict.fromkeys(chain(below, upper), ONE))
 
 
-def _state_ib(family, tree, pearl, below, upper) -> _TimedState:
-    pearl_path = pearl_of(tree.components[0])
-    if below is not None and not pearl_path:
-        raise OperadicError("a spine decoration needs the pearl below the root")
-    if below is None and pearl_path:
-        raise OperadicError("a pearl below the root needs a spine decoration")
-    return _time_one("ib", family, tree, {pearl_path: pearl},
-                     {} if below is None else {(): below}, dict(upper))
-
-
-def _state_b(family, tree, pearls, below, upper) -> _TimedState:
-    return _time_one("b", family, tree, dict(pearls), {} if below is None else {(): below},
-                     dict(upper))
-
-
-def _free_state(pt):
+def _free_state(pt) -> _TimedState:
     """The point as an engine state at time one."""
-    if isinstance(pt, FreeIbPoint):
-        return _state_ib(pt.family, pt.tree, pt.pearl, pt.below, pt.upper)
-    if isinstance(pt, FreeBPoint):
-        return _state_b(pt.family, pt.tree, pt.pearls, pt.below, pt.upper)
-    raise OperadicError("%r is no free point" % type(pt).__name__)
+    return _fields_state(*_free_fields(pt))
 
 
 def _decorations(state: _TimedState) -> tuple:
@@ -829,26 +828,20 @@ def _decorations(state: _TimedState) -> tuple:
             tuple(sorted(kv for kv in state.dec.items() if kv[0][0] is not None)))
 
 
-def _fields(state: _TimedState) -> tuple:
-    """The free snapshot of a state: the times are all one and are dropped."""
-    variant = "rpTree" if state.flavor == "ib" else "rsTree"
-    return (KFoldTree(variant, state.components(), tuple(state.marks.items())),
-            *_decorations(state))
+def _point_fields(state: _TimedState) -> tuple:
+    """The fields of the free point of an exhausted state, in constructor
+    order; the times are all one and are dropped."""
+    pearls, below, upper = _decorations(state)
+    ib = state.flavor == "ib"
+    tree = KFoldTree("rpTree" if ib else "rsTree", state.components(), tuple(state.marks.items()))
+    return state.family, tree, pearls[0][1] if ib else pearls, below[0][1] if below else None, upper
 
 
 def _check_normal(pt):
     """Reject a free point whose decorations do not fit its tree or which
     normalization would change; every rewrite changes the tree or its pearls."""
-    below = {} if pt.below is None else {(): pt.below}
-    if isinstance(pt, FreeIbPoint):
-        # a forest without components reaches the tree check, not an IndexError
-        flavor, pearls = "ib", {pearl_of(c): pt.pearl for c in pt.tree.components[:1]}
-    else:
-        flavor, pearls = "b", dict(pt.pearls)
-    _check_decorations(flavor, pt.family, pt.tree, pearls, below, dict(pt.upper))
-    _check_positional_labels(pt.tree)
-    want = (pt.tree, tuple(sorted(pearls.items())), tuple(below.items()), pt.upper)
-    if _fields(_free_state(pt).run()) != want:
+    flavor, fields = _free_fields(pt)
+    if _point_fields(_fields_state(flavor, fields, check=True).run()) != fields:
         raise OperadicError("point is not in normal form")
 
 
@@ -916,46 +909,34 @@ def has_univalent_vertex(pt) -> bool:
 # builders
 
 
-def _point_fields(state: _TimedState) -> tuple:
-    """The free point fields of an exhausted state, in constructor order."""
-    tree, pearls, belows, upper = _fields(state)
-    pearl = pearls[0][1] if state.flavor == "ib" else pearls
-    return state.family, tree, pearl, belows[0][1] if belows else None, upper
-
-
-def _check_input(flavor, family, tree, pearls, below, upper: dict):
-    """Check builder input before the engine runs.  The rewrites reduce the
-    tree, so the decorations must fit the layout over its unreduced variant;
-    "ib" takes the one pearl's decoration for `pearls`."""
+def _build(flavor, fields, rng=None):
+    """Check the fields of a decorated forest, normalize it and freeze the
+    result.  The rewrites reduce the tree, so the decorations must fit the
+    layout over its unreduced variant."""
+    family, tree, *rest = fields
     if isinstance(tree, KFoldTree):
-        if flavor == "ib":
-            # a forest without components reaches the tree check, not an IndexError
-            pearls = {pearl_of(c): pearls for c in tree.components[:1]}
         tree = KFoldTree("pTree" if flavor == "ib" else "sTree", tree.components, tree.marks)
-    _check_decorations(flavor, family, tree, pearls, {} if below is None else {(): below}, upper)
+    state = _fields_state(flavor, (family, tree, *rest), check=True).run(rng)
+    return _frozen(FreeIbPoint if flavor == "ib" else FreeBPoint, *_point_fields(state))
 
 
 def ib_point(family, tree, pearl, below=None, upper=(), rng=None) -> FreeIbPoint:
     """Normalize a decorated pearled forest and freeze the result."""
-    upper = dict(upper)
-    _check_input("ib", family, tree, pearl, below, upper)
-    state = _state_ib(family, tree, pearl, below, upper).run(rng)
-    return FreeIbPoint(*_point_fields(state))
+    return _build("ib", (family, tree, pearl, below, upper), rng)
 
 
 def b_point(family, tree, pearls, below=None, upper=(), rng=None) -> FreeBPoint:
     """Normalize a decorated section forest and freeze the result."""
-    pearls, upper = dict(pearls), dict(upper)
-    _check_input("b", family, tree, pearls, below, upper)
-    state = _state_b(family, tree, pearls, below, upper).run(rng)
-    return FreeBPoint(*_point_fields(state))
+    return _build("b", (family, tree, pearls, below, upper), rng)
 
 
 def ib_generator(family: RelativeFamily, pearl) -> FreeIbPoint:
-    """The corolla point of a generator decoration."""
-    comps = tuple(
-        ComponentTree(corolla(n), frozenset({()})) for n in decoration_arities(pearl)
-    )
+    """The corolla point of a generator decoration with every component
+    present."""
+    arities = decoration_arities(pearl)
+    if PLUS in arities:
+        raise OperadicError("an ib generator needs every component present")
+    comps = tuple(ComponentTree(corolla(n), frozenset({()})) for n in arities)
     return FreeIbPoint(family, KFoldTree("rpTree", comps), pearl, None, ())
 
 
@@ -1006,7 +987,7 @@ def _graft_right(state: _TimedState, i: int, j, x) -> _TimedState:
     if not _positional_labels(model, x, m):
         raise OperadicError("operand labels must be positional")
     if not model.validate(x):
-        raise OperadicError("the operand is no element of %s" % model.name)
+        raise OperadicError("the operand is no element of %s" % (model.name,))
     path = _graft_leaf(state, i, j, m)
     state.dec[(i, path)] = x
     state.times[(i, path)] = ONE
@@ -1265,7 +1246,7 @@ def module_ops(flavor: str, family: RelativeFamily, template):
         return ProductIbOps(family)
     if isinstance(template, (FormalGenerator, FreeIbPoint, FreeBPoint)):
         return _FreeModuleOps(flavor, family)
-    raise OperadicError("no module operations for %r" % type(template).__name__)
+    raise OperadicError("no module operations for %r" % (type(template).__name__,))
 
 
 def _pearl_fold(pt, path, value, ops):

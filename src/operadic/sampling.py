@@ -168,7 +168,7 @@ def sample_fiber_configs(rng: Stream, dims, parts) -> tuple:
     if shared:
         box = ((Fraction(0),) * d0, (half,) + (Fraction(1),) * (d0 - 1))
         boxes = _split_boxes(rng.split("shared"), box, len(shared))
-        rects = {lbl: _rect_in_box(rng.split("s:%s" % lbl), b, cube=True)
+        rects = {lbl: _rect_in_box(rng.split("s:%s" % (lbl,)), b, cube=True)
                  for lbl, b in zip(sorted(shared), boxes)}
         shared_cfg = RectConfig(d0, rects, "disjoint")
     out = []

@@ -247,7 +247,7 @@ class KFoldTree:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise OperadicError("unknown variant %r" % self.variant)
+            raise OperadicError("unknown variant %r" % (self.variant,))
         if not (isinstance(self.components, (tuple, list))
                 and all(isinstance(c, ComponentTree) for c in self.components)):
             raise OperadicError("components must be a sequence of ComponentTree")
@@ -469,7 +469,7 @@ def _validate(t: KFoldTree):
             return None if c.shape == () else "univalent-vertex"
         return "univalent-vertex" if has_null_non_pearl(c) else None
 
-    raise OperadicError("unknown variant %r" % t.variant)
+    raise OperadicError("unknown variant %r" % (t.variant,))
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +562,7 @@ def canonicalize(t: KFoldTree) -> KFoldTree:
     valid tree; an invalid one raises OperadicError."""
     ok, clause = validate_labeling(t)
     if not ok:
-        raise OperadicError("invalid tree: %s" % clause)
+        raise OperadicError("invalid tree: %s" % (clause,))
     return _canonical(t)[0]
 
 
@@ -624,7 +624,7 @@ def enumerate_trees(variant, arities, max_vertices: int, k=None, no_univalent: b
 
 def _check_request(variant, arities, max_vertices, k):
     if variant not in VARIANTS:
-        raise OperadicError("unknown variant %r" % variant)
+        raise OperadicError("unknown variant %r" % (variant,))
     if variant == "plain":
         raise OperadicError("no enumerator for plain trees")
     if not _is_count(max_vertices) or max_vertices < 1:
@@ -1151,7 +1151,7 @@ def emit_dot(t: KFoldTree, times: dict | None = None) -> str:
         for v in vertices(c.shape):
             shape = "doublecircle" if v in c.pearls else "circle"
             tm = times.get((i, v), times.get((None, v)))
-            label = "t=%s" % tm if tm is not None else ""
+            label = "t=%s" % (tm,) if tm is not None else ""
             lines.append('    %s [shape=%s,label="%s"];' % (node_id(v), shape, label))
         for p, s in c.labels:
             lines.append('    %s [shape=plaintext,label="%s"];' % (node_id(p), s))

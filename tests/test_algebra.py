@@ -128,7 +128,7 @@ class TestModels:
         assert operad_model("rect-inf:2").regime == "overlapping"
         assert operad_model("sym").dim == 0
         assert operad_model("terminal").kind == "terminal"
-        for bad in ("cube", "cube:0", "disc:2", "rect:x", ""):
+        for bad in ("cube", "cube:0", "disc:2", "rect:x", "", ()):
             with pytest.raises(OperadicError):
                 operad_model(bad)
 

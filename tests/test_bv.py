@@ -806,6 +806,7 @@ SPOILERS = {
     "tree-not-a-family": lambda p: replace(p, tree=p.tree.components[0]),
     "mixed-decoration-keys": lambda p: _mix_keys(p, _first_field(p)),
     "mixed-time-keys": lambda p: _mix_keys(p, "times"),
+    "tuple-flavor": lambda p: replace(p, flavor=()),
 }
 
 

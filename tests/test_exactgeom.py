@@ -17,8 +17,11 @@ from operadic.exactgeom import (
     Rect,
     RectConfig,
     ValidationResult,
+    _intervals,
+    _overlap_graph,
     act_perm,
     bounding_rect,
+    common_box,
     config_from_seq,
     cube_split,
     epsilon_glue,
@@ -30,6 +33,7 @@ from operadic.exactgeom import (
     pad_rect,
     rat,
     rect_compose,
+    rects_overlap,
     regime_kind,
     regime_parse,
     regime_str,
@@ -352,6 +356,28 @@ class TestRegimes:
         for kind, reason in (("disjoint", "disjointness"), ("m-overlap", "m-overlap"),
                              ("u-overlap", "u-overlap"), ("u-overlap", "u-overlap-blocks")):
             assert {(kind, ""), (kind, reason), (kind, "containment")} <= outcomes
+
+    def test_overlap_graph_and_cliques_match_the_box_primitives(self):
+        # rects_overlap and common_box as the oracle: the sweep's adjacency is
+        # pairwise overlap, and m-overlap fails exactly when some m-subset
+        # has a common box
+        rng = Stream(25, ("box-primitives",))
+        checked = set()
+        for trial in range(120):
+            t = rng.split(trial)
+            cfg = grid_config(t.split("cfg"), t.randint(1, 3), [str(j + 1) for j in range(t.randint(0, 8))])
+            rects = [r for _, r in cfg.rects]
+            assert _overlap_graph([_intervals(r) for r in rects]) == [
+                {j for j, s in enumerate(rects) if j != i and rects_overlap(r, s)}
+                for i, r in enumerate(rects)
+            ]
+            if not all(r.in_unit() for r in rects):
+                continue
+            for m in range(1, len(rects) + 2):
+                boxed = any(common_box(subset) for subset in combinations(rects, m))
+                assert bool(validate_config(cfg, ("m-overlap", m))) != boxed
+                checked.add(boxed)
+        assert checked == {True, False}
 
     def test_moverlap_at_scale(self):
         # a subset scan took over 14 s on one valid (28, 6) configuration

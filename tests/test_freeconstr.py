@@ -3,6 +3,7 @@ concrete carriers, rewrite confluence, and normal-form rigidity."""
 
 import pytest
 
+from operadic import freeconstr
 from operadic.algebra import (
     PLUS,
     FiberPoint,
@@ -25,6 +26,7 @@ from operadic.freeconstr import (
     GluedBOps,
     GluedIbOps,
     ProductIbOps,
+    _TimedState,
     act_component,
     b_generator,
     b_point,
@@ -150,6 +152,14 @@ class TestGenerators:
         pt = ib_generator(FAM, v)
         assert pt.arities == (2, 3)
         assert pt.pearl == v and pt.below is None and pt.upper == ()
+
+    def test_generators_take_the_pearls_the_constructors_take(self):
+        # a fiber point or a free point on the pearl
+        fiber = sample_fiber_point(Stream(5, ("gen",)), FAM, PKFamily(("1", "2"), (("1", "2"),) * 2))
+        comps = (ComponentTree(corolla(2), frozenset({()})),) * 2
+        assert ib_generator(FAM, fiber) == FreeIbPoint(FAM, KFoldTree("rpTree", comps), fiber, None, ())
+        pt = b_generator(FAM, rand_glued(Stream(5, ("free",)), (PLUS, 2)))
+        assert b_generator(FAM, pt).arities == (PLUS, 2)
 
     def test_b_generator_absent_component(self):
         rng = Stream(2, ("gen",))
@@ -571,6 +581,22 @@ class TestNormalForm:
         with pytest.raises(OperadicError, match="normal form"):
             FreeBPoint(FAM, tree, (((), v),), None, upper)
 
+    def test_builders_run_the_engine_once(self, monkeypatch):
+        # conftest rebuilds every builder result through the constructors,
+        # which runs the engine again; the builders alone run it once
+        monkeypatch.setattr(freeconstr, "_build", freeconstr._build.__wrapped__)
+        runs = []
+        run = _TimedState.run
+        monkeypatch.setattr(_TimedState, "run", lambda st, rng=None: runs.append(st.flavor) or run(st, rng))
+        v = rand_glued(Stream(62, ("once",)), (1, 2))
+        unit = FAM.components[0].unit("1")
+        comps = (ComponentTree((corolla(1),), frozenset({()})), ComponentTree(corolla(2), frozenset({()})))
+        assert ib_point(FAM, KFoldTree("rpTree", comps), v, upper={(0, (0,)): unit}).upper == ()
+        assert runs == ["ib"]
+        marks = (((0, ()), True), ((1, ()), True))
+        assert b_point(FAM, KFoldTree("rsTree", comps, marks), {(): v}, upper={(0, (0,)): unit}).upper == ()
+        assert runs == ["ib", "b"]
+
     def test_constructor_rejects_unsorted_labels(self):
         rng = Stream(56, ("rej2",))
         x = positional(FAM1.components[0], rng, 2)
@@ -623,6 +649,7 @@ class TestNormalForm:
             lambda: FreeIbPoint(FAM, ib.tree, v, None, mixed),
             lambda: FreeBPoint(FAM, b.tree, b.pearls, None, mixed),
             lambda: FreeBPoint(FAM, b.tree, {"x": v, (): v}, None, ()),
+            lambda: ib_generator(FAM, formal_generator("g", (PLUS, 2))),
         ):
             with pytest.raises(OperadicError):
                 build()

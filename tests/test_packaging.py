@@ -121,3 +121,53 @@ def test_each_name_defined_once():
         for name in _top_level_names(path):
             owners.setdefault(name, []).append(path.stem)
     assert {name: where for name, where in owners.items() if len(where) > 1} == {}
+
+
+def test_percent_format_operands_are_tuple_literals():
+    # "%r" % x unpacks x when x is a tuple: KFoldTree((), ()) raised TypeError
+    # ("not enough arguments for format string") in place of its own error
+    loose = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                    and isinstance(node.left, ast.Constant) and isinstance(node.left.value, str)
+                    and re.search(r"%[rs]", node.left.value) and not isinstance(node.right, ast.Tuple)):
+                loose.append("%s:%d" % (path.stem, node.lineno))
+    assert not loose
+
+
+def _bench_module(node):
+    """The package module that a `mods.<module>` expression of the benchmark
+    names, or None."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "mods":
+        return node.attr
+    return None
+
+
+def test_benchmark_names_exist():
+    # the benchmark looks the package's names up by attribute; a rename there
+    # would turn a benchmark run into run_failed
+    tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    targets = next(ast.literal_eval(node.value) for node in tracer.body if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"])
+    wanted = {(module, name) for module, names in targets.items() for name in names}
+    workloads = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    aliases = {}  # A = mods.algebra and the like
+    for node in ast.walk(workloads):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+            pairs = (zip(target.elts, value.elts) if isinstance(target, ast.Tuple)
+                     and isinstance(value, ast.Tuple) else [(target, value)])
+            for name, module in pairs:
+                if isinstance(name, ast.Name) and _bench_module(module):
+                    aliases.setdefault(name.id, set()).add(_bench_module(module))
+    assert set("AFBTR") <= set(aliases) and all(len(m) == 1 for m in aliases.values()), aliases
+    for node in ast.walk(workloads):
+        if isinstance(node, ast.Attribute):
+            if isinstance(node.value, ast.Name) and node.value.id in aliases:
+                wanted.add((*aliases[node.value.id], node.attr))
+            elif _bench_module(node.value):
+                wanted.add((_bench_module(node.value), node.attr))
+    missing = sorted("%s.%s" % (module, name) for module, name in wanted
+                     if not hasattr(importlib.import_module("operadic." + module), name))
+    assert len(wanted) > 30 and not missing

@@ -125,6 +125,7 @@ def oracle_intermediate(n, vmax, k):
 
 
 def check_enumeration(enum, oracle):
+    assert list(enum) == list(enum.trees)
     keys = [T.encode(t) for t in enum.trees]
     assert len(keys) == len(set(keys))
     assert set(keys) == oracle
@@ -219,6 +220,11 @@ class TestNotATree:
     def test_components_must_be_component_trees(self, components):
         with pytest.raises(OperadicError):
             KFoldTree("pTree", components)
+
+    @pytest.mark.parametrize("variant", [(), ("pTree",), "tree", None], ids=repr)
+    def test_variant_must_be_known(self, variant):
+        with pytest.raises(OperadicError):
+            KFoldTree(variant, ())
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +453,8 @@ class TestEnumerate:
         ("pTree", (True,), 3, {}),
         ("sTree", (1, False), 3, {}),
         ("pTreeP", (2,), 3, {"k": True}),
+        # a variant that is a tuple, which %-formatting would unpack
+        ((), (1,), 3, {}),
     ])
     def test_malformed_request(self, variant, arities, vmax, kwargs):
         with pytest.raises(OperadicError):
@@ -1152,6 +1160,20 @@ class TestDot:
         assert "style=dashed" in dot
         assert dot.count("subgraph") == 1
         assert T.emit_dot(t) == dot
+
+    def test_bare_leaf_has_no_edges(self):
+        dot = T.emit_dot(KFoldTree("plain", (ComponentTree(LEAF),)))
+        assert "->" not in dot and dot.count("shape=plaintext") == 1
+
+    def test_intermediate_edges_dashed_where_a_marking_leaves_them_out(self):
+        external_seen = 0
+        for t in T.enumerate_trees("pTreeP", (2,), 3, k=2):
+            marks, shape = t.marks_dict(), t.components[0].shape
+            external = [v for v in T.vertices(shape)[1:] + T.leaves(shape)
+                        if v and not (marks[(0, v)] and marks[(1, v)])]
+            assert T.emit_dot(t).count("style=dashed") == len(external)
+            external_seen += bool(external)
+        assert external_seen
 
     def test_times_shown(self):
         c = ComponentTree((LEAF,), frozenset({()}))
