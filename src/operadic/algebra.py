@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 from .errors import OperadicError
 from .exactgeom import (
@@ -107,6 +109,12 @@ class OperadModel:
         if self.kind == "sym":
             return (a,)
         return frozenset({a})
+
+    @cached_property
+    def units(self) -> MappingProxyType:
+        """The units on "1" and on the mark, the ones the unit tests compare
+        with, built once per model, read-only and shared by every caller."""
+        return MappingProxyType({a: self.unit(a) for a in ("1", MARK)})
 
     def point0(self):
         if self.geometric:
@@ -526,7 +534,7 @@ def is_unit_fiber(p: FiberPoint) -> bool:
     for i, part in enumerate(p.pk.parts):
         if part == PLUS:
             continue
-        if part != ("1",) or p.points[i] != p.family.components[i].unit("1"):
+        if part != ("1",) or p.points[i] != p.family.components[i].units["1"]:
             return False
     return True
 
@@ -624,7 +632,7 @@ def ovec_splice(parent: OVecPoint, child: OVecPoint) -> OVecPoint:
 
 
 def is_unit_ovec(theta: OVecPoint) -> bool:
-    return all(x == m.unit(MARK) for m, x in zip(theta.family.components, theta.points))
+    return all(x == m.units[MARK] for m, x in zip(theta.family.components, theta.points))
 
 
 # ---------------------------------------------------------------------------

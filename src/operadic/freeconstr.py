@@ -505,7 +505,7 @@ class _TimedState:
             return False
         x = self.dec[(i, path)]
         if i is not None:
-            return x == self._model(i).unit("1")
+            return x == self._model(i).units["1"]
         return (is_unit_ovec if self.flavor == "ib" else is_unit_fiber)(x)
 
     def _absorbs(self, i, path):

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .errors import OperadicError
 
@@ -699,6 +699,12 @@ class _Orbits:
     encodings.  Lists are memoised per request.  With limit=1 every list
     keeps its first item and no sequence order is enforced: the recursion
     then only decides whether a tree exists.
+
+    The output is memoised in the same per-request memo, which dies with
+    the instance: the labels, pearls and mark entries of a subtree at one
+    place, one ComponentTree per distinct component and one marks tuple per
+    component encoding.  The trees of one request share them; two requests
+    share nothing.
     """
 
     def __init__(self, variant, arities, k, no_univalent):
@@ -887,39 +893,54 @@ class _Orbits:
                         continue
                     yield from self.joint_carriers(nxt, ends, v - cv, s, limit, done + ((item, leafy),))
 
-    # -- output
+    # -- output: each part built once per request and shared
 
     def freeze(self, encs, shapes):
-        """The KFoldTree of one representative: labels, pearls and marks
-        read off its encodings, frozen without re-validation."""
-        comps, marks = [], []
+        """The KFoldTree of one representative, frozen without re-validation
+        from parts shared by every tree of this request that holds them:
+        equal components are one ComponentTree, so trees that differ only in
+        their marks share it, and each component encoding joins its marks
+        once."""
+        comps, marks = [], ()
         for i, (enc, shape) in enumerate(zip(encs, shapes)):
-            labels, pearls, edges, n = self.parts(enc)
-            comps.append(_frozen(ComponentTree, shape, frozenset(pearls), tuple(labels), n))
-            if self.variant == "pTreeP":
-                marks += [((j, path), bool(bits[j])) for j in range(self.k) for path, bits in edges]
-            elif self.variant in ("rsTree", "sTree"):
-                marks += [((i, path), bool(mk[0])) for path, mk in edges if mk[0] >= 0]
-        return _frozen(KFoldTree, self.variant, tuple(comps), tuple(marks))
+            got = self.memo.get(key := (id(enc), i))
+            if got is None:
+                labels, pearls, comp_marks, n = self.parts(enc, i, ())
+                comp = self.memo.get(value := (shape, pearls, labels))
+                if comp is None:
+                    comp = self.memo[value] = _frozen(ComponentTree, shape, frozenset(pearls), labels, n)
+                got = self.memo[key] = comp, sum(comp_marks, ())
+            comps.append(got[0])
+            marks += got[1]
+        return _frozen(KFoldTree, self.variant, tuple(comps), marks)
 
-    def parts(self, e):
-        """(leaf labels, pearls, (edge, payload) pairs, vertex count) of an
-        encoding, in preorder, by paths from its root.  Encodings live in
-        the memo, so their ids key these parts."""
-        got = self.memo.get(id(e))
+    def parts(self, e, i, path):
+        """(leaf labels, pearls, marks per marking, vertex count) of the
+        subtree with encoding e at place (component i, path), by full paths
+        in preorder, the order KFoldTree sorts its marks to.  Each is built
+        once per place, a vertex's by joining its children's tuples.  A mark
+        entry is ((marking, path), internal?), interned per edge: bit j of a
+        pTreeP edge belongs to marking j, the one bit of a section edge to
+        component i, and -1 is no mark.  Encodings live in the memo, so their
+        ids key these parts."""
+        got = self.memo.get(key := (id(e), i, path))
         if got is None:
-            if e[0] == "L":
-                got = [((), e[2])], [], [((), e[1])], 0
+            leaf = e[0] == "L"
+            bits = e[1] if leaf else e[2]
+            marks = self.memo.get(edge := (i, path, bits))
+            if marks is None:
+                marks = self.memo[edge] = tuple((((i + j, path), bool(b)),) if b >= 0 else ()
+                                                for j, b in enumerate(bits))
+            if leaf:
+                got = ((path, e[2]),), (), marks, 0
             else:
-                labels, pearls, edges, n = [], [()] if e[1] else [], [((), e[2])], 1
+                labels, pearls, n = (), (path,) if e[1] else (), 1
                 for j, ce in enumerate(e[3]):
-                    cl, cp, ced, cn = self.parts(ce)
-                    labels += [((j,) + p, s) for p, s in cl]
-                    pearls += [(j,) + p for p in cp]
-                    edges += [((j,) + p, x) for p, x in ced]
-                    n += cn
-                got = labels, pearls, edges, n
-            self.memo[id(e)] = got
+                    cl, cp, cm, cn = self.parts(ce, i, path + (j,))
+                    labels, pearls, n = labels + cl, pearls + cp, n + cn
+                    marks = tuple(map(add, marks, cm))
+                got = labels, pearls, marks, n
+            self.memo[key] = got
         return got
 
 

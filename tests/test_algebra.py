@@ -454,6 +454,17 @@ class TestFiberPoints:
         assert p.points[0] == ("a",)
         assert fam.components[1].labels(p.points[1]) == ("b",)
 
+    @pytest.mark.parametrize("name", ["sym", "terminal", "rect:2", "cube:1", "rect-inf:1"])
+    def test_identity_family_maps_by_the_identity(self, name):
+        model = operad_model(name)
+        fam = identity_family(model)
+        for n in range(4):
+            x = model.sample(Stream(n, ("idf", name)), numeric_labels(n))
+            assert fam.f(0, x) is x
+            # over the one-point operad the identity is the collapse
+            if name == "terminal":
+                assert fam.f(0, x) == collapse_family((model,)).f(0, x)
+
 
 # ---------------------------------------------------------------------------
 # marked product points

@@ -19,6 +19,7 @@ from operadic.algebra import (
     PLUS,
     AugmentedPoint,
     FiberPoint,
+    OperadModel,
     OVecPoint,
     PKFamily,
     ProductPoint,
@@ -1163,14 +1164,18 @@ def unit_graft_states():
             yield _act(_state_of(p), ("right", i, int(label), unit), _state_of)
 
 
+def every_order_starts():
+    """The starts of TestEveryRewriteOrder, as states."""
+    unit_spine = spine_chain(Stream(133, ("unitspine",)))[2]
+    unit_spine = replace(unit_spine, below={**unit_spine.below_dict(), (0,): ovec_unit(FAM)})
+    points = [*walk_starts(), *inter_starts(), *w_starts(), unit_spine]
+    return [*map(_state_of, points), *base_operand_states(), *unit_graft_states()]
+
+
 class TestEveryRewriteOrder:
     def test_each_start_reaches_one_normal_form(self):
         trace = []
-        unit_spine = spine_chain(Stream(133, ("unitspine",)))[2]
-        unit_spine = replace(unit_spine, below={**unit_spine.below_dict(), (0,): ovec_unit(FAM)})
-        points = [*walk_starts(), *inter_starts(), *w_starts(), unit_spine]
-        starts = [*map(_state_of, points), *base_operand_states(), *unit_graft_states()]
-        for st in starts:
+        for st in every_order_starts():
             forms, _ = explore(st, trace)
             assert forms == [_point_of(clone(st).run())]
         assert {rule for rule, _ in trace} == RULES
@@ -1178,6 +1183,22 @@ class TestEveryRewriteOrder:
         # engine that changes any of them shows here
         digest = hashlib.sha256(repr(trace).encode()).hexdigest()[:16]
         assert (len(trace), digest) == (374, "ad106f26ad0a34f6")
+
+    def test_each_model_builds_its_units_once(self, monkeypatch):
+        # the drop-unit tests compare with the units a model keeps, so no run
+        # builds one twice, nested runs on formal carriers included
+        starts = [*every_order_starts(), *map(_state_of, formal_starts())]
+        calls, unit = [], OperadModel.unit
+
+        def counted(model, label):
+            calls.append((model, label))  # holds the model, so no other takes its id
+            return unit(model, label)
+
+        monkeypatch.setattr(OperadModel, "unit", counted)
+        for st in starts:
+            st.run()
+        assert len({(id(model), label) for model, label in calls}) == len(calls)
+        assert {st.flavor for st in starts} == {"ib", "b", "inter", "w"}
 
     def test_formal_carriers_reach_one_normal_form(self):
         for st in map(_state_of, formal_starts()):

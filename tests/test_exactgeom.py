@@ -433,6 +433,14 @@ class TestRegimes:
             outer = sample_disjoint_config(t.split("o"), dim, ["7", "8"])
             assert validate_config(rect_compose(outer, "7", mo), ("m-overlap", m))
 
+    def test_moverlap_sample_without_labels(self):
+        # no labels make no groups: the empty configuration, which the
+        # subset scan accepts as it forbids no subset
+        for dim in (1, 2):
+            cfg = sample_moverlap_config(Stream(29, ("m-empty", dim)), dim, [], 3)
+            assert cfg == RectConfig(dim, {}, ("m-overlap", 3)) and cfg.labels == ()
+            assert validate_config(cfg) == oracle_validate(cfg, ("m-overlap", 3)) == ValidationResult(True)
+
     def test_u_overlap_blocks(self):
         # two blocks; the pair bound u[1,2] = 1 forbids any overlap across blocks
         r1 = Rect((Fraction(1, 2),), (0,))
@@ -686,6 +694,17 @@ class TestEmbeddings:
             ident_tgt = identity_embedding(dim, f.target)
             assert semb_compose(ident_src, f) == f
             assert semb_compose(f, ident_tgt) == f
+
+    def test_identity_gains_the_mark(self):
+        # built by hand: every label, the mark included, to itself, unscaled
+        for dim in (1, 2, 3):
+            labels = ("1", "2", MARK)
+            by_hand = StandardEmbedding(dim, labels, labels, {a: a for a in labels},
+                                        {a: (1, (0,) * dim) for a in labels})
+            e = identity_embedding(dim, ("1", "2"))
+            assert e == identity_embedding(dim, labels) == by_hand
+            assert validate_embedding(e)
+            assert semb_compose(e, e) == e
 
     def test_hole_containment_enforced(self):
         dim = 1

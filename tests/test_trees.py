@@ -3,6 +3,10 @@ clause reporting, canonical-form invariants, the pearled-tree poset, DOT."""
 
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -845,6 +849,18 @@ class TestBuiltDirectly:
             assert again == obj and again.key == obj.key
             assert component_fields(again.tree) == component_fields(c)
 
+    @pytest.mark.parametrize("variant, arities, vmax, kwargs", BUILT_DIRECTLY)
+    def test_equal_components_are_one_object(self, variant, arities, vmax, kwargs):
+        comps = [c for t in T.enumerate_trees(variant, arities, vmax, **kwargs) for c in t.components]
+        assert len({id(c) for c in comps}) == len(set(comps))
+
+    @pytest.mark.parametrize("variant, arities, vmax, kwargs", BUILT_DIRECTLY)
+    def test_requests_share_no_component(self, variant, arities, vmax, kwargs):
+        first, second = (T.enumerate_trees(variant, arities, vmax, **kwargs) for _ in range(2))
+        assert first == second
+        ids = {id(c) for t in first for c in t.components}
+        assert ids and not ids & {id(c) for t in second for c in t.components}
+
     def test_no_bottom_up_sort(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("_sort_bottom_up called")
@@ -856,6 +872,30 @@ class TestBuiltDirectly:
             assert T.psi_category(k)["objects"]
         with pytest.raises(AssertionError):
             T.canonicalize(T.enumerate_trees("pTree", (1,), 2).trees[0])
+
+
+# enumeration and Psi must not follow the hash seed: the sets inside them
+# (pearls, internal sets, memo keys) may iterate in any order, the results not
+HASH_SEED_SCRIPT = """
+import hashlib
+from operadic import trees as T
+h = hashlib.sha256()
+for variant, arities, vmax, kwargs in [("pTreeP", (2,), 3, {"k": 2}), ("sTree", (1, 1), 4, {})]:
+    for t in T.enumerate_trees(variant, arities, vmax, **kwargs):
+        h.update(repr((T.encode(t), t.marks)).encode())
+h.update(repr(T.psi_category(4)).encode())
+print(h.hexdigest())
+"""
+
+
+def test_results_ignore_the_hash_seed():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = [
+        subprocess.run([sys.executable, "-c", HASH_SEED_SCRIPT], capture_output=True, text=True,
+                       check=True, env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}).stdout
+        for seed in ("0", "1")
+    ]
+    assert outs[0] and outs[0] == outs[1]
 
 
 # ---------------------------------------------------------------------------
