@@ -26,6 +26,7 @@ from .exactgeom import (
     MARK,
     MarkedFiberConfig,
     RectConfig,
+    _positional,
     embed_component,
     epsilon_glue,
     glue_shared,
@@ -192,10 +193,9 @@ def operad_model(name: str) -> OperadModel:
 
 def _require_numeric(model: OperadModel, x) -> int:
     labels = model.labels(x)
-    n = len(labels)
-    if sorted(labels, key=label_key) != [str(j) for j in range(1, n + 1)]:
+    if not _positional(labels):
         raise OperadicError("positional operations need labels 1..n")
-    return n
+    return len(labels)
 
 
 def compose_at(model: OperadModel, x, i: int, y):
@@ -577,15 +577,17 @@ def ovec_unit(family: RelativeFamily) -> OVecPoint:
     return OVecPoint(family, tuple(m.unit(MARK) for m in family.components))
 
 
+def _at_mark(theta: OVecPoint, p) -> tuple:
+    """The components of p substituted into the marked inputs of theta."""
+    if theta.family != p.family:
+        raise OperadicError("points over different families")
+    return tuple(m.compose(x, MARK, y)
+                 for m, x, y in zip(theta.family.components, theta.points, p.points))
+
+
 def ovec_mu(p: OVecPoint, q: OVecPoint) -> OVecPoint:
     """Substitute q into the marked input of p, componentwise."""
-    if p.family != q.family:
-        raise OperadicError("points over different families")
-    points = tuple(
-        p.family.components[i].compose(p.points[i], MARK, q.points[i])
-        for i in range(p.family.k)
-    )
-    return OVecPoint(p.family, points)
+    return OVecPoint(p.family, _at_mark(p, q))
 
 
 def sample_ovec(rng: Stream, family: RelativeFamily, sets) -> OVecPoint:
@@ -616,19 +618,19 @@ def ovec_compose_at(theta: OVecPoint, i: int, pos: int, x) -> OVecPoint:
 def ovec_splice(parent: OVecPoint, child: OVecPoint) -> OVecPoint:
     """Substitute the child into the marked input; the child's non-marked
     slots come first in the merged numbering."""
-    family = parent.family
-    if child.family != family:
-        raise OperadicError("points over different families")
-    points = []
-    for i in range(family.k):
-        model = family.components[i]
-        extra = len(child.sets[i])
-        shifted = model.relabel(parent.points[i], {
-            str(t): str(t + extra)
-            for t in range(2, model.arity(parent.points[i]) + 1)
-        })
-        points.append(model.compose(shifted, MARK, child.points[i]))
-    return _frozen(OVecPoint, family, tuple(points))
+    shifted = ovec_shift(parent, tuple(len(s) for s in child.sets))
+    return _frozen(OVecPoint, parent.family, _at_mark(shifted, child))
+
+
+def ovec_shift(theta: OVecPoint, extras) -> OVecPoint:
+    """Move the non-marked inputs 2..n of component i up by extras[i], making
+    room for the inputs of what is substituted at the mark."""
+    points = tuple(
+        m.relabel(x, {str(t): str(t + extra) for t in range(2, m.arity(x) + 1)})
+        for m, x, extra in zip(theta.family.components, theta.points, extras)
+    )
+    # the marked inputs keep their label and their images in the base
+    return _frozen(OVecPoint, theta.family, points)
 
 
 def is_unit_ovec(theta: OVecPoint) -> bool:
@@ -663,13 +665,7 @@ def prod_circ(p: ProductPoint, i: int, a: str, y) -> ProductPoint:
 
 def prod_mu(theta: OVecPoint, p: ProductPoint) -> ProductPoint:
     """Substitute the components of p into the marked inputs of theta."""
-    if theta.family != p.family:
-        raise OperadicError("points over different families")
-    points = tuple(
-        p.family.components[i].compose(theta.points[i], MARK, p.points[i])
-        for i in range(p.family.k)
-    )
-    return ProductPoint(p.family, points)
+    return ProductPoint(p.family, _at_mark(theta, p))
 
 
 # ---------------------------------------------------------------------------

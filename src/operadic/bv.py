@@ -120,18 +120,6 @@ class BVPoint:
         object.__setattr__(self, "times", tuple((key, _as_time(t)) for key, t in times))
         _validate_point(self)
 
-    def pearls_dict(self) -> dict:
-        return dict(self.pearls)
-
-    def below_dict(self) -> dict:
-        return dict(self.below)
-
-    def upper_dict(self) -> dict:
-        return dict(self.upper)
-
-    def times_dict(self) -> dict:
-        return dict(self.times)
-
     def leaf_labels(self, i: int) -> tuple:
         """Leaf labels of one component in planar order."""
         return tuple(s for _, s in self.tree.components[i].labels)
@@ -153,14 +141,12 @@ def _check_monotone(p: BVPoint):
 
     The pearls themselves sit at time zero, so their boundary constraints
     are vacuous and are not checked."""
-    times = p.times_dict()
+    times = dict(p.times)
     for i, c in enumerate(p.tree.components):
         for v in vertices(c.shape):
             if not v or v in c.pearls or v[:-1] in c.pearls:
                 continue
-            tc, tp = (times[u] if u in times else times.get((i, u)) for u in (v, v[:-1]))
-            if tc is None or tp is None:
-                continue
+            tc, tp = (times[u] if u in times else times[(i, u)] for u in (v, v[:-1]))
             ok = tp >= tc if _pearlward(c.pearls, v) else tc >= tp
             if not ok:
                 raise OperadicError(
@@ -175,10 +161,10 @@ def _validate_point(p: BVPoint):
     variant = getattr(p.tree, "variant", None)
     if variant != _LAYOUT[p.flavor]:
         raise OperadicError("flavor %r needs a %r tree, got %r" % (p.flavor, _LAYOUT[p.flavor], variant))
-    timed = _check_decorations(p.flavor, p.family, p.tree, p.pearls_dict(), p.below_dict(),
-                               p.upper_dict())
+    timed = _check_decorations(p.flavor, p.family, p.tree, dict(p.pearls), dict(p.below),
+                               dict(p.upper))
     _check_decimal_labels(p.tree)
-    if set(p.times_dict()) != timed:
+    if {key for key, _ in p.times} != timed:
         raise OperadicError("times must cover the timed vertices of flavor %r" % (p.flavor,))
     if p.flavor != "w":  # W-construction edge lengths are unconstrained
         _check_monotone(p)
@@ -192,8 +178,8 @@ def _state_of(p):
     """The engine state of a timed point."""
     if not isinstance(p, BVPoint):
         raise OperadicError("%r is no timed point" % (type(p).__name__,))
-    return _TimedState.of_tree(p.flavor, p.family, p.tree, p.pearls_dict(), p.below_dict(),
-                               p.upper_dict(), p.times_dict())
+    return _TimedState.of_tree(p.flavor, p.family, p.tree, dict(p.pearls), dict(p.below),
+                               dict(p.upper), dict(p.times))
 
 
 def _point_of(st: _TimedState) -> BVPoint:

@@ -435,8 +435,9 @@ def perm_mapping(sigma) -> dict:
     return {str(sigma[j]): str(j + 1) for j in range(len(sigma))}
 
 
-def _positional(config: RectConfig) -> bool:
-    return config.labels == tuple(str(j) for j in range(1, config.arity + 1))
+def _positional(labels: tuple) -> bool:
+    """Labels in label_key order are "1".."n"."""
+    return labels == tuple(str(j) for j in range(1, len(labels) + 1))
 
 
 def rect_compose(outer: RectConfig, slot, inner: RectConfig) -> RectConfig:
@@ -449,7 +450,7 @@ def rect_compose(outer: RectConfig, slot, inner: RectConfig) -> RectConfig:
     standard way (inner block replaces position i).
     """
     if isinstance(slot, int):
-        if not (_positional(outer) and _positional(inner)):
+        if not (_positional(outer.labels) and _positional(inner.labels)):
             raise OperadicError("positional composition needs labels 1..n")
         if not 1 <= slot <= outer.arity:
             raise OperadicError("missing slot %d" % slot)
@@ -464,19 +465,6 @@ def rect_compose(outer: RectConfig, slot, inner: RectConfig) -> RectConfig:
             raise OperadicError("label collision %r in composition" % (lbl,))
         out[lbl] = socket.compose(r)
     return RectConfig(outer.dim, out, outer.regime)
-
-
-def act_perm(config: RectConfig, sigma) -> RectConfig:
-    """Right action of a permutation on a numeric configuration.
-
-    sigma is a tuple with sigma[j-1] in 1..n; the result's slot j carries the
-    rectangle formerly at slot sigma[j].
-    """
-    if not _positional(config):
-        raise OperadicError("permutation action needs labels 1..n")
-    if sorted(sigma) != list(range(1, config.arity + 1)):
-        raise OperadicError("not a permutation of 1..%d" % config.arity)
-    return config.relabel(perm_mapping(sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -515,11 +503,6 @@ def embed_component(config: RectConfig, cube_dim: int, ambient_dim: int) -> Rect
     operad; used for the per-component right actions on glued configurations.
     """
     return include_rect(include_rect(config, cube_dim, "cube"), ambient_dim, "rect")
-
-
-def fiber_pad(r: Rect, ambient_dim: int) -> Rect:
-    """Centered padding all the way up; the relative map into arity one."""
-    return pad_rect(r, ambient_dim, "cube")
 
 
 def cube_split(k: int, n: int) -> RectConfig:
@@ -578,7 +561,7 @@ class MarkedFiberConfig:
             ok = validate_config(cfg, "disjoint")
             if not ok:
                 raise OperadicError("marked fiber component invalid: %s %r" % (ok.reason, ok.witness))
-            marked_pads.append(fiber_pad(cfg.rect(MARK), self.ambient))
+            marked_pads.append(pad_rect(cfg.rect(MARK), self.ambient, "cube"))
         if any(p != marked_pads[0] for p in marked_pads):
             raise OperadicError("fiber condition violation: marked cubes disagree")
 
@@ -625,7 +608,7 @@ def glue_shared(dims: tuple, ambient: int, configs: tuple) -> RectConfig:
         if c != 1 and c != l:
             raise OperadicError("label %r shared by %d of %d components" % (lbl, c, l))
         if c == l and l > 1:
-            pads = [fiber_pad(configs[i].rect(lbl), ambient) for i in present]
+            pads = [pad_rect(configs[i].rect(lbl), ambient, "cube") for i in present]
             if any(p != pads[0] for p in pads):
                 raise OperadicError("fiber condition violation at shared label %r" % (lbl,))
     slabs = cube_split(l, ambient)

@@ -66,11 +66,12 @@ from .algebra import (
     is_unit_fiber,
     is_unit_ovec,
     ovec_compose_at,
+    ovec_shift,
     ovec_splice,
     prod_mu,
 )
 from .errors import OperadicError
-from .exactgeom import RectConfig, label_key, perm_mapping, renumbering
+from .exactgeom import RectConfig, _positional, label_key, perm_mapping, renumbering
 from .trees import (
     LEAF,
     ComponentTree,
@@ -244,14 +245,6 @@ def decoration_arities(value) -> tuple:
 # decoration checks shared by the free and the timed points
 
 
-def _positional_labels(model, x, n: int) -> bool:
-    return tuple(model.labels(x)) == tuple(str(t + 1) for t in range(n))
-
-
-def _positional_ground(fiber: FiberPoint, n: int) -> bool:
-    return fiber.pk.ground == tuple(sorted((str(t + 1) for t in range(n)), key=label_key))
-
-
 def _positional_ovec(theta: OVecPoint, arities) -> bool:
     return all(
         set(theta.sets[i]) == {str(t) for t in range(2, m + 1)}
@@ -292,7 +285,7 @@ def _check_decorations(flavor, family, tree: KFoldTree, pearls: dict, below: dic
     ok, clause = validate_labeling(tree)
     if not ok:
         raise OperadicError("invalid tree: %s" % (clause,))
-    comps, marks = tree.components, tree.marks_dict()
+    comps, marks = tree.components, dict(tree.marks)
     first = comps[0]
     if flavor == "w":
         if not isinstance(family, OperadModel):
@@ -335,11 +328,12 @@ def _check_decorations(flavor, family, tree: KFoldTree, pearls: dict, below: dic
         m = arity(first.shape, v)
         if not isinstance(fiber, FiberPoint) or fiber.family != family:
             raise OperadicError("decorations at %r must be fiber points" % (v,))
-        if not _positional_ground(fiber, m):
+        if len(fiber.pk.ground) != m or not _positional(fiber.pk.ground):
             raise OperadicError("fiber ground must be positional at %r" % (v,))
         _check_fiber_marks(fiber, marks, v, m)
     for (i, v), x in upper.items():
-        if not _positional_labels(models[i], x, arity(comps[i].shape, v)):
+        labels = models[i].labels(x)
+        if len(labels) != arity(comps[i].shape, v) or not _positional(labels):
             raise OperadicError("operad decoration labels must be positional")
         if not models[i].validate(x):
             raise OperadicError("operad decoration at %r is no element of %s"
@@ -436,7 +430,7 @@ class _TimedState:
         times = {((0, key) if flavor == "w" else (None, key) if key in below else key): t
                  for key, t in times.items()}
         return cls(flavor, family, [c.shape for c in comps], [dict(c.labels) for c in comps],
-                   tree.marks_dict(), pearls, {**joint, **upper}, times)
+                   dict(tree.marks), pearls, {**joint, **upper}, times)
 
     @property
     def k(self) -> int:
@@ -721,8 +715,6 @@ class _TimedState:
         vertices below the section order theirs jointly, last."""
         joint = {p for i, p in self.dec if i is None} - self.pearls if self.flavor == "b" else set()
         for i in range(self.k):
-            if not is_vertex(self.shapes[i]):
-                continue
             for path in sorted(vertices(self.shapes[i]), key=len, reverse=True):
                 if path not in joint:
                     self._sort_children(path, [i], 1 if self._pinned(i, path) else 0)
@@ -983,12 +975,12 @@ def _graft_leaf(state: _TimedState, i: int, j: int, m: int):
 def _graft_right(state: _TimedState, i: int, j, x) -> _TimedState:
     """Graft the operad element x of component i onto the leaf labeled j."""
     model = state.family.components[i]
-    m = model.arity(x)
-    if not _positional_labels(model, x, m):
+    labels = model.labels(x)
+    if not _positional(labels):
         raise OperadicError("operand labels must be positional")
     if not model.validate(x):
         raise OperadicError("the operand is no element of %s" % (model.name,))
-    path = _graft_leaf(state, i, j, m)
+    path = _graft_leaf(state, i, j, len(labels))
     state.dec[(i, path)] = x
     state.times[(i, path)] = ONE
     return state
@@ -997,7 +989,7 @@ def _graft_right(state: _TimedState, i: int, j, x) -> _TimedState:
 def _check_fiber_operand(family, fiber):
     if not isinstance(fiber, FiberPoint) or fiber.family != family:
         raise OperadicError("the operand must be a fiber point over the family")
-    if not _positional_ground(fiber, len(fiber.pk.ground)):
+    if not _positional(fiber.pk.ground):
         raise OperadicError("fiber ground must be positional")
 
 
@@ -1147,15 +1139,6 @@ def free_graft_b(pt: FreeBPoint, action, rng=None) -> FreeBPoint:
 # counit evaluation against concrete carriers
 
 
-def _shift_theta(theta: OVecPoint, arities) -> OVecPoint:
-    points = []
-    for i in range(theta.family.k):
-        model = theta.family.components[i]
-        mapping = {a: str(int(a) + arities[i] - 1) for a in theta.sets[i]}
-        points.append(model.relabel(theta.points[i], mapping))
-    return _frozen(OVecPoint, theta.family, tuple(points))
-
-
 class ProductIbOps:
     """Right and left operations of the plain componentwise product."""
 
@@ -1168,7 +1151,8 @@ class ProductIbOps:
         return ProductPoint(self.family, tuple(points))
 
     def left(self, theta: OVecPoint, p: ProductPoint) -> ProductPoint:
-        return prod_mu(_shift_theta(theta, tuple(len(s) for s in p.sets)), p)
+        _check_ovec_operand(self.family, theta)
+        return prod_mu(ovec_shift(theta, tuple(len(s) - 1 for s in p.sets)), p)
 
 
 class _GluedOps:
@@ -1191,7 +1175,8 @@ class GluedIbOps(_GluedOps):
     all-present range."""
 
     def left(self, theta: OVecPoint, p: GluedElement) -> GluedElement:
-        return glued_mu_direct(_shift_theta(theta, tuple(len(s) for s in p.sets)), p)
+        _check_ovec_operand(self.family, theta)
+        return glued_mu_direct(ovec_shift(theta, tuple(len(s) - 1 for s in p.sets)), p)
 
 
 class GluedBOps(_GluedOps):

@@ -255,14 +255,11 @@ class KFoldTree:
         items = tuple(sorted(((int(i), tuple(p)), bool(v)) for (i, p), v in dict(self.marks).items()))
         object.__setattr__(self, "marks", items)
 
-    def marks_dict(self) -> dict:
-        return dict(self.marks)
-
     @property
     def arities(self) -> tuple:
         """Leaf counts; None for trivial (all-external) section components."""
         if self.variant in ("rsTree", "sTree"):
-            marks = self.marks_dict()
+            marks = dict(self.marks)
             return tuple(
                 c.n_leaves if marks.get((i, ()), False) else None for i, c in enumerate(self.components)
             )
@@ -343,16 +340,14 @@ def _reduced(c: ComponentTree) -> bool:
 
 
 def _check_section(c: ComponentTree):
+    """Every tip has exactly one pearl among its (weak) ancestors.  Nested
+    pearls need no check of their own: a tip in the inner pearl's subtree has
+    both among its ancestors."""
     if not c.pearls:
         return "pearl-count"
     for t in tips(c.shape):
-        hits = sum(1 for p in c.pearls if is_ancestor(p, t))
-        if hits != 1:
+        if sum(1 for p in c.pearls if is_ancestor(p, t)) != 1:
             return "section-cover"
-    for p in c.pearls:
-        for q in c.pearls:
-            if p != q and is_ancestor(p, q):
-                return "section-cover"
     return None
 
 
@@ -360,10 +355,7 @@ def validate_labeling(t: KFoldTree):
     """(ok, clause): clause names the first violated condition, if any."""
     if not isinstance(t, KFoldTree):
         return False, "not-a-tree"
-    try:
-        clause = _validate(t)
-    except OperadicError as exc:
-        return False, str(exc)
+    clause = _validate(t)
     return clause is None, clause
 
 
@@ -402,7 +394,7 @@ def _validate(t: KFoldTree):
                     if v and v not in c.pearls and v[:-1] not in c.pearls:
                         return "not-reduced"
         k = len(t.components)
-        marks = t.marks_dict()
+        marks = dict(t.marks)
         edge_paths = section_edge_paths(t.components[0])
         if set(marks) != {(i, e) for i in range(k) for e in edge_paths}:
             return "mark-keys"
@@ -435,7 +427,7 @@ def _validate(t: KFoldTree):
         if has_null_non_pearl(c):
             return "univalent-vertex"
         p = pearl_of(c)
-        marks = t.marks_dict()
+        marks = dict(t.marks)
         ks = sorted({i for (i, _) in marks})
         edge_paths = vertices(c.shape) + leaves(c.shape)
         if not ks or ks != list(range(len(ks))):
@@ -464,9 +456,8 @@ def _validate(t: KFoldTree):
         c = t.components[0]
         if c.pearls:
             return "unexpected-pearls"
-        if c.n_leaves == 0:
-            # the nullary point is the bare zero-corolla
-            return None if c.shape == () else "univalent-vertex"
+        if c.shape == ():
+            return None  # the nullary point is the bare zero-corolla
         return "univalent-vertex" if has_null_non_pearl(c) else None
 
     raise OperadicError("unknown variant %r" % (t.variant,))
@@ -488,7 +479,7 @@ def _mk(v):
 
 def _payload(t: KFoldTree):
     """payload(i, path): the marks of a node as a one-item encoding prefix."""
-    marks = t.marks_dict()
+    marks = dict(t.marks)
     if t.variant == "pTreeP":
         mark_is = sorted({i for (i, _) in marks}) or [0]
         return lambda i, path: (tuple(_mk(marks.get((j, path))) for j in mark_is),)
@@ -1160,7 +1151,7 @@ def emit_dot(t: KFoldTree, times: dict | None = None) -> str:
     if not isinstance(times, dict):
         raise OperadicError("times must be a dict of vertex keys, got %r" % (times,))
     lines = ["digraph tree {", "  rankdir=BT;"]
-    marks = t.marks_dict()
+    marks = dict(t.marks)
     mark_is = sorted({i for (i, _) in marks})
     for i, c in enumerate(t.components):
         lines.append("  subgraph cluster_%d {" % i)

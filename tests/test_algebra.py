@@ -44,6 +44,7 @@ from operadic.algebra import (
     identity_family,
     induced_infinitesimal,
     inverse_perm,
+    is_unit_fiber,
     is_unit_ovec,
     operad_model,
     ovec_compose_at,
@@ -67,6 +68,7 @@ from operadic.exactgeom import (
     Rect,
     RectConfig,
     cube_split,
+    include_rect,
     rect_compose,
     semb_compose,
     unit_config,
@@ -454,6 +456,20 @@ class TestFiberPoints:
         assert p.points[0] == ("a",)
         assert fam.components[1].labels(p.points[1]) == ("b",)
 
+    def test_unit_test_is_equality_with_a_unit(self):
+        # a unit has ground ("1",) and the unit at each present component;
+        # a ground of two labels holds none
+        units = [FiberPoint(FAM, PKFamily(("1",), parts),
+                            tuple(PLUS if part == PLUS else m.unit("1")
+                                  for m, part in zip(FAM.components, parts)))
+                 for parts in ((("1",), ("1",)), (("1",), PLUS), (PLUS, ("1",)))]
+        assert all(is_unit_fiber(u) for u in units)
+        for ground in (("1",), ("1", "2")):
+            for trial in range(10):
+                rng = Stream(trial, ("fbunit", ground))
+                p = sample_fiber_point(rng, FAM, sample_pk(rng.split("pk"), ground, FAM.k))
+                assert is_unit_fiber(p) == (p in units)
+
     @pytest.mark.parametrize("name", ["sym", "terminal", "rect:2", "cube:1", "rect-inf:1"])
     def test_identity_family_maps_by_the_identity(self, name):
         model = operad_model(name)
@@ -581,6 +597,17 @@ class TestProductPoints:
         assert out.sets == (("x", "z"), ("y",))
         with pytest.raises(OperadicError):
             aug_mu_s(fiber, {"a": pa, "b": pa})
+
+    def test_aug_mu_keeps_the_sentinel_part(self):
+        # oracle: the base compositions of the present component, by hand
+        base = FAM.base
+        fiber = fiber_sample(9, PKFamily(("a", "b"), (("a", "b"), PLUS)))
+        pa = AugmentedPoint(FAM, (base.sample(Stream(5, ("a",)), ("x",)), PLUS))
+        pb = AugmentedPoint(FAM, (base.sample(Stream(6, ("b",)), ("y", "z")), PLUS))
+        want = include_rect(fiber.points[0], base.dim, "cube")
+        for a, q in (("a", pa), ("b", pb)):
+            want = rect_compose(want, a, q.points[0])
+        assert aug_mu_s(fiber, {"a": pa, "b": pb}) == AugmentedPoint(FAM, (want, PLUS))
 
     def test_aug_circ_uses_family_map(self):
         base = FAM.base

@@ -280,7 +280,7 @@ class TestNormalize:
             p = bv_tau(points[-1])
             p = replace(p, times={key: 0 for key, _ in p.times})
             q = bv_normalize(p)
-            assert not q.below and not q.upper and set(q.pearls_dict()) == {()}
+            assert not q.below and not q.upper and set(dict(q.pearls)) == {()}
             assert bv_eta(q) == evaluate_ib(points[-1], GluedIbOps(FAM))
 
 
@@ -298,7 +298,7 @@ class TestMonotone:
         p, r = upper_chain()
         q = bv_act(p, ("right", 0, 1, positional(FAM.components[0], r.split("y"), 1)))
         assert len(q.upper) == 2
-        times = q.times_dict()
+        times = dict(q.times)
         assert sorted(times.values()) == [HALF, 1]
         with pytest.raises(OperadicError):
             replace(q, times={key: 1 - t for key, t in times.items()})
@@ -309,8 +309,8 @@ class TestMonotone:
         p = bv_act(bv_tau(gen), ("left", rand_theta(r.split("a"), (1, 0))))
         p = replace(p, times={(): HALF})
         q = bv_act(p, ("left", rand_theta(r.split("b"), (0, 1))))
-        assert set(q.below_dict()) == {(), (0,)}
-        assert q.times_dict() == {(): 1, (0,): HALF}
+        assert set(dict(q.below)) == {(), (0,)}
+        assert dict(q.times) == {(): 1, (0,): HALF}
         with pytest.raises(OperadicError):
             replace(q, times={(): HALF, (0,): 1})
 
@@ -339,8 +339,8 @@ def spine_chain(r):
 class TestTimedUnits:
     def test_unit_spine_vertex_below_the_root_is_dropped(self):
         gen, theta, p = spine_chain(Stream(133, ("unitspine",)))
-        assert p.times_dict() == {(): 1, (0,): HALF}
-        p = replace(p, below={**p.below_dict(), (0,): ovec_unit(FAM)})
+        assert dict(p.times) == {(): 1, (0,): HALF}
+        p = replace(p, below={**dict(p.below), (0,): ovec_unit(FAM)})
         assert bv_normalize(p) == bv_act(bv_tau(gen), ("left", theta))
 
     def test_unit_grafts_fix_timed_points(self):
@@ -446,7 +446,7 @@ def inter_corolla(r, n):
 
 def rand_inter_action(rr, x):
     c = x.tree.components[0]
-    marks = x.tree.marks_dict()
+    marks = dict(x.tree.marks)
     if rr.maybe():
         path, label = c.labels[rr.randint(0, c.n_leaves - 1)]
         present = [i for i in range(FAM.k) if marks[(i, path)]]
@@ -483,7 +483,7 @@ def fold_fibers(p: BVPoint):
     """Iterated fiber_compose_at over the whole tree, inputs named by the
     leaf labels."""
     c = p.tree.components[0]
-    decs = {**p.pearls_dict(), **p.below_dict()}
+    decs = dict(p.pearls + p.below)
 
     def fold(v):
         x = decs[v]
@@ -586,7 +586,7 @@ class TestBaseOperands:
         op = b_generator(FAM, base_generator((0, PLUS)))
         out = bv_act(bv_tau(op), ("left", fib, (bv_tau(op),)))
         assert out == bv_tau(free_graft_b(op, ("left", fib, (op,))))
-        assert out.pearls_dict()[()].base
+        assert dict(out.pearls)[()].base
 
 
 class TestCarrierWithoutOps:
@@ -677,7 +677,7 @@ class TestPlainTrees:
         assert bv_normalize(q) == q
         for order in range(3):
             assert bv_normalize(p, rng=Stream(order, ("worder", name))) == q
-        want = compose_at(model, p.upper_dict()[(0, ())], 1, p.upper_dict()[(0, (0,))])
+        want = compose_at(model, dict(p.upper)[(0, ())], 1, dict(p.upper)[(0, (0,))])
         zero = bv_normalize(replace(p, times={(0,): 0}))
         assert zero.upper == (((0, ()), want),)
         assert bv_eta(p) == bv_eta(q) == want
@@ -692,11 +692,20 @@ class TestPlainTrees:
             # times grow away from the root, and depth-one vertices may sit at zero
             times = {v: Fraction(len(v) - 1 + r.split(("t", v)).randint(0, 1), 4) for v in inner}
             p = w_point(model, shape, r, times)
-            want = fold_w(model, shape, p.upper_dict())
+            want = fold_w(model, shape, dict(p.upper))
             q = bv_normalize(p)
             assert bv_normalize(q) == q
             assert bv_normalize(p, rng=Stream(n, ("wo", name))) == q
             assert bv_eta(p) == bv_eta(q) == want
+
+    @pytest.mark.parametrize("name", W_MODELS)
+    def test_eta_of_a_bare_leaf_is_the_unit(self, name):
+        # the composite of no vertices is the unit on the leaf's label
+        model = operad_model(name)
+        for label in ("1", "7"):
+            p = BVPoint("w", model, KFoldTree("plain", (ComponentTree(LEAF, labels=(((), label),)),)))
+            assert bv_normalize(p) == p
+            assert bv_eta(p) == model.unit(label)
 
     @pytest.mark.parametrize("name", W_MODELS)
     def test_times_are_unconstrained(self, name):
@@ -715,7 +724,7 @@ class TestPlainTrees:
                 assert bv_normalize(q) == q
                 for order in range(3):
                     assert bv_normalize(p, rng=Stream(order, ("wfo", name, n, trial))) == q
-                assert bv_eta(p) == bv_eta(q) == fold_w(model, shape, p.upper_dict())
+                assert bv_eta(p) == bv_eta(q) == fold_w(model, shape, dict(p.upper))
         assert decreasing
 
 
@@ -902,7 +911,7 @@ class TestPlainUnits:
                 assert bv_eta(p) == bv_eta(q) == fold_w(model, shape, upper)
                 if n == 0:
                     longer = max(times[(0,)], times[(0, 0)])
-                    assert list(q.times_dict().values()) == ([longer] if longer else [])
+                    assert list(dict(q.times).values()) == ([longer] if longer else [])
 
 
 class TestDeeperUpperTrees:
@@ -1167,7 +1176,7 @@ def unit_graft_states():
 def every_order_starts():
     """The starts of TestEveryRewriteOrder, as states."""
     unit_spine = spine_chain(Stream(133, ("unitspine",)))[2]
-    unit_spine = replace(unit_spine, below={**unit_spine.below_dict(), (0,): ovec_unit(FAM)})
+    unit_spine = replace(unit_spine, below={**dict(unit_spine.below), (0,): ovec_unit(FAM)})
     points = [*walk_starts(), *inter_starts(), *w_starts(), unit_spine]
     return [*map(_state_of, points), *base_operand_states(), *unit_graft_states()]
 

@@ -9,6 +9,7 @@ import sympy as sp
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from operadic.algebra import act_numeric, operad_model
 from operadic.errors import OperadicError
 from operadic.exactgeom import (
     MARK,
@@ -19,7 +20,6 @@ from operadic.exactgeom import (
     ValidationResult,
     _intervals,
     _overlap_graph,
-    act_perm,
     bounding_rect,
     common_box,
     config_from_seq,
@@ -299,8 +299,9 @@ class TestOperadAxioms:
             y = sample_overlapping_config(t.split("y"), dim, [str(j) for j in range(1, m + 1)])
             sigma = sample_perm(t.split("s"), n)
             i = t.randint(1, n)
-            lhs = rect_compose(act_perm(x, sigma), i, y)
-            rhs = act_perm(rect_compose(x, sigma[i - 1], y), perm_block_compose(sigma, i, m))
+            model = operad_model("rect-inf:%d" % dim)
+            lhs = rect_compose(act_numeric(model, x, sigma), i, y)
+            rhs = act_numeric(model, rect_compose(x, sigma[i - 1], y), perm_block_compose(sigma, i, m))
             assert lhs == rhs
 
     def test_arity_zero_removes_slot(self):
@@ -737,6 +738,33 @@ class TestEmbeddings:
         )
         assert not validate_embedding(outside_hole)
 
+    @pytest.mark.parametrize("case", ["into-hole-meets-cube", "escapes-cube", "overlap"])
+    def test_failures_name_reason_and_witness(self, case):
+        # dimension one, each failure shown by sympy intervals: the open image
+        # of "a" meets the closed unit cube though it maps into the hole, or
+        # leaves the unit cube though it maps to a cube, or meets the image
+        # of "b" in the same cube
+        half, hole = Fraction(1, 2), (Fraction(4), (Fraction(-1),))
+        image = {"into-hole-meets-cube": (MARK, (half, (Fraction(3, 4),))),
+                 "escapes-cube": ("1", (half, (Fraction(3, 4),))),
+                 "overlap": ("1", (half, (Fraction(1, 4),)))}[case]
+        alpha, maps = {"a": image[0], MARK: MARK}, {"a": image[1], MARK: hole}
+        if case == "overlap":
+            alpha["b"], maps["b"] = "1", (half, (0,))
+        e = StandardEmbedding(1, tuple(alpha), ("1", MARK), alpha, maps)
+        opened = {a: sp.Interval.open(v[0], v[0] + s) for a, (s, v) in maps.items() if a != MARK}
+        unit = sp.Interval(0, 1)
+        res = validate_embedding(e)
+        assert not res
+        if case == "overlap":
+            assert opened["a"].intersect(unit) == opened["a"]
+            assert opened["a"].intersect(opened["b"]) != sp.EmptySet
+            assert (res.reason, res.witness) == ("disjointness", ("a", "b"))
+        else:
+            hit = opened["a"].intersect(unit)
+            assert (hit != sp.EmptySet) if image[0] == MARK else (hit != opened["a"])
+            assert (res.reason, res.witness) == ("containment", ("a",))
+
 
 # ---------------------------------------------------------------------------
 # serialization
@@ -824,8 +852,9 @@ MALFORMED_CALLS = [
                  id="u-overlap-string-bound"),
     pytest.param(lambda: validate_config(_ONE_RECT, ("u-overlap", (("a",),), {(0, 0): -1})),
                  id="u-overlap-negative-bound"),
-    pytest.param(lambda: act_perm(RectConfig(2, {"1": _HALF_SQUARE, "3": _HALF_SQUARE}), (2, 1)),
-                 id="act-perm-labels-not-positional"),
+    pytest.param(lambda: act_numeric(operad_model("rect-inf:2"),
+                                     RectConfig(2, {"1": _HALF_SQUARE, "3": _HALF_SQUARE}), (2, 1)),
+                 id="act-numeric-labels-not-positional"),
     pytest.param(lambda: rect_compose(RectConfig(2, {"1": _HALF_SQUARE, "5": _HALF_SQUARE}), 1,
                                       unit_config("1", 2)),
                  id="rect-compose-labels-not-positional"),

@@ -10,8 +10,11 @@ from operadic.algebra import (
     OVecPoint,
     PKFamily,
     ProductPoint,
+    act_numeric,
+    collapse_family,
     cube_family,
     glued_eta,
+    operad_model,
     ovec_unit,
     sample_fiber_point,
     sample_ovec,
@@ -317,6 +320,22 @@ class TestCounit:
                 checked += 1
         assert checked >= 30
 
+    def test_marked_left_actions_reject_non_positional_operands(self):
+        # a non-numeric input label of the marked operand escaped from the
+        # input shift as a ValueError
+        fam = collapse_family((operad_model("terminal"),))
+        theta = OVecPoint(fam, (frozenset({MARK, "a"}),))
+        with pytest.raises(OperadicError):
+            ProductIbOps(fam).left(theta, ProductPoint(fam, (frozenset({"1", "2"}),)))
+        rng = Stream(9, ("leftlabels",))
+        val = rand_glued(rng.split("v"), (2, 1))
+        for sets in ((("a",), ()), (("3",), ())):
+            with pytest.raises(OperadicError):
+                GluedIbOps(FAM).left(sample_ovec(rng.split(sets), FAM, sets), val)
+            with pytest.raises(OperadicError):
+                ProductIbOps(FAM).left(sample_ovec(rng.split(sets), FAM, sets),
+                                       rand_prod(rng.split("p"), (2, 1)))
+
     def test_evaluate_generator_is_its_decoration(self):
         rng = Stream(8, ("gen",))
         v = rand_glued(rng, (2, 1))
@@ -536,6 +555,15 @@ class TestNormalForm:
         assert ib_point(FAM1, swapped, acted) == g
         if acted != ge:
             assert ib_point(FAM1, swapped, ge) != g
+
+    def test_glued_component_action_skips_an_absent_component(self):
+        # oracle: the action on the component's own element before the glue;
+        # an absent component has no inputs to act on
+        x = positional(FAM.components[1], Stream(56, ("absent",)), 2)
+        ge = glued_eta(FAM, (PLUS, x))
+        assert act_component(ge, 0, ()) == ge
+        acted = glued_eta(FAM, (PLUS, act_numeric(FAM.components[1], x, (2, 1))))
+        assert act_component(ge, 1, (2, 1)) == acted != ge
 
     def test_builders_renormalize_unit_vertices(self):
         rng = Stream(54, ("renorm",))

@@ -168,6 +168,13 @@ def test_benchmark_names_exist():
                 wanted.add((*aliases[node.value.id], node.attr))
             elif _bench_module(node.value):
                 wanted.add((_bench_module(node.value), node.attr))
+    # the oracles take the trees module as T, the name main imports it under
+    oracles = ast.parse((ROOT / "perfbench" / "oracles.py").read_text())
+    assert any(isinstance(node, ast.ImportFrom) and node.module == "operadic"
+               and [(a.name, a.asname) for a in node.names] == [("trees", "T")]
+               for node in ast.walk(oracles))
+    wanted |= {("trees", node.attr) for node in ast.walk(oracles) if isinstance(node, ast.Attribute)
+               and isinstance(node.value, ast.Name) and node.value.id == "T"}
     missing = sorted("%s.%s" % (module, name) for module, name in wanted
                      if not hasattr(importlib.import_module("operadic." + module), name))
     assert len(wanted) > 30 and not missing

@@ -366,6 +366,50 @@ class TestValidate:
         ok, clause = T.validate_labeling(self.intermediate({(0, (0,)): False}))
         assert not ok and clause == "external-output-internal-input"
 
+    @pytest.mark.parametrize("variant", ["pTree", "rpTree", "sTree", "rsTree", "pTreeP", "plain"])
+    def test_no_variant_takes_an_empty_family(self, variant):
+        assert T.validate_labeling(KFoldTree(variant, ())) == (False, "component-count")
+
+    @pytest.mark.parametrize("variant", ["pTreeP", "plain"])
+    def test_single_tree_variants_take_one_tree(self, variant):
+        c = ComponentTree((LEAF,), frozenset({()}) if variant == "pTreeP" else frozenset())
+        assert T.validate_labeling(KFoldTree(variant, (c, c))) == (False, "component-count")
+
+    @pytest.mark.parametrize("drop", ["all", "marking-0", "one-edge"])
+    def test_intermediate_mark_keys(self, drop):
+        # the markings must be numbered from 0 and each must mark every edge
+        marks = dict(self.intermediate().marks)
+        keep = {"all": lambda i, e: False, "marking-0": lambda i, e: i != 0,
+                "one-edge": lambda i, e: (i, e) != (1, (0, 1))}[drop]
+        t = KFoldTree("pTreeP", self.intermediate().components,
+                      {key: v for key, v in marks.items() if keep(*key)})
+        assert T.validate_labeling(t) == (False, "mark-keys")
+
+    def test_section_needs_a_pearl(self):
+        t = KFoldTree("sTree", (ComponentTree((LEAF,)),), {(0, ()): True})
+        assert T.validate_labeling(t) == (False, "pearl-count")
+
+    def test_nested_pearls_break_the_section(self):
+        # the leaf above both pearls lies above two of them
+        c = ComponentTree(((LEAF,),), frozenset({(), (0,)}))
+        t = KFoldTree("sTree", (c,), {(0, ()): True, (0, (0,)): True})
+        assert T.validate_labeling(t) == (False, "section-cover")
+
+    @pytest.mark.parametrize("shape,want", [
+        ((), (True, None)),  # the bare zero-corolla is the nullary point
+        (((),), (False, "univalent-vertex")),
+        ((LEAF, ()), (False, "univalent-vertex")),
+        (LEAF, (True, None)),
+    ], ids=repr)
+    def test_plain_nullary_vertices(self, shape, want):
+        assert T.validate_labeling(KFoldTree("plain", (ComponentTree(shape),))) == want
+
+    def test_plain_trees_carry_no_marks_or_pearls(self):
+        c = ComponentTree((LEAF, LEAF))
+        assert T.validate_labeling(KFoldTree("plain", (c,), {(0, ()): True})) == (False, "unexpected-marks")
+        pearled = ComponentTree((LEAF, LEAF), frozenset({()}))
+        assert T.validate_labeling(KFoldTree("plain", (pearled,))) == (False, "unexpected-pearls")
+
 
 # ---------------------------------------------------------------------------
 # enumeration against oracles
@@ -1208,7 +1252,7 @@ class TestDot:
     def test_intermediate_edges_dashed_where_a_marking_leaves_them_out(self):
         external_seen = 0
         for t in T.enumerate_trees("pTreeP", (2,), 3, k=2):
-            marks, shape = t.marks_dict(), t.components[0].shape
+            marks, shape = dict(t.marks), t.components[0].shape
             external = [v for v in T.vertices(shape)[1:] + T.leaves(shape)
                         if v and not (marks[(0, v)] and marks[(1, v)])]
             assert T.emit_dot(t).count("style=dashed") == len(external)
