@@ -10,13 +10,11 @@ gluing functor into the ambient rectangles operad, and the conversions
 between single-slot and indexed-slot module actions.
 
 Everything is exact: elements are built from Fractions and compared with ==.
-All values are immutable after construction; caller-supplied evaluators must
-be safe for concurrent invocation if the caller shares them across threads.
+All values are immutable after construction.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -26,6 +24,7 @@ from .exactgeom import (
     MARK,
     MarkedFiberConfig,
     RectConfig,
+    _pointed_map,
     _positional,
     embed_component,
     epsilon_glue,
@@ -282,6 +281,12 @@ class RelativeFamily:
     def dims(self) -> tuple:
         return tuple(m.dim for m in self.components)
 
+    def component(self, i) -> OperadModel:
+        """Component i's model; the one check of a component index."""
+        if type(i) is not int or not 0 <= i < self.k:
+            raise OperadicError("no component %r" % (i,))
+        return self.components[i]
+
     def f(self, i: int, x):
         """The operad map from component i into the base."""
         if self.kind == "cube-pad":
@@ -367,33 +372,6 @@ class PKFamily:
     def shared(self) -> tuple:
         return tuple(a for a in self.ground
                      if all(p != PLUS and a in p for p in self.parts))
-
-
-def pk_valid(ground, parts) -> bool:
-    """Standalone membership predicate for the partition-family conditions."""
-    try:
-        PKFamily(tuple(ground), tuple(parts))
-    except OperadicError:
-        return False
-    return True
-
-
-def pk_enumerate(ground, k: int) -> list:
-    """All valid partition families over a ground set of at most 4 labels,
-    brute force."""
-    ground = tuple(sorted(set(ground), key=label_key))
-    if len(ground) > 4:
-        raise OperadicError("ground set larger than the enumeration bound")
-    if k < 1:
-        raise OperadicError("need k >= 1")
-    subsets = [PLUS]
-    for r in range(len(ground) + 1):
-        subsets.extend(itertools.combinations(ground, r))
-    out = []
-    for combo in itertools.product(subsets, repeat=k):
-        if pk_valid(ground, combo):
-            out.append(PKFamily(ground, combo))
-    return out
 
 
 def pk_union(s1: PKFamily, a: str, s2: PKFamily) -> PKFamily:
@@ -606,7 +584,7 @@ def sample_ovec(rng: Stream, family: RelativeFamily, sets) -> OVecPoint:
 
 def ovec_compose_at(theta: OVecPoint, i: int, pos: int, x) -> OVecPoint:
     """Substitute x into the non-marked input labeled pos of component i."""
-    model = theta.family.components[i]
+    model = theta.family.component(i)
     apart, back = renumbering(model.arity(theta.points[i]), pos, model.arity(x))
     z = model.compose(theta.points[i], str(pos), model.relabel(x, apart))
     points = list(theta.points)
@@ -659,7 +637,7 @@ class ProductPoint:
 def prod_circ(p: ProductPoint, i: int, a: str, y) -> ProductPoint:
     """Operadic substitution in one component."""
     points = list(p.points)
-    points[i] = p.family.components[i].compose(points[i], a, y)
+    points[i] = p.family.component(i).compose(points[i], a, y)
     return ProductPoint(p.family, tuple(points))
 
 
@@ -693,6 +671,7 @@ class AugmentedPoint:
 
 def aug_circ(p: AugmentedPoint, i: int, a: str, y) -> AugmentedPoint:
     """Substitute a component-operad element through its map into the base."""
+    p.family.component(i)
     if p.points[i] == PLUS:
         raise OperadicError("component %d is the sentinel" % i)
     points = list(p.points)
@@ -758,6 +737,7 @@ class GluedElement:
 def glued_circ(x: GluedElement, i: int, a: str, y) -> GluedElement:
     """Substitute a component element, embedded by centered padding, into one
     of that component's inputs."""
+    x.family.component(i)
     if x.sets[i] == PLUS or a not in x.sets[i]:
         raise OperadicError("missing slot %r in component %d" % (a, i))
     family = x.family
@@ -771,6 +751,7 @@ def glued_circ(x: GluedElement, i: int, a: str, y) -> GluedElement:
 
 def glued_relabel(value: GluedElement, i: int, mapping: dict) -> GluedElement:
     """Simultaneous slot relabeling of one component of a glued element."""
+    value.family.component(i)
     if value.sets[i] == PLUS:
         return value
     sets = list(value.sets)
@@ -828,30 +809,6 @@ def glued_mu_direct(theta: OVecPoint, m: GluedElement) -> GluedElement:
     return GluedElement(family, sets, config)
 
 
-class GluedEvaluator:
-    """Unit images and left actions of the glued-rectangles model, packaged
-    for the induced-action construction."""
-
-    def __init__(self, family: RelativeFamily):
-        if family.kind != "cube-pad":
-            raise OperadicError("glued elements need a cube-pad family")
-        self.family = family
-
-    @property
-    def k(self) -> int:
-        return self.family.k
-
-    def unit_image(self, slots) -> GluedElement:
-        xs = tuple(
-            PLUS if s == PLUS else unit_config(s, self.family.dims[i], "disjoint")
-            for i, s in enumerate(slots)
-        )
-        return glued_eta(self.family, xs)
-
-    def mu_s(self, fiber: FiberPoint, operands: dict) -> GluedElement:
-        return glued_mu_s(fiber, operands)
-
-
 def block_fiber(theta: OVecPoint) -> FiberPoint:
     """The fiber point over the ground set 1..n whose parts share the label 1
     and otherwise split into consecutive blocks, one per component; component
@@ -871,22 +828,24 @@ def block_fiber(theta: OVecPoint) -> FiberPoint:
     return FiberPoint(family, PKFamily(ground, tuple(parts)), tuple(points))
 
 
-def induced_infinitesimal(eta, theta: OVecPoint, m):
-    """Derive the marked left action from the augmented one.
+def induced_infinitesimal(theta: OVecPoint, m: GluedElement) -> GluedElement:
+    """Derive the marked left action of the glued model from its augmented
+    one.
 
     The left action of the block fiber of theta receives m at position 1 and
-    at every other position the image under eta of a unit on the input of
-    theta that the position renames.
+    at every other position the glued image of a unit on the input of theta
+    that the position renames.
     """
-    k = theta.family.k
-    if eta.k != k:
-        raise OperadicError("evaluator and point have different component counts")
+    family = theta.family
+    if family.kind != "cube-pad":
+        raise OperadicError("glued elements need a cube-pad family")
     fiber = block_fiber(theta)
     operands = {"1": m}
     for i, part in enumerate(fiber.pk.parts):
         for a, b in zip(sorted(theta.sets[i], key=label_key), part[1:]):
-            operands[b] = eta.unit_image(tuple(a if j == i else PLUS for j in range(k)))
-    return eta.mu_s(fiber, operands)
+            operands[b] = glued_eta(family, tuple(
+                unit_config(a, d, "disjoint") if j == i else PLUS for j, d in enumerate(family.dims)))
+    return glued_mu_s(fiber, operands)
 
 
 # ---------------------------------------------------------------------------
@@ -907,17 +866,13 @@ class GammaComponent:
     def __post_init__(self):
         source = tuple(sorted(set(self.source) | {MARK}, key=label_key))
         target = tuple(sorted(set(self.target) | {MARK}, key=label_key))
-        alpha = tuple(sorted(dict(self.alpha).items(), key=lambda kv: label_key(kv[0])))
+        alpha = _pointed_map(self.alpha, source, target)
         decor = tuple(sorted(dict(self.decor).items(), key=lambda kv: label_key(kv[0])))
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "decor", decor)
         amap = dict(alpha)
-        if set(amap) != set(source) or not set(amap.values()) <= set(target):
-            raise OperadicError("the pointed map must cover the source")
-        if amap[MARK] != MARK:
-            raise OperadicError("the pointed map must preserve the mark")
         dmap = dict(decor)
         if set(dmap) != set(target):
             raise OperadicError("decorations must cover the target")
@@ -1025,41 +980,6 @@ def gamma_compose(g: GammaMorphism, h: GammaMorphism) -> GammaMorphism:
     return GammaMorphism(g.family, tuple(
         _component_compose(gi, hi) for gi, hi in zip(g.arrows, h.arrows)
     ))
-
-
-def sample_gamma(rng: Stream, family: RelativeFamily, source_sets, target_sets) -> GammaMorphism:
-    """Random decorated pointed maps; marked decorations are drawn jointly so
-    the fiber condition holds."""
-    if family.kind != "cube-pad":
-        raise OperadicError("no morphism sampler for family kind %r" % (family.kind,))
-    source_sets = tuple(tuple(s) for s in source_sets)
-    target_sets = tuple(tuple(t) for t in target_sets)
-    alphas = []
-    for i, labels in enumerate(source_sets):
-        options = target_sets[i] + (MARK,)
-        amap = {MARK: MARK}
-        for a in labels:
-            amap[a] = rng.split("a%d:%s" % (i, a)).choice(options)
-        alphas.append(amap)
-    marked_sets = tuple(
-        tuple(a for a in source_sets[i] if alphas[i][a] == MARK) for i in range(family.k)
-    )
-    fiber = sample_marked_fiber(rng.split("marked"), family.dims, family.base.dim, marked_sets)
-    arrows = []
-    for i in range(family.k):
-        model = family.components[i]
-        decor = {MARK: fiber.configs[i]}
-        for b in target_sets[i]:
-            fib = tuple(a for a in source_sets[i] if alphas[i][a] == b)
-            decor[b] = model.sample(rng.split("d%d:%s" % (i, b)), fib)
-        arrows.append(GammaComponent(
-            model,
-            source_sets[i] + (MARK,),
-            target_sets[i] + (MARK,),
-            alphas[i],
-            decor,
-        ))
-    return GammaMorphism(family, tuple(arrows))
 
 
 # ---------------------------------------------------------------------------

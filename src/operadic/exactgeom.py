@@ -189,9 +189,6 @@ def bounding_rect(rects) -> Rect:
 # regimes
 
 
-REGIMES = ("overlapping", "disjoint", "m-overlap", "u-overlap")
-
-
 def regime_kind(regime) -> str:
     return regime if isinstance(regime, str) else regime[0]
 
@@ -339,11 +336,6 @@ class RectConfig:
                 raise OperadicError('rectangle %r needs lists "a" and "b"' % (lbl,))
             rects[lbl] = Rect(tuple(rat(a) for a in spec["a"]), tuple(rat(b) for b in spec["b"]))
         return RectConfig(int(dim), rects, regime_parse(data.get("regime", "overlapping")))
-
-
-def config_from_seq(dim: int, rect_list, regime="overlapping") -> RectConfig:
-    """Labels "1", "2", ... in the given order."""
-    return RectConfig(dim, {str(i + 1): r for i, r in enumerate(rect_list)}, regime)
 
 
 def unit_config(label: str, dim: int, regime="overlapping") -> RectConfig:
@@ -729,6 +721,18 @@ def fm_coords(points) -> FMCoords:
 # standard embeddings (cube components plus one anti-cube component)
 
 
+def _pointed_map(alpha, source, target) -> tuple:
+    """The map alpha as (a, alpha(a)) pairs in label order, checked to be a
+    pointed map from source to target, which both hold the mark: it covers
+    the source, lands in the target and fixes the mark."""
+    amap = dict(alpha)
+    if set(amap) != set(source) or not set(amap.values()) <= set(target):
+        raise OperadicError("the pointed map must send the source into the target")
+    if amap[MARK] != MARK:
+        raise OperadicError("the pointed map must fix the mark")
+    return tuple(sorted(amap.items(), key=lambda kv: label_key(kv[0])))
+
+
 @dataclass(frozen=True)
 class StandardEmbedding:
     """Componentwise positive-scaling-plus-translation map between families of
@@ -750,19 +754,13 @@ class StandardEmbedding:
         tgt = tuple(sorted(self.target, key=label_key))
         object.__setattr__(self, "source", src)
         object.__setattr__(self, "target", tgt)
-        alpha = tuple(sorted(dict(self.alpha).items(), key=lambda kv: label_key(kv[0])))
-        object.__setattr__(self, "alpha", alpha)
+        if MARK not in src or MARK not in tgt:
+            raise OperadicError("families must contain the anti-cube label")
+        object.__setattr__(self, "alpha", _pointed_map(self.alpha, src, tgt))
         maps = []
         for a, (scale, vec) in sorted(dict(self.maps).items(), key=lambda kv: label_key(kv[0])):
             maps.append((a, (rat(scale), tuple(rat(c) for c in vec))))
         object.__setattr__(self, "maps", tuple(maps))
-        if MARK not in src or MARK not in tgt:
-            raise OperadicError("families must contain the anti-cube label")
-        amap = dict(alpha)
-        if set(amap) != set(src) or not set(amap.values()) <= set(tgt):
-            raise OperadicError("component map must cover the source family")
-        if amap[MARK] != MARK:
-            raise OperadicError("anti-cube must map to the anti-cube")
         mm = dict(maps)
         if set(mm) != set(src):
             raise OperadicError("every component needs an affine map")

@@ -974,7 +974,7 @@ def _graft_leaf(state: _TimedState, i: int, j: int, m: int):
 
 def _graft_right(state: _TimedState, i: int, j, x) -> _TimedState:
     """Graft the operad element x of component i onto the leaf labeled j."""
-    model = state.family.components[i]
+    model = state.family.component(i)
     labels = model.labels(x)
     if not _positional(labels):
         raise OperadicError("operand labels must be positional")
@@ -1099,8 +1099,6 @@ def _act(state: _TimedState, action, operand_state) -> _TimedState:
         raise OperadicError("malformed action %r" % (action,))
     if kind == "right":
         i, j, x = (0, *action[1:]) if inter else action[1:]
-        if type(i) is not int or not 0 <= i < state.k:
-            raise OperadicError("no component %r" % (i,))
         if type(j) is not int:
             raise OperadicError("leaf label %r is not an integer" % (j,))
         return _graft_fiber(state, j, x) if inter else _graft_right(state, i, j, x)
@@ -1147,7 +1145,7 @@ class ProductIbOps:
 
     def right(self, p: ProductPoint, i: int, pos: int, x) -> ProductPoint:
         points = list(p.points)
-        points[i] = compose_at(self.family.components[i], points[i], pos, x)
+        points[i] = compose_at(self.family.component(i), points[i], pos, x)
         return ProductPoint(self.family, tuple(points))
 
     def left(self, theta: OVecPoint, p: ProductPoint) -> ProductPoint:
@@ -1163,6 +1161,7 @@ class _GluedOps:
         self.family = family
 
     def right(self, p: GluedElement, i: int, pos: int, x) -> GluedElement:
+        self.family.component(i)
         if p.sets[i] == PLUS:
             raise OperadicError("component %d is absent" % i)
         apart, back = renumbering(len(p.sets[i]), pos, len(x.labels))
@@ -1183,6 +1182,11 @@ class GluedBOps(_GluedOps):
     """The glued rectangles carrier with the ground-indexed left action."""
 
     def left(self, fiber: FiberPoint, operands) -> GluedElement:
+        _check_fiber_operand(self.family, fiber)
+        if not (isinstance(operands, (tuple, list)) and len(operands) == len(fiber.pk.ground)
+                and all(isinstance(op, GluedElement) and op.family == self.family
+                        and all(s == PLUS or _positional(s) for s in op.sets) for op in operands)):
+            raise OperadicError("one glued element with positional labels per ground element")
         shifted = {}
         offsets = [1] * self.family.k
         for l, op in enumerate(operands):

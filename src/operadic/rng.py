@@ -17,8 +17,6 @@ from fractions import Fraction
 
 from .errors import OperadicError
 
-ALGORITHM_ID = "sha256-stream-v1"
-
 
 class Stream:
     """One node of the split tree; yields bytes, ints, choices, fractions."""

@@ -186,22 +186,3 @@ def sample_fiber_configs(rng: Stream, dims, parts) -> tuple:
                 rects[lbl] = _rect_in_box(rng.split("p%d:%s" % (i, lbl)), b, cube=True)
         out.append(RectConfig(d, rects, "disjoint"))
     return tuple(out)
-
-
-def sample_perm(rng: Stream, n: int) -> tuple:
-    return tuple(rng.shuffle(range(1, n + 1)))
-
-
-def sample_points(rng: Stream, n: int, dim: int) -> list:
-    pts = []
-    seen = set()
-    attempts = 0
-    while len(pts) < n:
-        attempts += 1
-        if attempts > 100 * n:
-            raise OperadicError("could not sample distinct points")
-        p = tuple(rng.fraction(max_den=16) for _ in range(dim))
-        if p not in seen:
-            seen.add(p)
-            pts.append(p)
-    return pts

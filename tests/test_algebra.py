@@ -14,7 +14,6 @@ from operadic.algebra import (
     GammaComponent,
     GammaMorphism,
     GluedElement,
-    GluedEvaluator,
     OVecPoint,
     OperadModel,
     PKFamily,
@@ -51,14 +50,11 @@ from operadic.algebra import (
     ovec_mu,
     ovec_splice,
     ovec_unit,
-    pk_enumerate,
     pk_union,
-    pk_valid,
     prod_circ,
     prod_mu,
     qualify,
     sample_fiber_point,
-    sample_gamma,
     sample_ovec,
     sample_pk,
 )
@@ -69,13 +65,15 @@ from operadic.exactgeom import (
     RectConfig,
     cube_split,
     include_rect,
+    label_key,
     rect_compose,
     semb_compose,
     unit_config,
     validate_embedding,
 )
 from operadic.rng import Stream
-from operadic.sampling import sample_perm
+from operadic.sampling import sample_marked_fiber
+from samplers import sample_perm
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -217,6 +215,33 @@ class TestModels:
 
 # ---------------------------------------------------------------------------
 # partition families
+
+
+def pk_valid(ground, parts) -> bool:
+    """Standalone membership predicate for the partition-family conditions."""
+    try:
+        PKFamily(tuple(ground), tuple(parts))
+    except OperadicError:
+        return False
+    return True
+
+
+def pk_enumerate(ground, k: int) -> list:
+    """All valid partition families over a ground set of at most 4 labels,
+    brute force."""
+    ground = tuple(sorted(set(ground), key=label_key))
+    if len(ground) > 4:
+        raise OperadicError("ground set larger than the enumeration bound")
+    if k < 1:
+        raise OperadicError("need k >= 1")
+    subsets = [PLUS]
+    for r in range(len(ground) + 1):
+        subsets.extend(itertools.combinations(ground, r))
+    out = []
+    for combo in itertools.product(subsets, repeat=k):
+        if pk_valid(ground, combo):
+            out.append(PKFamily(ground, combo))
+    return out
 
 
 class TestPK:
@@ -623,24 +648,29 @@ class TestProductPoints:
 # glued rectangle elements
 
 
-EV = GluedEvaluator(FAM)
+def unit_image(slots) -> GluedElement:
+    xs = tuple(
+        PLUS if s == PLUS else unit_config(s, FAM.dims[i], "disjoint")
+        for i, s in enumerate(slots)
+    )
+    return glued_eta(FAM, xs)
 
 
 class TestGlued:
     def test_unit_image_is_slab_stack(self):
-        m = EV.unit_image(("p", "q"))
+        m = unit_image(("p", "q"))
         slabs = cube_split(2, 3)
         for i, lbl in enumerate(("1:p", "2:q")):
             assert m.config.rect(lbl) == slabs.rect(str(i + 1))
 
     def test_unit_image_with_sentinel(self):
-        m = EV.unit_image((PLUS, "q"))
+        m = unit_image((PLUS, "q"))
         assert m.sets == (PLUS, ("q",))
         assert m.config.labels == ("2:q",)
         assert m.config.rect("2:q") == Rect((Fraction(1),) * 3, (Fraction(0),) * 3)
 
     def test_circ_composes_in_own_column(self):
-        m = EV.unit_image(("p", "q"))
+        m = unit_image(("p", "q"))
         y = FAM.components[1].sample(Stream(5, ("y",)), ("r", "s"))
         out = glued_circ(m, 1, "q", y)
         assert out.sets == (("p",), ("r", "s"))
@@ -650,7 +680,7 @@ class TestGlued:
 
     def test_circ_associativity_mixed(self):
         rng = Stream(9, ("mix",))
-        m = EV.unit_image(("p", "q"))
+        m = unit_image(("p", "q"))
         y1 = FAM.components[0].sample(rng.split("y1"), ("a", "b"))
         y2 = FAM.components[1].sample(rng.split("y2"), ("c",))
         lhs = glued_circ(glued_circ(m, 0, "p", y1), 1, "q", y2)
@@ -667,13 +697,13 @@ class TestGlued:
             PKFamily(("a",), (("a",), ("a",))),
             (unit_config("a", 1, "disjoint"), unit_config("a", 2, "disjoint")),
         )
-        m = EV.unit_image(("p", "q"))
+        m = unit_image(("p", "q"))
         assert glued_mu_s(fiber, {"a": m}) == m
 
     def test_mu_s_respects_sentinel_pattern(self):
         fiber = fiber_sample(10, PKFamily(("a",), (("a",), PLUS)))
-        good = EV.unit_image(("p", PLUS))
-        bad = EV.unit_image(("p", "q"))
+        good = unit_image(("p", PLUS))
+        bad = unit_image(("p", "q"))
         out = glued_mu_s(fiber, {"a": good})
         assert out.sets == (("p",), PLUS)
         with pytest.raises(OperadicError):
@@ -681,7 +711,7 @@ class TestGlued:
 
     def test_direct_action_requires_full_presence(self):
         theta = sample_ovec(Stream(11, ("th",)), FAM, (("a",), ("b",)))
-        partial = EV.unit_image(("p", PLUS))
+        partial = unit_image(("p", PLUS))
         with pytest.raises(OperadicError):
             glued_mu_direct(theta, partial)
 
@@ -694,17 +724,22 @@ class TestGlued:
             )
             theta = sample_ovec(rng.split("t"), FAM, sets)
             slots = tuple("pq"[i] for i in range(2))
-            m = EV.unit_image(slots)
+            m = unit_image(slots)
             y = FAM.components[0].sample(rng.split("y"), ("w",))
             m = glued_circ(m, 0, "p", y)
-            assert induced_infinitesimal(EV, theta, m) == glued_mu_direct(theta, m)
+            assert induced_infinitesimal(theta, m) == glued_mu_direct(theta, m)
 
     def test_induced_action_unit_theta(self):
-        m = EV.unit_image(("p", "q"))
-        assert induced_infinitesimal(EV, ovec_unit(FAM), m) == m
+        m = unit_image(("p", "q"))
+        assert induced_infinitesimal(ovec_unit(FAM), m) == m
+
+    def test_induced_action_needs_a_cube_pad_family(self):
+        theta = sample_ovec(Stream(12, ("col",)), COLLAPSE, ((), ()))
+        with pytest.raises(OperadicError):
+            induced_infinitesimal(theta, unit_image(("p", "q")))
 
     def test_labels_validated(self):
-        m = EV.unit_image(("p", "q"))
+        m = unit_image(("p", "q"))
         with pytest.raises(OperadicError):
             GluedElement(FAM, (("p",), ("q", "r")), m.config)
         with pytest.raises(OperadicError):
@@ -716,6 +751,41 @@ class TestGlued:
 
 
 GFAM = cube_family((1,), 2)
+
+
+def sample_gamma(rng: Stream, family: RelativeFamily, source_sets, target_sets) -> GammaMorphism:
+    """Random decorated pointed maps; marked decorations are drawn jointly so
+    the fiber condition holds."""
+    if family.kind != "cube-pad":
+        raise OperadicError("no morphism sampler for family kind %r" % (family.kind,))
+    source_sets = tuple(tuple(s) for s in source_sets)
+    target_sets = tuple(tuple(t) for t in target_sets)
+    alphas = []
+    for i, labels in enumerate(source_sets):
+        options = target_sets[i] + (MARK,)
+        amap = {MARK: MARK}
+        for a in labels:
+            amap[a] = rng.split("a%d:%s" % (i, a)).choice(options)
+        alphas.append(amap)
+    marked_sets = tuple(
+        tuple(a for a in source_sets[i] if alphas[i][a] == MARK) for i in range(family.k)
+    )
+    fiber = sample_marked_fiber(rng.split("marked"), family.dims, family.base.dim, marked_sets)
+    arrows = []
+    for i in range(family.k):
+        model = family.components[i]
+        decor = {MARK: fiber.configs[i]}
+        for b in target_sets[i]:
+            fib = tuple(a for a in source_sets[i] if alphas[i][a] == b)
+            decor[b] = model.sample(rng.split("d%d:%s" % (i, b)), fib)
+        arrows.append(GammaComponent(
+            model,
+            source_sets[i] + (MARK,),
+            target_sets[i] + (MARK,),
+            alphas[i],
+            decor,
+        ))
+    return GammaMorphism(family, tuple(arrows))
 
 
 def gsample(seed, family, sources, targets):

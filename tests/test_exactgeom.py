@@ -22,7 +22,6 @@ from operadic.exactgeom import (
     _overlap_graph,
     bounding_rect,
     common_box,
-    config_from_seq,
     cube_split,
     epsilon_glue,
     fm_coords,
@@ -50,10 +49,33 @@ from operadic.sampling import (
     sample_marked_fiber,
     sample_moverlap_config,
     sample_overlapping_config,
-    sample_perm,
-    sample_points,
     sample_rect,
 )
+from samplers import sample_perm
+
+# ---------------------------------------------------------------------------
+# builders and samplers of test data
+
+
+def config_from_seq(dim: int, rect_list, regime="overlapping") -> RectConfig:
+    """Labels "1", "2", ... in the given order."""
+    return RectConfig(dim, {str(i + 1): r for i, r in enumerate(rect_list)}, regime)
+
+
+def sample_points(rng: Stream, n: int, dim: int) -> list:
+    pts = []
+    seen = set()
+    attempts = 0
+    while len(pts) < n:
+        attempts += 1
+        if attempts > 100 * n:
+            raise OperadicError("could not sample distinct points")
+        p = tuple(rng.fraction(max_den=16) for _ in range(dim))
+        if p not in seen:
+            seen.add(p)
+            pts.append(p)
+    return pts
+
 
 # ---------------------------------------------------------------------------
 # oracles (independent implementations used to check the engine)

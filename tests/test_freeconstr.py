@@ -6,6 +6,7 @@ import pytest
 from operadic import freeconstr
 from operadic.algebra import (
     PLUS,
+    AugmentedPoint,
     FiberPoint,
     OVecPoint,
     PKFamily,
@@ -13,15 +14,20 @@ from operadic.algebra import (
     act_numeric,
     collapse_family,
     cube_family,
+    aug_circ,
+    glued_circ,
     glued_eta,
+    glued_relabel,
     operad_model,
+    ovec_compose_at,
     ovec_unit,
+    prod_circ,
     sample_fiber_point,
     sample_ovec,
     sample_pk,
 )
 from operadic.errors import OperadicError
-from operadic.exactgeom import MARK
+from operadic.exactgeom import MARK, unit_config
 from operadic.freeconstr import (
     FormalGenerator,
     FreeBPoint,
@@ -321,8 +327,9 @@ class TestCounit:
         assert checked >= 30
 
     def test_marked_left_actions_reject_non_positional_operands(self):
-        # a non-numeric input label of the marked operand escaped from the
-        # input shift as a ValueError
+        # a non-numeric input label of the marked operand, or of an operand
+        # of the ground-indexed action, escaped from the input shift as a
+        # ValueError
         fam = collapse_family((operad_model("terminal"),))
         theta = OVecPoint(fam, (frozenset({MARK, "a"}),))
         with pytest.raises(OperadicError):
@@ -335,6 +342,34 @@ class TestCounit:
             with pytest.raises(OperadicError):
                 ProductIbOps(FAM).left(sample_ovec(rng.split(sets), FAM, sets),
                                        rand_prod(rng.split("p"), (2, 1)))
+        fib = sample_fiber_point(Stream(3), FAM, PKFamily(("1",), (("1",), ("1",))))
+        named = glued_eta(FAM, (unit_config("p", 1, "disjoint"), unit_config("q", 2, "disjoint")))
+        good = rand_glued(rng.split("g"), (1, 1))
+        assert GluedBOps(FAM).left(fib, [good]).sets == (("1",), ("1",))
+        for left, operands in ((fib, [named]), (fib, [good, good]), (fib, good),
+                               (ovec_unit(FAM), [good])):
+            with pytest.raises(OperadicError):
+                GluedBOps(FAM).left(left, operands)
+
+    @pytest.mark.parametrize("i", [-1, 2])
+    @pytest.mark.parametrize("call", [
+        lambda i, r: prod_circ(rand_prod(r, (1, 1)), i, "1", positional(FAM.components[1], r, 2)),
+        lambda i, r: glued_circ(rand_glued(r, (1, 1)), i, "1", positional(FAM.components[1], r, 2)),
+        lambda i, r: glued_relabel(rand_glued(r, (1, 1)), i, {"1": "2"}),
+        lambda i, r: ovec_compose_at(rand_theta(r, (1, 1)), i, 2, positional(FAM.components[1], r, 2)),
+        lambda i, r: aug_circ(AugmentedPoint(FAM, (PLUS, FAM.base.sample(r, ("1",)))), i, "1",
+                              positional(FAM.components[1], r, 2)),
+        lambda i, r: ProductIbOps(FAM).right(rand_prod(r, (1, 1)), i, 1,
+                                             positional(FAM.components[1], r, 2)),
+        lambda i, r: GluedIbOps(FAM).right(rand_glued(r, (1, 1)), i, 1,
+                                           positional(FAM.components[1], r, 2)),
+    ], ids=["prod_circ", "glued_circ", "glued_relabel", "ovec_compose_at", "aug_circ",
+            "ProductIbOps.right", "GluedIbOps.right"])
+    def test_component_indices_are_checked(self, call, i):
+        # -1 picked the last component without a word, 2 raised IndexError
+        call(FAM.k - 1, Stream(4, ("index",)))
+        with pytest.raises(OperadicError):
+            call(i, Stream(4, ("index",)))
 
     def test_evaluate_generator_is_its_decoration(self):
         rng = Stream(8, ("gen",))

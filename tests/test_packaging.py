@@ -56,12 +56,26 @@ def test_modules_import_only_earlier_layers():
 ROOT = PACKAGE.parents[1]
 
 
-def _definitions(tree):
-    """The top-level defs and classes of a module and the methods of its
-    classes, dunders left out, as (qualified name, node)."""
+def _top_level(tree):
+    """The defs, classes and assigned names at the top level of a module, as
+    (name, node)."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                for n in ast.walk(t):
+                    if isinstance(n, ast.Name):
+                        yield n.id, node
+
+
+def _definitions(tree):
+    """The top-level names of a module and the methods of its classes,
+    dunders left out, as (qualified name, node)."""
+    for name, node in _top_level(tree):
+        if not (name.startswith("__") and name.endswith("__")):
+            yield name, node
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, ast.FunctionDef) and not (
@@ -69,22 +83,72 @@ def _definitions(tree):
                     yield "%s.%s" % (node.name, member.name), member
 
 
+# Public names that nothing in src/ or perfbench/ uses: the paper's
+# constructions that only the tests call, and UsageError, which the error
+# contract reserves for malformed invocations.  A name leaves this list once
+# the package or the benchmark uses it.
+TEST_ONLY_API = (
+    "algebra.aug_circ", "algebra.aug_mu_s", "algebra.collapse_family",
+    "algebra.convert_onefold", "algebra.gamma_compose", "algebra.gamma_glue",
+    "algebra.gamma_identity", "algebra.gamma_to_semb", "algebra.induced_infinitesimal",
+    "algebra.ovec_mu", "algebra.ovec_unit", "algebra.prod_circ",
+    "bv.intermediate_act", "errors.UsageError", "exactgeom.fm_coords",
+    "exactgeom.identity_embedding", "exactgeom.semb_compose", "freeconstr.b_point",
+    "freeconstr.base_point", "freeconstr.has_univalent_vertex", "freeconstr.ib_point",
+    "trees.contract_edge", "trees.emit_dot", "trees.psi_closure",
+)
+
+
+def _words(directory: Path) -> dict:
+    """word -> [(file, line number)] of its whole-word occurrences."""
+    seen = {}
+    for path in directory.rglob("*.py"):
+        for n, line in enumerate(path.read_text().splitlines(), 1):
+            for word in set(re.findall(r"\w+", line)):
+                seen.setdefault(word, []).append((path, n))
+    return seen
+
+
+def _package_references() -> dict:
+    """name -> [(file, line number)] of every name, attribute and imported
+    name in the code of the package; docstrings and comments do not count."""
+    refs = {}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias)):
+                name = node.id if isinstance(node, ast.Name) else (
+                    node.attr if isinstance(node, ast.Attribute) else node.name)
+                refs.setdefault(name, []).append((path, node.lineno))
+    return refs
+
+
 def test_every_top_level_name_is_used():
-    # a def, class or method that nothing names outside its own definition
-    # is dead
-    seen = {}  # word -> [(file, line number)] of its whole-word occurrences
-    for d in ("src", "tests", "perfbench"):
-        for path in (ROOT / d).rglob("*.py"):
-            for n, line in enumerate(path.read_text().splitlines(), 1):
-                for word in set(re.findall(r"\w+", line)):
-                    seen.setdefault(word, []).append((path, n))
-    unused = []
+    # a public name is API when code in src/ or perfbench/ uses it, or when
+    # TEST_ONLY_API lists it; a use in the tests alone makes it scaffolding.
+    # A private name or a method that nothing names outside its own
+    # definition is dead.
+    refs = _package_references()
+    words = {d: _words(ROOT / d) for d in ("src", "tests", "perfbench")}
+    unused, test_only = [], set()
     for path in sorted(PACKAGE.glob("*.py")):
         for qualified, node in _definitions(ast.parse(path.read_text())):
-            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            if all(p == path and first <= n <= node.end_lineno for p, n in seen[node.name]):
+            name = qualified.rpartition(".")[2]
+            first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())])
+
+            def outside(places):
+                return any(p != path or not first <= n <= node.end_lineno for p, n in places)
+
+            if "." in qualified or name.startswith("_"):
+                used = any(outside(w.get(name, ())) for w in words.values())
+            elif outside(refs.get(name, ())) or name in words["perfbench"]:
+                continue
+            else:
+                used = "%s.%s" % (path.stem, name) in TEST_ONLY_API
+                test_only.add("%s.%s" % (path.stem, name))
+            if not used:
                 unused.append("%s.%s" % (path.stem, qualified))
     assert not unused
+    assert sorted(set(TEST_ONLY_API) - test_only) == []  # used now, or gone
 
 
 def test_every_imported_package_name_is_used():
@@ -101,24 +165,11 @@ def test_every_imported_package_name_is_used():
     assert not unused
 
 
-def _top_level_names(path: Path) -> set:
-    """Names a module defines at its top level: functions, classes and
-    assigned names."""
-    out = set()
-    for node in ast.parse(path.read_text()).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            out.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            out |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
-    return out
-
-
 def test_each_name_defined_once():
     # a helper two modules need lives in the earlier layer and is imported
     owners = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        for name in _top_level_names(path):
+        for name in {name for name, _ in _top_level(ast.parse(path.read_text()))}:
             owners.setdefault(name, []).append(path.stem)
     assert {name: where for name, where in owners.items() if len(where) > 1} == {}
 
